@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
@@ -35,10 +35,16 @@ def matvec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fract
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def common_denominator(fracs: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators; 1 for no values."""
+    # A list, not a generator: star-args built from a generator strand resized tuples on CPython's free lists.
+    return lcm(*[f.denominator for f in fracs])
+
+
 def _clear_denominators(row: Sequence) -> list[int]:
     fracs = [Fraction(x) for x in row]
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * den) for f in fracs]
+    den = common_denominator(fracs)
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:

@@ -57,29 +57,44 @@ def _uni_eval(a: Coeffs, t: Fraction) -> Fraction:
     return total
 
 
+def _clear_line(base: Sequence[Fraction], direction: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
+    """Integer base and direction of the line scaled by the lcm L of their denominators."""
+    scale = _linalg.common_denominator([*base, *direction])
+    return ([x.numerator * (scale // x.denominator) for x in base],
+            [x.numerator * (scale // x.denominator) for x in direction], scale)
+
+
+def _integer_on_line(p: Poly, base: Sequence[int], direction: Sequence[int], scale: int) -> Coeffs:
+    """Coefficients of t -> p((base + t * direction) / scale) for an integer line.
+
+    With p = sum(n_e x^e) / den over integer numerators n_e, every term is
+    scaled to total degree deg by scale^(deg - |e|), its factors
+    (base_i + t direction_i)^k are multiplied out in ints, and each
+    coefficient becomes one Fraction over den * scale^deg.
+    """
+    deg = p.degree()
+    if deg < 0:
+        return ()
+    den = _linalg.common_denominator(p.terms.values())
+    acc = [0] * (deg + 1)
+    for e, c in p.terms.items():
+        term = [c.numerator * (den // c.denominator) * scale ** (deg - sum(e))]
+        for b, d, k in zip(base, direction, e):
+            for _ in range(k):
+                term = [x * b + y * d for x, y in zip([*term, 0], [0, *term])]
+        for i, x in enumerate(term):
+            acc[i] += x
+    den *= scale**deg
+    return _trim([Fraction(x, den) for x in acc])
+
+
 def poly_on_line(p: Poly, base: Sequence, direction: Sequence) -> Coeffs:
     """Coefficients of t -> p(base + t * direction)."""
     base = [as_rational(x) for x in base]
     direction = [as_rational(x) for x in direction]
     if len(base) != p.num_vars or len(direction) != p.num_vars:
         raise ValueError("line dimension mismatch")
-    # Powers of each affine coordinate up to the largest exponent used.
-    top = max((k for e in p.terms for k in e), default=0)
-    powers = []
-    for b, d in zip(base, direction):
-        var = _trim((b, d))
-        cur: list[Coeffs] = [(Fraction(1),)]
-        for _ in range(top):
-            cur.append(_uni_mul(cur[-1], var))
-        powers.append(cur)
-    total: Coeffs = ()
-    for e, c in p.terms.items():
-        term: Coeffs = (c,)
-        for i, k in enumerate(e):
-            if k:
-                term = _uni_mul(term, powers[i][k])
-        total = _uni_add(total, term)
-    return total
+    return _integer_on_line(p, *_clear_line(base, direction))
 
 
 @dataclass(frozen=True)
@@ -165,8 +180,9 @@ def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
     of restricting the much larger multivariate norm polynomial."""
     if line.dim != fq.source_dim:
         raise ValueError("line lives in the wrong source space")
-    numerators = tuple(poly_on_line(c, line.base, line.direction) for c in fq.numer.coords)
-    denominator = poly_on_line(fq.denom, line.base, line.direction)
+    cleared = _clear_line(line.base, line.direction)
+    numerators = tuple(_integer_on_line(c, *cleared) for c in fq.numer.coords)
+    denominator = _integer_on_line(fq.denom, *cleared)
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
     return RationalCurve(numerators=numerators, denominator=denominator)

@@ -7,7 +7,8 @@ significant digits. Reports are emitted with sorted keys and no timestamps,
 so identical inputs produce byte-identical output.
 
 Exit codes: 0 valid / feasible, 2 mathematically invalid input or verdict,
-1 operational failure (unreadable file, malformed document, bad arguments).
+1 operational failure (unreadable file, malformed document, bad arguments,
+or a failed internal exact certificate).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import circles, cliff, jets, spheres
-from .polycore import Poly, PolyMap
+from .polycore import CertificateError, Poly, PolyMap
 
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-7
@@ -630,6 +631,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DocumentError as exc:
         print(f"rounding-forge: error: {exc}", file=sys.stderr)
         return 1
+    except CertificateError as exc:
+        print(f"rounding-forge: error: certificate failed: {exc}", file=sys.stderr)
+        return 1
     if args.command == "tables" and not args.json:
         for line in report.witnesses.get("table", []):
             print(line)
@@ -640,3 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

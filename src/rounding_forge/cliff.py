@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import FracQuadMap
-from .polycore import Poly, PolyMap, QuadForm, as_rational, divide_exact, inner_poly
+from .polycore import CertificateError, Poly, PolyMap, QuadForm, as_rational, divide_exact, inner_poly
 from .spheres import QuadSphereMap
 
 KAPPA_DOMAIN_CAP = 1 << 20
@@ -201,7 +201,8 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
     volume = eight[0]
     for g in eight[1:]:
         volume = volume @ g
-    assert (volume @ volume).is_identity(), "volume element does not square to +1"
+    if not (volume @ volume).is_identity():
+        raise CertificateError("volume element does not square to +1")
     sub = _generator_perms(k - 8)
     sub_dim = sub[0].dim if sub else 1
     eye = _SignedPerm.eye(sub_dim)
@@ -376,5 +377,6 @@ def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
     xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim)})
     yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim, m)})
     quotient = divide_exact(inner_poly(f, f), xx)
-    assert quotient == yy, "pairing norm identity failed during conversion"
+    if quotient != yy:
+        raise CertificateError("pairing norm identity failed during conversion")
     return FracQuadMap(numer=f, denom=xx)

@@ -5,7 +5,7 @@ A 2-jet (A, B) with A linear of rank at least 2 and B quadratic is accepted
 when <A,B> and <B,B> are exactly divisible by <A,A>; the quotients p (linear)
 and q (quadratic) drive everything downstream. The canonical representative
 is (A + B - 2pA) / (1 - 2p + q), whose squared numerator norm factors exactly
-as (1 - 2p + q) * <A,A>; that identity is asserted, not assumed.
+as (1 - 2p + q) * <A,A>; that identity is checked exactly, not assumed.
 
 Degeneracy means the quadratic form q - p^2 has a nontrivial real zero on the
 kernel of A. Degenerate jets factor through a rational projection onto a
@@ -21,6 +21,7 @@ from typing import Sequence
 
 from . import _linalg
 from .polycore import (
+    CertificateError,
     Poly,
     PolyMap,
     QuadForm,
@@ -177,8 +178,8 @@ def canonical_rounding(rj: RoundingJet) -> FracQuadMap:
     a, b = rj.jet.linear, rj.jet.quad
     numer = a + b - a.times_poly(2 * rj.p)
     denom = 1 - 2 * rj.p + rj.q
-    norm_identity = inner_poly(numer, numer) - denom * inner_poly(a, a)
-    assert norm_identity.is_zero(), "canonical numerator norm identity failed"
+    if inner_poly(numer, numer) != denom * inner_poly(a, a):
+        raise CertificateError("canonical numerator norm identity |N|^2 = D<A,A> failed")
     return FracQuadMap(numer=numer, denom=denom)
 
 
@@ -261,8 +262,10 @@ def normalize_p(rj: RoundingJet) -> RoundingJet:
     """The equivalent jet with p = 0, obtained by B <- B - pA."""
     jet = Jet2(linear=rj.jet.linear, quad=rj.jet.quad - rj.jet.linear.times_poly(rj.p))
     out = validate_jet(jet)
-    assert out.p.is_zero(), "normalization failed to kill p"
-    assert out.q == rj.q - rj.p * rj.p, "normalized q is not q - p^2"
+    if not out.p.is_zero():
+        raise CertificateError("normalization failed to kill p")
+    if out.q != rj.q - rj.p * rj.p:
+        raise CertificateError("normalized q is not q - p^2")
     return out
 
 
@@ -296,9 +299,12 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     reduced_lin = PolyMap.from_linear_matrix(_linalg.matmul(a.linear_matrix(), section))
     reduced_quad = PolyMap.from_quadratic_forms([f.restricted(sec_t) for f in b.quadratic_forms()])
     reduced = validate_jet(Jet2(reduced_lin, reduced_quad))
-    assert reduced_lin.compose_linear(proj) == a, "projection does not recover A"
-    assert reduced_quad.compose_linear(proj) == b, "projection does not recover B - pA"
-    assert not is_degenerate(reduced)[0], "reduced jet is still degenerate"
+    if reduced_lin.compose_linear(proj) != a:
+        raise CertificateError("projection does not recover A")
+    if reduced_quad.compose_linear(proj) != b:
+        raise CertificateError("projection does not recover B - pA")
+    if is_degenerate(reduced)[0]:
+        raise CertificateError("reduced jet is still degenerate")
     return proj, reduced
 
 

@@ -22,6 +22,17 @@ Rational = Fraction
 MAX_DEGREE = 8
 
 Exponents = tuple[int, ...]
+# Bits per variable in a packed exponent key: the field holds the sum of two
+# capped exponents, so adding two keys never carries into the next variable.
+_FIELD_BITS = (2 * MAX_DEGREE).bit_length()
+
+
+class CertificateError(Exception):
+    """An exact identity the construction guarantees failed to hold.
+
+    This signals a defect in the toolkit, not bad input; it is raised, never
+    asserted, so it survives python -O.
+    """
 
 
 def as_rational(x) -> Fraction:
@@ -153,12 +164,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_space(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.num_vars, out)
+        return _sum_of_products(self.num_vars, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -265,6 +271,36 @@ class Poly:
                 bits.append(f"{c}*{mono}")
         out = " + ".join(bits)
         return out.replace("+ -", "- ")
+
+
+def _packed_terms(polys: Sequence[Poly], shifts: Sequence[int]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Terms as (packed exponents, integer numerator) over one shared denominator."""
+    den = _linalg.common_denominator([c for p in polys for c in p.terms.values()])
+    return [[(sum([k << s for k, s in zip(e, shifts)]), c.numerator * (den // c.denominator))
+             for e, c in p.terms.items()] for p in polys], den
+
+
+def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
+    """The polynomial sum of a * b over the pairs.
+
+    Each side is cleared to integer numerators over one denominator, so the
+    multiply-adds run on ints and only the output terms pay for a gcd. An
+    exponent tuple is packed into one int, a field per variable, so a
+    monomial product is one integer addition.
+    """
+    shifts = [_FIELD_BITS * i for i in range(num_vars)]
+    lefts, den_a = _packed_terms([a for a, _ in pairs], shifts)
+    rights, den_b = _packed_terms([b for _, b in pairs], shifts)
+    acc: dict[int, int] = {}
+    for left, right in zip(lefts, rights):
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+    den = den_a * den_b
+    mask = (1 << _FIELD_BITS) - 1
+    return Poly(num_vars, {tuple([(k >> s) & mask for s in shifts]): Fraction(c, den)
+                           for k, c in acc.items() if c})
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -520,10 +556,7 @@ def inner_poly(u: PolyMap, v: PolyMap) -> Poly:
     """Pointwise Euclidean inner product <U, V> as a polynomial."""
     if u.source_dim != v.source_dim or u.target_dim != v.target_dim:
         raise ValueError("maps have different shapes")
-    total = Poly.zero(u.source_dim)
-    for a, b in zip(u.coords, v.coords):
-        total = total + a * b
-    return total
+    return _sum_of_products(u.source_dim, list(zip(u.coords, v.coords)))
 
 
 def rank_linear(a: PolyMap) -> int:

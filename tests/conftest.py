@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from rounding_forge import cliff
 from rounding_forge.jets import Jet2, transform_jet
@@ -44,6 +45,23 @@ def dict_inner(coords_a: list[dict], coords_b: list[dict]) -> dict:
 
 def as_dict(p: Poly) -> dict:
     return dict(p.terms)
+
+
+# Hypothesis inputs for the integer-numerator kernels: nonzero numerators of
+# either sign over mixed denominators, large primes among them, so that the
+# shared lcm is big; empty dictionaries give zero polynomials.
+mixed_coeffs = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.sampled_from([1, 2, 3, 12, 97, 65537, 1000003, 2**61 - 1]),
+)
+
+
+def mixed_polys(num_vars: int, max_deg: int):
+    exps = st.tuples(*(st.integers(0, max_deg) for _ in range(num_vars))).filter(
+        lambda e: sum(e) <= max_deg
+    )
+    return st.dictionaries(exps, mixed_coeffs, max_size=5).map(lambda d: Poly(num_vars, d))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import complex_square_jet, quaternion_jet
+from conftest import complex_square_jet, mixed_polys, quaternion_jet
 from rounding_forge.circles import (
     DenominatorVanishesIdentically,
     Line,
@@ -19,8 +20,8 @@ from rounding_forge.circles import (
     verify_rounding_numeric,
 )
 from rounding_forge.cliff import normed_pairing, pairing_to_rounding
-from rounding_forge.jets import canonical_rounding, validate_jet
-from rounding_forge.polycore import Poly
+from rounding_forge.jets import FracQuadMap, canonical_rounding, validate_jet
+from rounding_forge.polycore import Poly, PolyMap
 
 F = Fraction
 
@@ -45,6 +46,65 @@ def test_poly_on_line_matches_direct_evaluation():
             direct = p([b + t * d for b, d in zip(base, direction)])
             via = sum(c * t ** k for k, c in enumerate(coeffs))
             assert via == direct
+
+
+# line entries for the integer restriction kernel: often zero, else fractional
+line_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 1000003])),
+)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(
+    st.integers(0, 4).flatmap(lambda deg: st.tuples(st.just(deg), mixed_polys(3, deg))),
+    st.lists(line_entries, min_size=3, max_size=3),
+    st.lists(line_entries, min_size=3, max_size=3),
+)
+def test_poly_on_line_matches_evaluation_up_to_degree_four(deg_and_poly, base, direction):
+    deg, p = deg_and_poly
+    coeffs = poly_on_line(p, base, direction)
+    assert len(coeffs) <= deg + 1
+    assert not coeffs or coeffs[-1] != 0
+    # deg + 2 distinct points pin down a polynomial of degree at most deg
+    for t in (F(0), F(1), F(-1), F(1, 2), F(-3, 7), F(5, 3)):
+        direct = p([b + t * d for b, d in zip(base, direction)])
+        assert sum(c * t ** k for k, c in enumerate(coeffs)) == direct
+
+
+def affine_forms(num_vars: int):
+    entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(-3, 5)])
+    return st.lists(entries, min_size=num_vars + 1, max_size=num_vars + 1).map(
+        lambda c: Poly(num_vars, {tuple(int(j == i) for j in range(num_vars)): x
+                                  for i, x in enumerate(c[1:])}) + c[0]
+    )
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    affine_forms(3),
+    affine_forms(3),
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(2, 3)]), min_size=3, max_size=3),
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2)]), min_size=3, max_size=3),
+)
+def test_restrict_rejects_exactly_the_lines_inside_the_pole_set(l1, l2, base, direction):
+    assume(any(direction))
+    denom = l1 * l2
+    numer = PolyMap(3, [Poly.variable(3, 0) * Poly.variable(3, 1), l1, Poly.zero(3)])
+    fq = FracQuadMap(numer=numer, denom=denom)
+    line = Line(base=base, direction=direction)
+    # the restricted denominator has degree at most 2: three values decide it
+    vanishes = all(denom(line.at(t)) == 0 for t in (0, 1, -1))
+    if vanishes:
+        with pytest.raises(DenominatorVanishesIdentically):
+            restrict_to_line(fq, line)
+        return
+    curve = restrict_to_line(fq, line)
+    for t in (F(0), F(1), F(-1), F(2, 5)):
+        point = line.at(t)
+        assert sum(c * t ** k for k, c in enumerate(curve.denominator)) == denom(point)
+        for num, coord in zip(curve.numerators, numer.coords):
+            assert sum(c * t ** k for k, c in enumerate(num)) == coord(point)
 
 
 def test_line_validation():

@@ -1,9 +1,14 @@
 """End-to-end command tests, run in process through main(): report shape,
 exit codes, document round trips, and determinism of the emitted JSON."""
 
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-from rounding_forge import cli
+import rounding_forge
+from rounding_forge import cli, jets
 from rounding_forge.jets import fracquad_jet, validate_jet
 from rounding_forge.polycore import Poly
 
@@ -115,6 +120,28 @@ def test_check_wrong_document_shape(tmp_path, capsys):
 def test_unknown_command(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_failed_certificate_is_one_error_line(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "jet.json", FLAT_JET)
+    monkeypatch.setattr(jets, "is_degenerate", lambda rj: (True, None))
+    code, out, err = run(capsys, "factor", path)
+    assert code == 1
+    assert out == ""
+    assert err == "rounding-forge: error: certificate failed: reduced jet is still degenerate\n"
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(rounding_forge.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "rounding_forge.cli", "tables", "--rho", "4"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["4", "4"]
+    proc = subprocess.run([sys.executable, "-m", "rounding_forge.cli", "hopf"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rounding-forge: error:")
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +388,76 @@ def test_tables_stiefel_infeasible(capsys):
 def test_tables_flags_are_exclusive(capsys):
     code, out, err = run(capsys, "tables", "--rho", "4", "--kappa", "4")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# byte stability: fixed invocations over documents built from the conftest
+# jets, pinned by the SHA-256 of stdout and stderr and the exit code. Any
+# change in the exact core that alters a report byte shows up here.
+
+
+def _golden_documents(tmp_path):
+    import random
+
+    from conftest import complex_square_jet, flat_degenerate_jet, quaternion_jet, random_valid_jet
+    from rounding_forge.jets import canonical_rounding
+
+    docs = {
+        "complex": cli.jet_to_doc(complex_square_jet()),
+        "quaternion": cli.jet_to_doc(quaternion_jet()),
+        "flat": cli.jet_to_doc(flat_degenerate_jet()),
+        "random": cli.jet_to_doc(random_valid_jet(random.Random(4242), m=4, n=4)),
+        "degenerate": cli.jet_to_doc(random_valid_jet(random.Random(77), m=5, n=2)),
+    }
+    paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    fq = canonical_rounding(validate_jet(random_valid_jet(random.Random(4242), m=4, n=4)))
+    paths["map"] = write_doc(tmp_path, "map.json", cli.fracquad_to_doc(fq))
+    return paths
+
+
+GOLDEN_CASES = (
+    ("check", "{complex}"),
+    ("check", "{random}"),
+    ("canon", "{random}", "--verify", "--trials", "6", "--seed", "3"),
+    ("canon", "{quaternion}"),
+    ("sphere", "{random}"),
+    ("sphere", "{flat}"),
+    ("factor", "{degenerate}"),
+    ("degen", "{degenerate}"),
+    ("pairing", "4", "8"),
+    ("hopf", "--size", "2", "4"),
+    ("verify", "{map}", "--trials", "6", "--seed", "5"),
+    ("hopf",),
+)
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# Recorded with plain Fraction arithmetic, before the integer-numerator
+# kernels, so a kernel that changes any exact value or term order fails here.
+GOLDEN = {
+    "check {complex}": ("0fbf3e34388d56506658b7d2927e1a3e673e346ff2ff6ae61b2b38dcd1e713b8", EMPTY, 0),
+    "check {random}": ("2265a0e80f5f48fb8e1a9f7eabbf5b1ef352e2cc1deeb7025c598e369bc2de53", EMPTY, 0),
+    "canon {random} --verify --trials 6 --seed 3": ("a91025cfaede2443ab363dd9b35b79834e02823478ef3d3ff78e821e53c6bcf3", EMPTY, 0),
+    "canon {quaternion}": ("aa05a588e5ef4b515731bf46871ed766fcb51d133868e840475a54fc5b311b70", EMPTY, 0),
+    "sphere {random}": ("7e0e8a74311b118f17b68bbeda6fc6ab8b4fcace7ad6baa9095f912742b7428b", EMPTY, 0),
+    "sphere {flat}": ("777a6ef2d31d455c3333eff1abb22785fd65af6a05a41129c21c73678818d20e", EMPTY, 2),
+    "factor {degenerate}": ("385de4b7e410cf23cc1f918a42946779f5c9e36381adef14740d007f0cbc6e36", EMPTY, 0),
+    "degen {degenerate}": ("9b594fda2074e593fc6f72ebaadc966c603fb550248a2c4ea52ec1ff3e5dd305", EMPTY, 0),
+    "pairing 4 8": ("10ca1c552d878167fd69aeb87944ce1cdd2d168799e814c84474c15d50827674", EMPTY, 0),
+    "hopf --size 2 4": ("26c989bf31be24fd57bba07a80d602c46fdaf4acd35e7b8f0aa4d76a40a3a41a", EMPTY, 0),
+    "verify {map} --trials 6 --seed 5": ("a66448a5be3c1ff68a4d6b0339935d007e1e006cb6ad8614189b9dfe89960e66", EMPTY, 0),
+    "hopf": (EMPTY, "ecd50a0c1e0d377d401fbd79d42b2f7eba9d8a557f2fdde00a29008cd6378c03", 1),
+}
+
+
+def test_cli_reports_byte_stable(tmp_path, capsys):
+    paths = _golden_documents(tmp_path)
+    got = {}
+    for case in GOLDEN_CASES:
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in case))
+        got[" ".join(case)] = (
+            hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest(),
+            code,
+        )
+    assert got == GOLDEN

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import as_dict, dict_inner, dict_mul, quat_mul
+from rounding_forge import cliff
 from rounding_forge.cliff import (
     KAPPA_DOMAIN_CAP,
     MAX_GENERATORS,
@@ -26,7 +27,7 @@ from rounding_forge.cliff import (
     rho,
     stiefel_hopf_feasible,
 )
-from rounding_forge.polycore import Poly
+from rounding_forge.polycore import CertificateError, Poly
 
 F = Fraction
 
@@ -298,3 +299,22 @@ def test_pairing_to_rounding_frozen():
     # |f(x, y)|^2 / |x|^4 = |y|^2 / |x|^2: the image radius is |y| / |x|
     got = fq((F(2), F(0), F(0), F(3)))
     assert sum(c * c for c in got) == F(9, 4)
+
+
+def test_corrupted_norm_product_fails_the_rounding_certificate(monkeypatch):
+    pairing = normed_pairing(2, 2)
+    real = cliff.inner_poly
+    monkeypatch.setattr(cliff, "inner_poly", lambda u, v: real(u, v) + real(u, v))
+    with pytest.raises(CertificateError, match="pairing norm identity"):
+        pairing_to_rounding(pairing)
+
+
+def test_corrupted_generators_fail_the_volume_certificate(monkeypatch):
+    # repeating a generator leaves six distinct ones in the volume element,
+    # whose square is then -1
+    eight = cliff._generator_perms(8)
+    tampered = (eight[1],) + eight[1:]
+    cached = cliff._generator_perms
+    monkeypatch.setattr(cliff, "_generator_perms", lambda k: tampered if k == 8 else cached(k))
+    with pytest.raises(CertificateError, match="volume element"):
+        cached.__wrapped__(9)

@@ -6,9 +6,16 @@ independent oracles are the dict expansion and the hand-coded quaternion
 table from conftest."""
 
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import rounding_forge
+from rounding_forge import jets
 
 from conftest import (
     as_dict,
@@ -41,7 +48,7 @@ from rounding_forge.jets import (
     transform_jet,
     validate_jet,
 )
-from rounding_forge.polycore import Poly, PolyMap
+from rounding_forge.polycore import CertificateError, Poly, PolyMap
 
 F = Fraction
 
@@ -424,3 +431,54 @@ def test_irrational_kernel_witness_is_declared():
     # the error type is part of the contract even though validated rational
     # jets always admit rational common-kernel directions when degenerate
     assert issubclass(IrrationalKernelWitness, Exception)
+
+
+# ---------------------------------------------------------------------------
+# exact certificates are raised, so python -O cannot strip them
+
+
+def test_corrupted_norm_product_fails_the_canonical_certificate(monkeypatch):
+    rj = validate_jet(complex_square_jet())
+    real = jets.inner_poly
+    monkeypatch.setattr(jets, "inner_poly", lambda u, v: real(u, v) + 1)
+    with pytest.raises(CertificateError, match=r"\|N\|\^2 = D<A,A>"):
+        canonical_rounding(rj)
+
+
+def test_corrupted_revalidation_fails_the_normalization_certificates(monkeypatch):
+    rj = validate_jet(complex_square_jet())
+    real = jets.validate_jet
+    monkeypatch.setattr(jets, "validate_jet", lambda jet: replace(real(jet), q=real(jet).q + 1))
+    with pytest.raises(CertificateError, match=r"q - p\^2"):
+        normalize_p(rj)
+    monkeypatch.setattr(jets, "validate_jet", lambda jet: replace(real(jet), p=rj.p))
+    with pytest.raises(CertificateError, match="kill p"):
+        normalize_p(rj)
+
+
+def test_corrupted_degeneracy_verdict_fails_the_factor_certificate(monkeypatch):
+    rj = validate_jet(flat_degenerate_jet())
+    monkeypatch.setattr(jets, "is_degenerate", lambda rj: (True, None))
+    with pytest.raises(CertificateError, match="still degenerate"):
+        factor_degenerate(rj)
+
+
+def test_certificates_survive_optimized_mode():
+    script = (
+        "import sys\n"
+        "from rounding_forge import jets\n"
+        "from rounding_forge.polycore import CertificateError\n"
+        "rj = jets.validate_jet(jets.jet_from_matrices(\n"
+        "    [[1, 0], [0, 1]], [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]))\n"
+        "real = jets.inner_poly\n"
+        "jets.inner_poly = lambda u, v: real(u, v) + 1\n"
+        "try:\n"
+        "    jets.canonical_rounding(rj)\n"
+        "except CertificateError:\n"
+        "    print('raised under -O' if sys.flags.optimize else 'raised')\n"
+    )
+    src = str(Path(rounding_forge.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised under -O\n"

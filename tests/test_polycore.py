@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict, dict_add, dict_inner, dict_mul
+from conftest import as_dict, dict_add, dict_inner, dict_mul, mixed_polys
 from rounding_forge import _linalg
 from rounding_forge.polycore import (
     MAX_DEGREE,
@@ -57,6 +57,18 @@ def test_degree_cap_enforced():
     p = Poly(1, {(3,): 1})
     with pytest.raises(ValueError):
         p ** 3
+    # the product kernel still builds its result through the capped constructor
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_DEGREE}"):
+        Poly(2, {(3, 2): F(1, 3)}) * Poly(2, {(0, MAX_DEGREE - 4): F(-2, 7)})
+
+
+def test_products_reject_mismatched_spaces():
+    with pytest.raises(ValueError, match="different variable spaces"):
+        Poly.variable(2, 0) * Poly.variable(3, 0)
+    with pytest.raises(ValueError, match="different shapes"):
+        inner_poly(PolyMap.identity(2), PolyMap.identity(3))
+    with pytest.raises(ValueError, match="different shapes"):
+        inner_poly(PolyMap.identity(2), PolyMap(2, [Poly.variable(2, 0)]))
 
 
 def test_linear_and_variable_constructors():
@@ -97,6 +109,26 @@ def test_multiplication_associative(a, b, c):
 def test_product_matches_dict_oracle(a, b):
     assert as_dict(a * b) == dict_mul(as_dict(a), as_dict(b))
     assert as_dict(a + b) == dict_add(as_dict(a), as_dict(b))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(mixed_polys(3, 4), mixed_polys(3, 4))
+def test_product_kernel_matches_dict_oracle(a, b):
+    assert as_dict(a * b) == dict_mul(as_dict(a), as_dict(b))
+    assert as_dict(a * Poly.zero(3)) == {}
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(mixed_polys(4, 2), min_size=n, max_size=n),
+    st.lists(mixed_polys(4, 2), min_size=n, max_size=n),
+)))
+def test_inner_poly_matches_dict_oracle(coords):
+    # empty dictionaries give zero coordinates; n = 0 gives maps into R^0
+    left, right = coords
+    got = inner_poly(PolyMap(4, left), PolyMap(4, right))
+    assert got.num_vars == 4
+    assert as_dict(got) == dict_inner([as_dict(c) for c in left], [as_dict(c) for c in right])
 
 
 @settings(max_examples=60, derandomize=True)
