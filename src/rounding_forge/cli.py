@@ -551,6 +551,23 @@ def _default_seed() -> int:
         raise DocumentError(SEED_ENV_VAR, f"not an integer seed: {raw!r}") from None
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _kappa_bound(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > cliff.KAPPA_DOMAIN_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {cliff.KAPPA_DOMAIN_CAP}, got {value}")
+    return value
+
+
 def _add_numeric_flags(sub) -> None:
     sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     sub.add_argument("--seed", type=int, default=None)
@@ -592,22 +609,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sphere)
 
     p = subs.add_parser("pairing", help="construct a normed pairing [r, n, n]")
-    p.add_argument("r", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("r", type=_positive_int)
+    p.add_argument("n", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_pairing)
 
     p = subs.add_parser("hopf", help="Hopf sphere map of a pairing")
     p.add_argument("pairing", nargs="?")
-    p.add_argument("--size", nargs=2, type=int, metavar=("R", "N"))
+    p.add_argument("--size", nargs=2, type=_positive_int, metavar=("R", "N"))
     p.add_argument("--out")
     p.set_defaults(handler=cmd_hopf)
 
     p = subs.add_parser("tables", help="rho / kappa tables and parity verdicts")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho", type=int, metavar="N")
-    group.add_argument("--kappa", type=int, metavar="M")
-    group.add_argument("--stiefel", nargs=3, type=int, metavar=("R", "S", "N"))
+    group.add_argument("--rho", type=_positive_int, metavar="N")
+    group.add_argument("--kappa", type=_kappa_bound, metavar="M")
+    group.add_argument("--stiefel", nargs=3, type=_positive_int, metavar=("R", "S", "N"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_tables)
 

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .jets import FracQuadMap
-from .polycore import CertificateError, Poly, PolyMap, QuadForm, as_rational, divide_exact, inner_poly
-from .spheres import QuadSphereMap
+from .polycore import CertificateError, Poly, PolyMap, as_rational, divide_exact, inner_poly
+from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
 MAX_GENERATORS = 24
@@ -229,14 +229,14 @@ class CliffordRep:
     def _verify(self) -> None:
         for i, g in enumerate(self._perms):
             if sorted(g.perm) != list(range(self.dim)):
-                raise AssertionError(f"generator {i} is not a permutation")
+                raise CertificateError(f"generator {i} is not a permutation")
             if not (g @ g).is_neg_identity():
-                raise AssertionError(f"generator {i} does not square to -identity")
+                raise CertificateError(f"generator {i} does not square to -identity")
             if not (g.transpose() @ g).is_identity():
-                raise AssertionError(f"generator {i} is not orthogonal")
+                raise CertificateError(f"generator {i} is not orthogonal")
             for j in range(i):
                 if not g.anticommutes(self._perms[j]):
-                    raise AssertionError(f"generators {i} and {j} do not anticommute")
+                    raise CertificateError(f"generators {i} and {j} do not anticommute")
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -283,6 +283,13 @@ class NormedPairing:
             coords.append(Poly(m, terms))
         return PolyMap(m, coords)
 
+    def _norm_squares(self) -> tuple[Poly, Poly]:
+        """|x|^2 and |y|^2 as polynomials on R^(left + right)."""
+        m = self.left_dim + self.right_dim
+        xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(self.left_dim)})
+        yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(self.left_dim, m)})
+        return xx, yy
+
     def __call__(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         xs = [as_rational(v) for v in x]
         ys = [as_rational(v) for v in y]
@@ -307,9 +314,7 @@ class NormedPairing:
         )
         pairing = NormedPairing(left_dim, right_dim, target_dim, tensor)
         f = pairing.as_polymap()
-        m = left_dim + right_dim
-        xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(left_dim)})
-        yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(left_dim, m)})
+        xx, yy = pairing._norm_squares()
         if inner_poly(f, f) != xx * yy:
             raise ValueError("tensor does not satisfy the norm identity")
         return pairing
@@ -328,7 +333,7 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
     rep = clifford_generators(r - 1)
     d = rep.dim
     if n % d:
-        raise AssertionError(f"rho admitted r={r} but block size {d} does not divide n={n}")
+        raise CertificateError(f"rho admitted r={r} but block size {d} does not divide n={n}")
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(r)]
     for j in range(n):
         tensor[0][j][j] = Fraction(1)
@@ -357,13 +362,7 @@ def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, list[int]]:
 
 def hopf_map(pairing: NormedPairing) -> QuadSphereMap:
     """The quadratic sphere-to-sphere map (2 f(x, y), |x|^2 - |y|^2)."""
-    f = pairing.as_polymap()
-    m = pairing.left_dim + pairing.right_dim
-    xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim)})
-    yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim, m)})
-    coords = [2 * c for c in f.coords]
-    coords.append(xx - yy)
-    return QuadSphereMap.checked(PolyMap(m, coords), QuadForm.identity_form(m))
+    return QuadSphereMap.checked(*hopf_construction(pairing.as_polymap(), *pairing._norm_squares()))
 
 
 def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
@@ -373,9 +372,7 @@ def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
     line-rounder rather than a germ; FracQuadMap.is_germ reports False.
     """
     f = pairing.as_polymap()
-    m = pairing.left_dim + pairing.right_dim
-    xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim)})
-    yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(pairing.left_dim, m)})
+    xx, yy = pairing._norm_squares()
     quotient = divide_exact(inner_poly(f, f), xx)
     if quotient != yy:
         raise CertificateError("pairing norm identity failed during conversion")

@@ -1,13 +1,15 @@
 """Lifting a canonical rounding to a quadratic map between spheres.
 
-Homogenizing numerator and denominator with an extra variable t turns the
-squared numerator norm into a product of two quadratic forms Q1 * Q2. Their
-sum G is positive definite exactly when the jet is nondegenerate, and the
-quadratic map f = (2 * numerator, Q1 - Q2) satisfies <f, f> = G^2 on the
-nose. Rescaling the source by the exact LDL^T factorization of G therefore
-carries the unit sphere of G onto the round unit sphere, and stereographic
-projection recovers the original fractional map on the chart where the
-denominator lives.
+A proved factorization |F|^2 = P * Q into quadratic forms gives the Hopf
+construction f = (2F, P - Q), G = P + Q, and <f, f> = 4PQ + (P - Q)^2 =
+(P + Q)^2 = G^2 by algebra alone. For a canonical rounding N / D the only
+proof is canonical_rounding's |N|^2 = D<A,A>; homogenized with an extra
+variable t it reads |N^h|^2 = D^h <A,A>, so the lift takes P = D^h and
+Q = <A,A>. G is positive definite exactly when the jet is nondegenerate;
+rescaling the source by the exact LDL^T factorization of G carries the unit
+sphere of G onto the round unit sphere, and stereographic projection
+recovers the original fractional map on the chart where the denominator
+lives.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import _linalg
 from .jets import FracQuadMap, NotDivisible, RoundingJet, canonical_rounding
-from .polycore import PolyMap, QuadForm, form_signature, inner_poly, poly_divmod
+from .polycore import Poly, PolyMap, QuadForm, form_signature, inner_poly, poly_divmod
 
 
 class Degenerate(Exception):
@@ -83,22 +85,28 @@ class QuadSphereMap:
 
     @staticmethod
     def checked(f: PolyMap, gram: QuadForm) -> "QuadSphereMap":
-        """Validate the norm identity and factor the gram form."""
+        """Validate the norm identity by expansion and factor the gram form."""
         if gram.dim != f.source_dim:
             raise ValueError("gram form lives in a different space")
         gram_poly = gram.to_poly()
         if inner_poly(f, f) != gram_poly * gram_poly:
             raise ValueError("<f, f> is not the square of the gram form")
-        signature = form_signature(gram)
-        if signature != (gram.dim, 0, 0):
-            raise Degenerate(signature)
+        return QuadSphereMap(f, gram, *_factor_gram(gram))
+
+
+def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> tuple[PolyMap, QuadForm]:
+    """f = (2 * numer, P - Q) and G = P + Q; <f, f> = G^2 iff |numer|^2 = P * Q."""
+    coords = [2 * c for c in numer.coords] + [p - q]
+    return PolyMap(numer.source_dim, coords), QuadForm.from_poly(p + q)
+
+
+def _factor_gram(gram: QuadForm) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """Exact LDL^T of gram; Degenerate when a pivot is not positive."""
+    try:
         lower, diag = _linalg.ldl([list(r) for r in gram.matrix])
-        return QuadSphereMap(
-            f=f,
-            gram=gram,
-            lower=tuple(tuple(row) for row in lower),
-            diag=tuple(diag),
-        )
+    except ValueError:
+        raise Degenerate(form_signature(gram)) from None
+    return tuple(tuple(row) for row in lower), tuple(diag)
 
 
 def homogenize(fq: FracQuadMap) -> HomogenizedMap:
@@ -135,19 +143,14 @@ def split_norm(h: HomogenizedMap) -> tuple[QuadForm, QuadForm]:
 def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     """Lift a validated jet to a quadratic map between spheres.
 
-    Raises Degenerate exactly when the jet is degenerate; the gram form's
-    failure to be positive definite is the same condition.
+    The one identity proved is canonical_rounding's |N|^2 = D<A,A>; with
+    P = D^h, Q = <A,A> it gives <f, f> = G^2. Raises Degenerate exactly
+    when the jet is degenerate, i.e. when G is not positive definite.
     """
     h = homogenize(canonical_rounding(rj))
-    q1, q2 = split_norm(h)
-    gram = q1 + q2
-    signature = form_signature(gram)
-    if signature != (gram.dim, 0, 0):
-        raise Degenerate(signature)
-    coords = [2 * c for c in h.numer.coords]
-    coords.append(q1.to_poly() - q2.to_poly())
-    f = PolyMap(h.source_dim, coords)
-    return QuadSphereMap.checked(f, gram)
+    norm_a = inner_poly(rj.jet.linear, rj.jet.linear).homogenize(2)
+    f, gram = hopf_construction(h.numer, h.denom.to_poly(), norm_a)
+    return QuadSphereMap(f, gram, *_factor_gram(gram))
 
 
 def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rounding_forge
-from rounding_forge import cli, jets
+from rounding_forge import cli, cliff, jets
 from rounding_forge.jets import fracquad_jet, validate_jet
 from rounding_forge.polycore import Poly
 
@@ -129,6 +131,33 @@ def test_failed_certificate_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "rounding-forge: error: certificate failed: reduced jet is still degenerate\n"
+
+
+def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
+    cached = cliff._generator_perms
+    twice = (cached(2)[0],) * 2
+    monkeypatch.setattr(cliff, "_generator_perms", lambda k: twice if k == 2 else cached(k))
+    code, out, err = run(capsys, "pairing", "3", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "rounding-forge: error: certificate failed: generators 1 and 0 do not anticommute\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pairing", "0", "4"),
+    ("pairing", "1", "0"),
+    ("hopf", "--size", "0", "2"),
+    ("tables", "--stiefel", "0", "1", "1"),
+    ("tables", "--kappa", str(cliff.KAPPA_DOMAIN_CAP + 1)),
+    ("tables", "--kappa", "2000000"),
+    ("tables", "--rho", "0"),
+])
+def test_out_of_range_sizes_are_argument_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rounding-forge: error: arguments: argument ")
 
 
 def test_module_runs_as_a_script():

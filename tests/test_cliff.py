@@ -318,3 +318,28 @@ def test_corrupted_generators_fail_the_volume_certificate(monkeypatch):
     monkeypatch.setattr(cliff, "_generator_perms", lambda k: tampered if k == 8 else cached(k))
     with pytest.raises(CertificateError, match="volume element"):
         cached.__wrapped__(9)
+
+
+SP = cliff._SignedPerm
+
+
+@pytest.mark.parametrize("k, perms, message", [
+    (1, (SP((0, 0), (1, 1)),), "not a permutation"),
+    (1, (SP.eye(2),), "does not square to -identity"),
+    # squares to -1, but the signs 2 and -1/2 stretch one axis
+    (1, (SP((1, 0), (F(2), F(-1, 2))),), "not orthogonal"),
+    (2, (cliff._generator_perms(2)[0],) * 2, "do not anticommute"),
+])
+def test_corrupted_generators_fail_the_representation_certificates(monkeypatch, k, perms, message):
+    cached = cliff._generator_perms
+    monkeypatch.setattr(cliff, "_generator_perms", lambda j: perms if j == k else cached(j))
+    with pytest.raises(CertificateError, match=message):
+        clifford_generators(k)
+
+
+def test_oversized_generators_fail_the_block_certificate(monkeypatch):
+    # two valid generators on R^8 cannot tile R^4
+    cached = cliff._generator_perms
+    monkeypatch.setattr(cliff, "_generator_perms", lambda j: cached(7)[:2] if j == 2 else cached(j))
+    with pytest.raises(CertificateError, match="block size 8"):
+        normed_pairing(3, 4)

@@ -10,14 +10,16 @@ import pytest
 from conftest import (
     as_dict,
     complex_square_jet,
+    dict_add,
     dict_inner,
     dict_mul,
     flat_degenerate_jet,
     quaternion_jet,
     random_valid_jet,
 )
+from rounding_forge import jets, spheres
 from rounding_forge.jets import NotDivisible, canonical_rounding, is_degenerate, validate_jet
-from rounding_forge.polycore import Poly, PolyMap, QuadForm, form_signature
+from rounding_forge.polycore import CertificateError, Poly, PolyMap, QuadForm, form_signature
 from rounding_forge.spheres import (
     Degenerate,
     HomogenizedMap,
@@ -164,6 +166,100 @@ def test_checked_rejects_indefinite_gram():
     bad = QuadForm.from_poly(Poly(2, {(2, 0): 1, (0, 2): -1}))
     with pytest.raises(ValueError):
         QuadSphereMap.checked(f, bad)
+
+
+# ---------------------------------------------------------------------------
+# the lift proves one identity: the oracle rebuilds f and G from the jet's
+# own p, q with plain dicts, and the proofs later stages used to repeat are
+# made to fail without changing the result
+
+
+def _homogenized(d: dict) -> dict:
+    return {e + (2 - sum(e),): c for e, c in d.items()}
+
+
+def _scaled(c, d: dict) -> dict:
+    return {e: c * v for e, v in d.items()}
+
+
+def _lift_oracle(rj):
+    """f = (2 N^h, D^h - <A,A>) and G = D^h + <A,A>, expanded with dicts."""
+    m = rj.source_dim
+    a = [as_dict(c) for c in rj.jet.linear.coords]
+    b = [as_dict(c) for c in rj.jet.quad.coords]
+    p, q = as_dict(rj.p), as_dict(rj.q)
+    numer = [_homogenized(dict_add(dict_add(ai, bi), _scaled(-2, dict_mul(p, ai))))
+             for ai, bi in zip(a, b)]
+    denom = _homogenized(dict_add(dict_add({(0,) * m: F(1)}, _scaled(-2, p)), q))
+    norm_a = _homogenized(dict_inner(a, a))
+    f = [_scaled(2, c) for c in numer] + [dict_add(denom, _scaled(-1, norm_a))]
+    return f, dict_add(denom, norm_a)
+
+
+def _oracle_jets():
+    rng = random.Random(59)
+    named = [complex_square_jet(), quaternion_jet(), flat_degenerate_jet()]
+    return [random_valid_jet(rng) for _ in range(30)] + named
+
+
+def test_sphere_lift_matches_the_hopf_oracle():
+    lifted = degenerate = 0
+    for jet in _oracle_jets():
+        rj = validate_jet(jet)
+        f, gram = _lift_oracle(rj)
+        if is_degenerate(rj)[0]:
+            degenerate += 1
+            with pytest.raises(Degenerate) as exc:
+                sphere_lift(rj)
+            assert exc.value.signature == form_signature(QuadForm.from_poly(Poly(rj.source_dim + 1, gram)))
+            continue
+        lifted += 1
+        sm = sphere_lift(rj)
+        assert [as_dict(c) for c in sm.f.coords] == f
+        assert as_dict(sm.gram.to_poly()) == gram
+        assert dict_inner(f, f) == dict_mul(gram, gram)
+        n = sm.source_dim
+        assert all(d > 0 for d in sm.diag)
+        assert all(sm.lower[i][i] == 1 and not any(sm.lower[i][i + 1:]) for i in range(n))
+        ldlt = [[sum(sm.lower[i][k] * sm.diag[k] * sm.lower[j][k] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert ldlt == [list(row) for row in sm.gram.matrix]
+    assert lifted >= 5 and degenerate >= 3
+
+
+def test_sphere_lift_proves_the_identity_once(monkeypatch):
+    rjs = [validate_jet(jet) for jet in _oracle_jets()]
+    expected = [sphere_lift(rj) if not is_degenerate(rj)[0] else None for rj in rjs]
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("the lift must not prove its identity again")
+
+    monkeypatch.setattr(spheres, "poly_divmod", boom)
+    monkeypatch.setattr(spheres, "split_norm", boom)
+    monkeypatch.setattr(QuadSphereMap, "checked", staticmethod(boom))
+    for rj, sm in zip(rjs, expected):
+        if sm is None:
+            with pytest.raises(Degenerate):
+                sphere_lift(rj)
+        else:
+            assert sphere_lift(rj) == sm
+    # the signature is only computed to report a degenerate jet
+    monkeypatch.setattr(spheres, "form_signature", boom)
+    assert [sphere_lift(rj) for rj, sm in zip(rjs, expected) if sm] == [sm for sm in expected if sm]
+
+
+def test_sphere_lift_inherits_the_canonical_certificate(monkeypatch):
+    rj = validate_jet(complex_square_jet())
+    real = jets.inner_poly
+    monkeypatch.setattr(jets, "inner_poly", lambda u, v: real(u, v) + 1)
+    with pytest.raises(CertificateError, match=r"\|N\|\^2 = D<A,A>"):
+        sphere_lift(rj)
+
+
+def test_checked_zero_map_is_degenerate():
+    with pytest.raises(Degenerate) as exc:
+        QuadSphereMap.checked(PolyMap.zero(2, 1), QuadForm.zero(2))
+    assert exc.value.signature == (0, 0, 2)
 
 
 # ---------------------------------------------------------------------------
