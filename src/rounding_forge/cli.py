@@ -128,6 +128,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _expect_kind(doc, kind: str) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import FracQuadMap
-from .polycore import CertificateError, Poly, PolyMap, as_rational, divide_exact, inner_poly
+from .polycore import CertificateError, Poly, PolyMap, as_rational, inner_poly
 from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
@@ -259,13 +259,27 @@ def clifford_generators(k: int) -> CliffordRep:
 class NormedPairing:
     """Bilinear f: R^left x R^right -> R^target with |f(x, y)| = |x| |y|.
 
-    tensor[i][j][c] is the coefficient of x_i y_j in coordinate c.
+    tensor[i][j][c] is the coefficient of x_i y_j in coordinate c; any nested
+    sequence of rationals is accepted and stored as Fraction tuples. The norm
+    identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, at
+    construction, and a tensor that fails it raises ValueError, so every
+    instance carries its proof and hopf_map and pairing_to_rounding reuse it.
     """
 
     left_dim: int
     right_dim: int
     target_dim: int
     tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    def __post_init__(self):
+        tensor = tuple(
+            tuple(tuple(as_rational(c) for c in row) for row in slab) for slab in self.tensor
+        )
+        object.__setattr__(self, "tensor", tensor)
+        f = self.as_polymap()
+        xx, yy = self._norm_squares()
+        if inner_poly(f, f) != xx * yy:
+            raise ValueError("tensor does not satisfy the norm identity")
 
     def as_polymap(self) -> PolyMap:
         m = self.left_dim + self.right_dim
@@ -308,16 +322,8 @@ class NormedPairing:
 
     @staticmethod
     def checked(left_dim: int, right_dim: int, target_dim: int, tensor) -> "NormedPairing":
-        """Validate the norm identity |f(x,y)|^2 = |x|^2 |y|^2 exactly."""
-        tensor = tuple(
-            tuple(tuple(as_rational(c) for c in row) for row in slab) for slab in tensor
-        )
-        pairing = NormedPairing(left_dim, right_dim, target_dim, tensor)
-        f = pairing.as_polymap()
-        xx, yy = pairing._norm_squares()
-        if inner_poly(f, f) != xx * yy:
-            raise ValueError("tensor does not satisfy the norm identity")
-        return pairing
+        """The constructor, which proves |f(x,y)|^2 = |x|^2 |y|^2 exactly."""
+        return NormedPairing(left_dim, right_dim, target_dim, tensor)
 
 
 def normed_pairing(r: int, n: int) -> NormedPairing:
@@ -343,7 +349,10 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
             off = block * d
             for col in range(d):
                 tensor[i][off + col][off + gen.perm[col]] = Fraction(gen.signs[col])
-    return NormedPairing.checked(r, n, n, tuple(tuple(tuple(row) for row in slab) for slab in tensor))
+    try:
+        return NormedPairing(r, n, n, tensor)
+    except ValueError as exc:
+        raise CertificateError(f"pairing [{r}, {n}, {n}]: {exc}") from None
 
 
 def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, list[int]]:
@@ -361,19 +370,21 @@ def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, list[int]]:
 
 
 def hopf_map(pairing: NormedPairing) -> QuadSphereMap:
-    """The quadratic sphere-to-sphere map (2 f(x, y), |x|^2 - |y|^2)."""
-    return QuadSphereMap.checked(*hopf_construction(pairing.as_polymap(), *pairing._norm_squares()))
+    """The quadratic sphere-to-sphere map (2 f(x, y), |x|^2 - |y|^2).
+
+    The pairing's proved |f|^2 = |x|^2 |y|^2 is the factorization
+    hopf_construction needs, so <f, f> = (|x|^2 + |y|^2)^2 is not expanded.
+    """
+    return hopf_construction(pairing.as_polymap(), *pairing._norm_squares())
 
 
 def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
     """View a normed pairing as the fractional map f(x, y) / |x|^2.
 
-    The denominator vanishes at the origin, so the result is a global
-    line-rounder rather than a germ; FracQuadMap.is_germ reports False.
+    Its lines-to-circles identity |f|^2 = |x|^2 * |y|^2 is the pairing's own,
+    proved at construction. The denominator vanishes at the origin, so the
+    result is a global line-rounder rather than a germ; FracQuadMap.is_germ
+    reports False.
     """
-    f = pairing.as_polymap()
-    xx, yy = pairing._norm_squares()
-    quotient = divide_exact(inner_poly(f, f), xx)
-    if quotient != yy:
-        raise CertificateError("pairing norm identity failed during conversion")
-    return FracQuadMap(numer=f, denom=xx)
+    xx, _ = pairing._norm_squares()
+    return FracQuadMap(numer=pairing.as_polymap(), denom=xx)

@@ -199,7 +199,8 @@ def fracquad_jet(fq: FracQuadMap) -> Jet2:
 
 
 def _deficiency_form(rj: RoundingJet) -> QuadForm:
-    return QuadForm.from_poly(rj.q - rj.p * rj.p) if not (rj.q - rj.p * rj.p).is_zero() else QuadForm.zero(rj.source_dim)
+    deficiency = rj.q - rj.p * rj.p
+    return QuadForm.zero(rj.source_dim) if deficiency.is_zero() else QuadForm.from_poly(deficiency)
 
 
 def _rational_square_root(f: Fraction) -> Fraction | None:
@@ -286,12 +287,11 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     constraints = [list(row) for row in a.linear_matrix()]
     for form in b.quadratic_forms():
         constraints.extend(list(row) for row in form.matrix)
-    common = _linalg.nullspace(constraints, m)
-    if not common:
+    proj_rows, pivots = _linalg.rref(constraints)
+    if len(pivots) == m:
         raise IrrationalKernelWitness(
             "no rational direction lies in ker A and the radical of B - pA"
         )
-    proj_rows, pivots = _linalg.rref(constraints)
     proj = tuple(tuple(row) for row in proj_rows)
     k = len(proj)
     section = [[Fraction(int(p == i)) for p in pivots] for i in range(m)]  # m x k

@@ -85,7 +85,11 @@ class QuadSphereMap:
 
     @staticmethod
     def checked(f: PolyMap, gram: QuadForm) -> "QuadSphereMap":
-        """Validate the norm identity by expansion and factor the gram form."""
+        """Validate <f, f> = gram^2 by expansion and factor the gram form.
+
+        For (f, gram) pairs built outside the pipeline; sphere_lift and
+        hopf_map inherit their proofs and go through hopf_construction.
+        """
         if gram.dim != f.source_dim:
             raise ValueError("gram form lives in a different space")
         gram_poly = gram.to_poly()
@@ -94,10 +98,17 @@ class QuadSphereMap:
         return QuadSphereMap(f, gram, *_factor_gram(gram))
 
 
-def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> tuple[PolyMap, QuadForm]:
-    """f = (2 * numer, P - Q) and G = P + Q; <f, f> = G^2 iff |numer|^2 = P * Q."""
+def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> QuadSphereMap:
+    """The sphere map f = (2 * numer, P - Q) over the gram form G = P + Q.
+
+    <f, f> = 4PQ + (P - Q)^2 = G^2 holds by algebra alone once the caller has
+    proved |numer|^2 = P * Q, so nothing is expanded here; G is factored by
+    the one exact LDL^T, and Degenerate means G is not positive definite.
+    This and QuadSphereMap.checked are the only places a QuadSphereMap is built.
+    """
     coords = [2 * c for c in numer.coords] + [p - q]
-    return PolyMap(numer.source_dim, coords), QuadForm.from_poly(p + q)
+    gram = QuadForm.from_poly(p + q)
+    return QuadSphereMap(PolyMap(numer.source_dim, coords), gram, *_factor_gram(gram))
 
 
 def _factor_gram(gram: QuadForm) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
@@ -149,8 +160,7 @@ def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     """
     h = homogenize(canonical_rounding(rj))
     norm_a = inner_poly(rj.jet.linear, rj.jet.linear).homogenize(2)
-    f, gram = hopf_construction(h.numer, h.denom.to_poly(), norm_a)
-    return QuadSphereMap(f, gram, *_factor_gram(gram))
+    return hopf_construction(h.numer, h.denom.to_poly(), norm_a)
 
 
 def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:

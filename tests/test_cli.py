@@ -133,6 +133,17 @@ def test_failed_certificate_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert err == "rounding-forge: error: certificate failed: reduced jet is still degenerate\n"
 
 
+@pytest.mark.parametrize("command", ["check", "verify", "hopf"])
+def test_non_utf8_document_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(COMPLEX_JET).encode("utf-16-le"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"rounding-forge: error: {path}: not UTF-8: ")
+    assert err.count("\n") == 1
+
+
 def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
     cached = cliff._generator_perms
     twice = (cached(2)[0],) * 2

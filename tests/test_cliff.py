@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_dict, dict_inner, dict_mul, quat_mul
-from rounding_forge import cliff
+from conftest import as_dict, dict_add, dict_inner, dict_mul, quat_mul
+from rounding_forge import cli, cliff, polycore, spheres
 from rounding_forge.cliff import (
     KAPPA_DOMAIN_CAP,
     MAX_GENERATORS,
@@ -215,6 +215,19 @@ def test_pairing_every_feasible_size_exact():
             assert (p.left_dim, p.right_dim, p.target_dim) == (r, n, n)
 
 
+def test_pairing_constructor_rejects_broken_tensor():
+    slabs = [list(list(row) for row in slab) for slab in normed_pairing(2, 2).tensor]
+    slabs[1][0][0] += 1
+    with pytest.raises(ValueError, match="norm identity"):
+        NormedPairing(2, 2, 2, slabs)
+
+
+def test_pairing_constructor_coerces_the_tensor():
+    p = NormedPairing(1, 1, 1, [[["1"]]])
+    assert p.tensor == (((F(1),),),)
+    assert p == normed_pairing(1, 1)
+
+
 def test_pairing_checked_rejects_broken_tensor():
     p = normed_pairing(2, 2)
     slabs = [list(list(row) for row in slab) for slab in p.tensor]
@@ -301,12 +314,57 @@ def test_pairing_to_rounding_frozen():
     assert sum(c * c for c in got) == F(9, 4)
 
 
-def test_corrupted_norm_product_fails_the_rounding_certificate(monkeypatch):
-    pairing = normed_pairing(2, 2)
+def test_corrupted_norm_product_fails_the_rounding_certificate(monkeypatch, capsys):
+    # normed_pairing built the tensor itself, so a failed identity is a defect
     real = cliff.inner_poly
     monkeypatch.setattr(cliff, "inner_poly", lambda u, v: real(u, v) + real(u, v))
-    with pytest.raises(CertificateError, match="pairing norm identity"):
-        pairing_to_rounding(pairing)
+    with pytest.raises(CertificateError, match=r"pairing \[2, 2, 2\]"):
+        normed_pairing(2, 2)
+    for argv in (["pairing", "2", "2"], ["hopf", "--size", "2", "2"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("rounding-forge: error: certificate failed: "
+                       "pairing [2, 2, 2]: tensor does not satisfy the norm identity\n")
+
+
+def _hopf_oracle(pairing):
+    """(2F, |x|^2 - |y|^2) and |x|^2 + |y|^2 as plain dicts."""
+    r, m = pairing.left_dim, pairing.left_dim + pairing.right_dim
+    xx = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r)}
+    yy = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r, m)}
+    f = [{e: 2 * c for e, c in as_dict(c).items()} for c in pairing.as_polymap().coords]
+    f.append(dict_add(xx, {e: -c for e, c in yy.items()}))
+    return f, dict_add(xx, yy)
+
+
+def test_hopf_map_of_every_feasible_pairing_oracle():
+    for n in range(1, 17):
+        for r in range(1, rho(n) + 1):
+            pairing = normed_pairing(r, n)
+            sm = hopf_map(pairing)
+            f, gram = _hopf_oracle(pairing)
+            assert [as_dict(c) for c in sm.f.coords] == f
+            assert as_dict(sm.gram.to_poly()) == gram
+            assert dict_inner(f, f) == dict_mul(gram, gram)
+            m = r + n
+            assert sm.lower == tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m))
+            assert sm.diag == (F(1),) * m
+
+
+def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):
+    pairing = normed_pairing(3, 4)
+    sm, fq = hopf_map(pairing), pairing_to_rounding(pairing)
+
+    def reproved(*args, **kwargs):
+        raise RuntimeError("the pairing identity was expanded again")
+
+    monkeypatch.setattr(spheres.QuadSphereMap, "checked", staticmethod(reproved))
+    for module, name in ((cliff, "inner_poly"), (spheres, "inner_poly"), (spheres, "poly_divmod"),
+                         (polycore, "inner_poly"), (polycore, "poly_divmod"), (polycore, "divide_exact")):
+        monkeypatch.setattr(module, name, reproved)
+    assert hopf_map(pairing) == sm
+    assert pairing_to_rounding(pairing) == fq
 
 
 def test_corrupted_generators_fail_the_volume_certificate(monkeypatch):

@@ -1,5 +1,7 @@
 """Source rules checked on the package's syntax trees: certificates are
-raised as exceptions, never asserted, so `python -O` cannot strip them."""
+raised as exceptions, never asserted, so `python -O` cannot strip them, and
+a sphere map is built in exactly two places, the Hopf construction and the
+expanding check."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,39 @@ def test_package_has_no_assert_certificates():
 def test_rule_catches_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('y')\nraise AssertionError\nraise ValueError('z')\n")
     assert _asserting_nodes(tree) == [1, 2, 3]
+
+
+def _sphere_map_builders(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[str]:
+    """Dotted names of the functions and classes that call QuadSphereMap(...)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "QuadSphereMap":
+                found.append(".".join(scope))
+        found.extend(_sphere_map_builders(node, inner))
+    return found
+
+
+def test_sphere_maps_come_from_one_construction():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.stem}.{name}" for name in _sphere_map_builders(tree))
+    assert sorted(found) == ["spheres.QuadSphereMap.checked", "spheres.hopf_construction"]
+
+
+def test_builder_rule_sees_nested_and_qualified_calls():
+    tree = ast.parse(
+        "x = QuadSphereMap(f)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return g(spheres.QuadSphereMap(f, h(QuadSphereMap(k))))\n"
+        "def lift():\n"
+        "    return QuadSphereMap.checked(f, g)\n"
+    )
+    assert _sphere_map_builders(tree) == ["", "C.m", "C.m"]
