@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -75,6 +76,8 @@ def poly_from_doc(doc, path: str, expect_vars: int | None = None) -> Poly:
         raise DocumentError(f"{path}.vars", "expected a nonnegative integer")
     if expect_vars is not None and nv != expect_vars:
         raise DocumentError(f"{path}.vars", f"expected {expect_vars} variables, got {nv}")
+    if not isinstance(doc["terms"], list):
+        raise DocumentError(f"{path}.terms", "expected a list of [exponents, coefficient]")
     terms = {}
     for idx, item in enumerate(doc["terms"]):
         tpath = f"{path}.terms[{idx}]"
@@ -130,6 +133,8 @@ def _load_json(path: str):
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     except UnicodeDecodeError as exc:
         raise DocumentError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise DocumentError(path, "nested too deeply") from None
 
 
 def _expect_kind(doc, kind: str) -> None:
@@ -289,11 +294,7 @@ def _numeric_doc(rep: circles.NumericReport) -> dict:
 
 
 def _witness_vector(witness) -> list[str]:
-    if witness is None:
-        return []
-    if all(isinstance(x, Fraction) for x in witness):
-        return [_rat_str(x) for x in witness]
-    return [_float_str(float(x)) for x in witness]
+    return [_rat_str(x) for x in witness]
 
 
 def _load_jet(path: str, report: Report, role: str = "jet"):
@@ -563,6 +564,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw}")
+    return value
+
+
 def _kappa_bound(raw: str) -> int:
     value = _positive_int(raw)
     if value > cliff.KAPPA_DOMAIN_CAP:
@@ -571,9 +582,9 @@ def _kappa_bound(raw: str) -> int:
 
 
 def _add_numeric_flags(sub) -> None:
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    sub.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=_positive_finite_float, default=DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:

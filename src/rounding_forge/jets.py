@@ -3,20 +3,22 @@ fractional-quadratic representative.
 
 A 2-jet (A, B) with A linear of rank at least 2 and B quadratic is accepted
 when <A,B> and <B,B> are exactly divisible by <A,A>; the quotients p (linear)
-and q (quadratic) drive everything downstream. The canonical representative
-is (A + B - 2pA) / (1 - 2p + q), whose squared numerator norm factors exactly
-as (1 - 2p + q) * <A,A>; that identity is checked exactly, not assumed.
+and q (quadratic) drive everything downstream. The divisions are checked
+exactly, not assumed, once: a RoundingJet performs them when it is built, so
+every instance carries them. The canonical representative is
+(A + B - 2pA) / (1 - 2p + q); its squared numerator norm factors as
+(1 - 2p + q) * <A,A> by algebra on those two divisions alone.
 
 Degeneracy means the quadratic form q - p^2 has a nontrivial real zero on the
-kernel of A. Degenerate jets factor through a rational projection onto a
-smaller source space, and the reduced jet is always nondegenerate.
+kernel of A. The divisions make q - p^2 positive semidefinite, so such a zero
+is always rational. Degenerate jets factor through a rational projection onto
+a smaller source space, and the reduced jet is always nondegenerate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, sqrt
 from typing import Sequence
 
 from . import _linalg
@@ -88,15 +90,34 @@ class Jet2:
 
 @dataclass(frozen=True)
 class RoundingJet:
-    """A validated jet together with its division witnesses.
+    """A jet that rounds lines to circles, with its division witnesses.
 
-    p and q are the exact quotients <A,B> = p * <A,A> and <B,B> = q * <A,A>.
+    RoundingJet(jet) proves the rounding condition: it computes rank(A) and
+    the exact quotients <A,B> = p * <A,A> and <B,B> = q * <A,A>, raising
+    RankTooLow or NotDivisible when they do not exist. p, q and rank are not
+    constructor arguments, so every instance carries its proof.
     """
 
     jet: Jet2
-    p: Poly
-    q: Poly
-    rank: int
+    p: Poly = field(init=False)
+    q: Poly = field(init=False)
+    rank: int = field(init=False)
+
+    def __post_init__(self):
+        a, b = self.jet.linear, self.jet.quad
+        rank = rank_linear(a)
+        if rank < 2:
+            raise RankTooLow(rank)
+        norm_a = inner_poly(a, a)
+        p, rem = poly_divmod(inner_poly(a, b), norm_a)
+        if not rem.is_zero():
+            raise NotDivisible("<A,B>", rem)
+        q, rem = poly_divmod(inner_poly(b, b), norm_a)
+        if not rem.is_zero():
+            raise NotDivisible("<B,B>", rem)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def source_dim(self) -> int:
@@ -156,30 +177,22 @@ def jet_from_matrices(linear_rows: Sequence[Sequence], quad_matrices: Sequence[S
 def validate_jet(jet: Jet2) -> RoundingJet:
     """Decide whether a 2-jet can round lines to circles.
 
-    Raises RankTooLow or NotDivisible; on success returns the jet with its
-    division witnesses attached.
+    Raises RankTooLow or NotDivisible; on success returns RoundingJet(jet),
+    which carries the division witnesses.
     """
-    a, b = jet.linear, jet.quad
-    rank = rank_linear(a)
-    if rank < 2:
-        raise RankTooLow(rank)
-    norm_a = inner_poly(a, a)
-    p, rem = poly_divmod(inner_poly(a, b), norm_a)
-    if not rem.is_zero():
-        raise NotDivisible("<A,B>", rem)
-    q, rem = poly_divmod(inner_poly(b, b), norm_a)
-    if not rem.is_zero():
-        raise NotDivisible("<B,B>", rem)
-    return RoundingJet(jet=jet, p=p, q=q, rank=rank)
+    return RoundingJet(jet)
 
 
 def canonical_rounding(rj: RoundingJet) -> FracQuadMap:
-    """The canonical representative (A + B - 2pA) / (1 - 2p + q)."""
+    """The canonical representative N / D = (A + B - 2pA) / (1 - 2p + q).
+
+    Nothing is expanded here: with N = (1 - 2p)A + B, the divisions that rj
+    proved give |N|^2 = (1-2p)^2<A,A> + 2(1-2p)<A,B> + <B,B> = (1-2p+q)<A,A>,
+    that is |N|^2 = D<A,A>.
+    """
     a, b = rj.jet.linear, rj.jet.quad
     numer = a + b - a.times_poly(2 * rj.p)
     denom = 1 - 2 * rj.p + rj.q
-    if inner_poly(numer, numer) != denom * inner_poly(a, a):
-        raise CertificateError("canonical numerator norm identity |N|^2 = D<A,A> failed")
     return FracQuadMap(numer=numer, denom=denom)
 
 
@@ -203,66 +216,34 @@ def _deficiency_form(rj: RoundingJet) -> QuadForm:
     return QuadForm.zero(rj.source_dim) if deficiency.is_zero() else QuadForm.from_poly(deficiency)
 
 
-def _rational_square_root(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     """Decide degeneracy exactly and, when degenerate, produce a witness.
 
-    The test restricts q - p^2 to the kernel of A and checks whether the
-    restricted form fails to be definite. The witness x0 satisfies A(x0) = 0
-    and (q - p^2)(x0) = 0; it is returned over the rationals whenever the
-    construction yields one (singular restriction, or an indefinite pair of
-    diagonal entries whose ratio is a perfect square) and as floats otherwise.
+    The test restricts q - p^2 to the kernel of A and diagonalizes it. Since
+    <B - pA, B - pA> = (q - p^2)<A,A>, the form is positive semidefinite, so
+    the jet is degenerate exactly when a pivot is zero; a negative pivot
+    raises CertificateError. The witness x0 is the rational kernel vector of
+    the first zero pivot: A(x0) = 0 and (q - p^2)(x0) = 0.
     """
-    a = rj.jet.linear
-    kernel = _linalg.nullspace(a.linear_matrix(), rj.source_dim)
-    k = len(kernel)
-    if k == 0:
+    kernel = _linalg.nullspace(rj.jet.linear.linear_matrix(), rj.source_dim)
+    if not kernel:
         return False, None
     restricted = _deficiency_form(rj).restricted(kernel)
     trans, diag = _linalg.congruent_diagonalize([list(r) for r in restricted.matrix])
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    if plus == k or minus == k:
+    if any(d < 0 for d in diag):
+        raise CertificateError("q - p^2 is not positive semidefinite on ker A")
+    if all(diag):
         return False, None
-
-    cols = _linalg.transpose(trans)  # row i = i-th basis vector of the diagonalizing basis
-
-    def lift(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(c * kernel[j][i] for j, c in enumerate(coeffs)) for i in range(rj.source_dim)
-        )
-
-    zeros = [i for i, d in enumerate(diag) if d == 0]
-    if zeros:
-        return True, lift(cols[zeros[0]])
-    pos = [i for i, d in enumerate(diag) if d > 0]
-    neg = [i for i, d in enumerate(diag) if d < 0]
-    for i in pos:
-        for j in neg:
-            root = _rational_square_root(-diag[j] / diag[i])
-            if root is not None:
-                return True, lift([root * x + y for x, y in zip(cols[i], cols[j])])
-    i, j = pos[0], neg[0]
-    scale = sqrt(float(-diag[j] / diag[i]))
-    witness = tuple(
-        scale * float(x) + float(y)
-        for x, y in zip(lift(cols[i]), lift(cols[j]))
+    zero = diag.index(0)  # column `zero` of trans holds the witness in kernel coordinates
+    return True, tuple(
+        sum(row[zero] * kernel[j][i] for j, row in enumerate(trans)) for i in range(rj.source_dim)
     )
-    return True, witness
 
 
 def normalize_p(rj: RoundingJet) -> RoundingJet:
     """The equivalent jet with p = 0, obtained by B <- B - pA."""
     jet = Jet2(linear=rj.jet.linear, quad=rj.jet.quad - rj.jet.linear.times_poly(rj.p))
-    out = validate_jet(jet)
+    out = RoundingJet(jet)
     if not out.p.is_zero():
         raise CertificateError("normalization failed to kill p")
     if out.q != rj.q - rj.p * rj.p:
@@ -298,7 +279,7 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     sec_t = _linalg.transpose(section)  # k rows of length m... columns of the section
     reduced_lin = PolyMap.from_linear_matrix(_linalg.matmul(a.linear_matrix(), section))
     reduced_quad = PolyMap.from_quadratic_forms([f.restricted(sec_t) for f in b.quadratic_forms()])
-    reduced = validate_jet(Jet2(reduced_lin, reduced_quad))
+    reduced = RoundingJet(Jet2(reduced_lin, reduced_quad))
     if reduced_lin.compose_linear(proj) != a:
         raise CertificateError("projection does not recover A")
     if reduced_quad.compose_linear(proj) != b:

@@ -3,9 +3,10 @@
 A proved factorization |F|^2 = P * Q into quadratic forms gives the Hopf
 construction f = (2F, P - Q), G = P + Q, and <f, f> = 4PQ + (P - Q)^2 =
 (P + Q)^2 = G^2 by algebra alone. For a canonical rounding N / D the only
-proof is canonical_rounding's |N|^2 = D<A,A>; homogenized with an extra
-variable t it reads |N^h|^2 = D^h <A,A>, so the lift takes P = D^h and
-Q = <A,A>. G is positive definite exactly when the jet is nondegenerate;
+proof is canonical_rounding's |N|^2 = D<A,A>, which follows by algebra from
+the two divisions the RoundingJet proved when it was built; homogenized with
+an extra variable t it reads |N^h|^2 = D^h <A,A>, so the lift takes P = D^h
+and Q = <A,A>. G is positive definite exactly when the jet is nondegenerate;
 rescaling the source by the exact LDL^T factorization of G carries the unit
 sphere of G onto the round unit sphere, and stereographic projection
 recovers the original fractional map on the chart where the denominator
@@ -154,7 +155,8 @@ def split_norm(h: HomogenizedMap) -> tuple[QuadForm, QuadForm]:
 def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     """Lift a validated jet to a quadratic map between spheres.
 
-    The one identity proved is canonical_rounding's |N|^2 = D<A,A>; with
+    The one identity used is canonical_rounding's |N|^2 = D<A,A>, which the
+    RoundingJet's divisions imply; with
     P = D^h, Q = <A,A> it gives <f, f> = G^2. Raises Degenerate exactly
     when the jet is degenerate, i.e. when G is not positive definite.
     """

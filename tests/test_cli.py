@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rounding_forge
 from rounding_forge import cli, cliff, jets
-from rounding_forge.jets import fracquad_jet, validate_jet
+from rounding_forge.jets import canonical_rounding, fracquad_jet, validate_jet
 from rounding_forge.polycore import Poly
 
 COMPLEX_JET = {
@@ -144,6 +145,31 @@ def test_non_utf8_document_is_one_error_line(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_deeply_nested_document_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"rounding-forge: error: {path}: nested too deeply\n"
+
+
+@pytest.mark.parametrize("terms", [5, None])
+def test_non_list_terms_is_one_error_line(tmp_path, capsys, terms):
+    doc = {
+        "kind": "fracquad",
+        "m": 2,
+        "n": 2,
+        "F": [{"vars": 2, "terms": terms}, {"vars": 2, "terms": [[[0, 1], "1"]]}],
+        "Q": {"vars": 2, "terms": [[[0, 0], "1"]]},
+    }
+    code, out, err = run(capsys, "verify", write_doc(tmp_path, "map.json", doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rounding-forge: error: $.F[0].terms: ")
+    assert err.count("\n") == 1
+
+
 def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
     cached = cliff._generator_perms
     twice = (cached(2)[0],) * 2
@@ -162,6 +188,12 @@ def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
     ("tables", "--kappa", str(cliff.KAPPA_DOMAIN_CAP + 1)),
     ("tables", "--kappa", "2000000"),
     ("tables", "--rho", "0"),
+    ("verify", "map.json", "--tol", "nan"),
+    ("verify", "map.json", "--tol", "inf"),
+    ("verify", "map.json", "--trials", "0"),
+    ("verify", "map.json", "--trials", "-3"),
+    ("canon", "jet.json", "--verify", "--tol", "-0.5"),
+    ("canon", "jet.json", "--verify", "--trials", "0"),
 ])
 def test_out_of_range_sizes_are_argument_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -501,3 +533,66 @@ def test_cli_reports_byte_stable(tmp_path, capsys):
             code,
         )
     assert got == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# document fuzzing: one field of a valid document replaced by a small JSON
+# value must give a report (exit 0 or 2) or exactly one error line (exit 1)
+
+
+def _fuzz_documents():
+    from conftest import complex_square_jet
+
+    fq = canonical_rounding(validate_jet(complex_square_jet()))
+    return {
+        "check": COMPLEX_JET,
+        "verify": cli.fracquad_to_doc(fq),
+        "hopf": cli.pairing_to_doc(cliff.normed_pairing(2, 2)),
+    }
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+FUZZ_SITES = [(command, path) for command, doc in FUZZ_DOCUMENTS.items() for path in _json_paths(doc)]
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(site=st.sampled_from(FUZZ_SITES), value=SMALL_JSON)
+@example(site=("verify", ("F", 0, "terms")), value=5)
+def test_fuzzed_documents_report_or_fail_with_one_line(tmp_path, capsys, site, value):
+    command, path = site
+    doc_path = write_doc(tmp_path, "doc.json", _replaced(FUZZ_DOCUMENTS[command], path, value))
+    argv = [command, doc_path] + (["--trials", "4"] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("rounding-forge: error: ")
+        assert err.count("\n") == 1
+    else:
+        json.loads(out)

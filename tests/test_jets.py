@@ -8,7 +8,6 @@ table from conftest."""
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,26 +233,36 @@ def test_degenerate_witness_randomized():
     assert seen >= 5
 
 
-def test_synthetic_indefinite_deficiency():
-    # hand-built division witnesses, not reachable through validate_jet: the
-    # restricted form x3^2 - c x4^2 is indefinite on the kernel of A
-    lin = PolyMap.from_linear_matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-    jet = Jet2(lin, PolyMap.zero(4, 2))
+def test_division_witnesses_are_not_constructor_arguments():
+    jet = flat_degenerate_jet()
+    with pytest.raises(TypeError):
+        RoundingJet(jet=jet, p=Poly.zero(3), q=Poly.zero(3), rank=2)
+    rj = RoundingJet(jet)
+    assert rj == validate_jet(jet)
+    assert (rj.p, rj.q, rj.rank) == (Poly.zero(3), Poly.zero(3), 2)
 
-    def synthetic(c):
-        q = Poly(4, {(0, 0, 2, 0): 1, (0, 0, 0, 2): -c})
-        return RoundingJet(jet=jet, p=Poly.zero(4), q=q, rank=2)
 
-    degenerate, witness = is_degenerate(synthetic(4))
-    assert degenerate
-    # ratio 4 is a perfect square, so the witness stays rational
-    assert all(isinstance(x, Fraction) for x in witness)
-    assert witness[2] * witness[2] == 4 * witness[3] * witness[3]
+def test_indefinite_deficiency_fails_the_semidefinite_certificate(monkeypatch):
+    rj = validate_jet(flat_degenerate_jet())
+    monkeypatch.setattr(jets._linalg, "congruent_diagonalize", lambda s: ([[F(1)]], [F(-1)]))
+    with pytest.raises(CertificateError, match=r"q - p\^2 is not positive semidefinite on ker A"):
+        is_degenerate(rj)
 
-    degenerate, witness = is_degenerate(synthetic(2))
-    assert degenerate
-    assert any(isinstance(x, float) for x in witness)
-    assert abs(witness[2] * witness[2] - 2 * witness[3] * witness[3]) < 1e-9
+
+def test_degeneracy_witnesses_are_rational():
+    rng = random.Random(59)
+    seen = 0
+    for _ in range(60):
+        rj = validate_jet(random_valid_jet(rng))
+        degenerate, witness = is_degenerate(rj)
+        if not degenerate:
+            continue
+        seen += 1
+        assert all(isinstance(x, Fraction) for x in witness)
+        assert any(x != 0 for x in witness)
+        assert all(v == 0 for v in rj.jet.linear(witness))
+        assert (rj.q - rj.p * rj.p)(witness) == 0
+    assert seen >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +446,36 @@ def test_irrational_kernel_witness_is_declared():
 # exact certificates are raised, so python -O cannot strip them
 
 
-def test_corrupted_norm_product_fails_the_canonical_certificate(monkeypatch):
+def test_canonical_rounding_expands_nothing(monkeypatch):
+    # |N|^2 = D<A,A> follows from the divisions the RoundingJet proved
     rj = validate_jet(complex_square_jet())
-    real = jets.inner_poly
-    monkeypatch.setattr(jets, "inner_poly", lambda u, v: real(u, v) + 1)
-    with pytest.raises(CertificateError, match=r"\|N\|\^2 = D<A,A>"):
-        canonical_rounding(rj)
+    expected = canonical_rounding(rj)
+
+    def boom(*args):
+        raise RuntimeError("canonical_rounding must not expand or divide")
+
+    monkeypatch.setattr(jets, "inner_poly", boom)
+    monkeypatch.setattr(jets, "poly_divmod", boom)
+    assert canonical_rounding(rj) == expected
 
 
 def test_corrupted_revalidation_fails_the_normalization_certificates(monkeypatch):
     rj = validate_jet(complex_square_jet())
-    real = jets.validate_jet
-    monkeypatch.setattr(jets, "validate_jet", lambda jet: replace(real(jet), q=real(jet).q + 1))
+    real = jets.poly_divmod
+    x1 = Poly.variable(2, 0)
+
+    def shifted_p(num, den):
+        quot, rem = real(num, den)
+        return quot + x1, rem
+
+    def shifted_q(num, den):
+        quot, rem = real(num, den)
+        return (quot + 1 if num.degree() == 4 else quot), rem
+
+    monkeypatch.setattr(jets, "poly_divmod", shifted_q)
     with pytest.raises(CertificateError, match=r"q - p\^2"):
         normalize_p(rj)
-    monkeypatch.setattr(jets, "validate_jet", lambda jet: replace(real(jet), p=rj.p))
+    monkeypatch.setattr(jets, "poly_divmod", shifted_p)
     with pytest.raises(CertificateError, match="kill p"):
         normalize_p(rj)
 
@@ -468,12 +492,12 @@ def test_certificates_survive_optimized_mode():
         "import sys\n"
         "from rounding_forge import jets\n"
         "from rounding_forge.polycore import CertificateError\n"
+        "from fractions import Fraction\n"
         "rj = jets.validate_jet(jets.jet_from_matrices(\n"
-        "    [[1, 0], [0, 1]], [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]))\n"
-        "real = jets.inner_poly\n"
-        "jets.inner_poly = lambda u, v: real(u, v) + 1\n"
+        "    [[1, 0, 0], [0, 1, 0]], [[[0] * 3] * 3] * 2))\n"
+        "jets._linalg.congruent_diagonalize = lambda s: ([[Fraction(1)]], [Fraction(-1)])\n"
         "try:\n"
-        "    jets.canonical_rounding(rj)\n"
+        "    jets.is_degenerate(rj)\n"
         "except CertificateError:\n"
         "    print('raised under -O' if sys.flags.optimize else 'raised')\n"
     )

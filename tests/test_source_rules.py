@@ -1,7 +1,8 @@
 """Source rules checked on the package's syntax trees: certificates are
-raised as exceptions, never asserted, so `python -O` cannot strip them, and
-a sphere map is built in exactly two places, the Hopf construction and the
-expanding check."""
+raised as exceptions, never asserted, so `python -O` cannot strip them; a
+sphere map is built in exactly two places, the Hopf construction and the
+expanding check; and polynomials are divided only where a division proves
+something new, so no later stage re-divides what a RoundingJet proved."""
 
 import ast
 from pathlib import Path
@@ -39,8 +40,9 @@ def test_rule_catches_both_forms():
     assert _asserting_nodes(tree) == [1, 2, 3]
 
 
-def _sphere_map_builders(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[str]:
-    """Dotted names of the functions and classes that call QuadSphereMap(...)."""
+def _callers(tree: ast.AST, callee: str, scope: tuple[str, ...] = ()) -> list[str]:
+    """Dotted names of the functions and classes that call callee(...),
+    once per call site."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
@@ -49,18 +51,37 @@ def _sphere_map_builders(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[str
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "QuadSphereMap":
+            if name == callee:
                 found.append(".".join(scope))
-        found.extend(_sphere_map_builders(node, inner))
+        found.extend(_callers(node, callee, inner))
     return found
 
 
-def test_sphere_maps_come_from_one_construction():
+def _package_callers(callee: str) -> list[str]:
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.stem}.{name}" for name in _sphere_map_builders(tree))
-    assert sorted(found) == ["spheres.QuadSphereMap.checked", "spheres.hopf_construction"]
+        found.extend(f"{path.stem}.{name}" for name in _callers(tree, callee))
+    return sorted(found)
+
+
+def test_sphere_maps_come_from_one_construction():
+    assert _package_callers("QuadSphereMap") == ["spheres.QuadSphereMap.checked", "spheres.hopf_construction"]
+
+
+def test_divisions_happen_only_where_they_prove_something():
+    # a RoundingJet divides once per identity; everything downstream
+    # inherits p and q instead of dividing again
+    assert _package_callers("poly_divmod") == [
+        "jets.RoundingJet.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "polycore.divide_exact",
+        "spheres.split_norm",
+    ]
+    assert _package_callers("divide_exact") == [
+        "jets.check_series_divisibility",
+        "jets.check_series_divisibility",
+    ]
 
 
 def test_builder_rule_sees_nested_and_qualified_calls():
@@ -72,4 +93,4 @@ def test_builder_rule_sees_nested_and_qualified_calls():
         "def lift():\n"
         "    return QuadSphereMap.checked(f, g)\n"
     )
-    assert _sphere_map_builders(tree) == ["", "C.m", "C.m"]
+    assert _callers(tree, "QuadSphereMap") == ["", "C.m", "C.m"]
