@@ -379,11 +379,6 @@ def cmd_factor(args) -> Report:
         report.verdicts["reason"] = "not-degenerate"
         report.exit_status = 2
         return report
-    except jets.IrrationalKernelWitness:
-        report.verdicts.update(valid=True, degenerate=True, factored=False)
-        report.verdicts["reason"] = "irrational-kernel-witness"
-        report.exit_status = 2
-        return report
     report.verdicts.update(valid=True, degenerate=True, factored=True)
     report.verdicts["reduced_source_dim"] = reduced.source_dim
     report.witnesses["projection"] = _matrix_to_doc(proj)

@@ -58,10 +58,6 @@ class NotDegenerate(JetError):
     pass
 
 
-class IrrationalKernelWitness(JetError):
-    """Degeneracy is real but no rational common-kernel direction exists."""
-
-
 @dataclass(frozen=True)
 class Jet2:
     """A 2-jet at the origin: homogeneous linear and quadratic parts."""
@@ -94,14 +90,16 @@ class RoundingJet:
 
     RoundingJet(jet) proves the rounding condition: it computes rank(A) and
     the exact quotients <A,B> = p * <A,A> and <B,B> = q * <A,A>, raising
-    RankTooLow or NotDivisible when they do not exist. p, q and rank are not
-    constructor arguments, so every instance carries its proof.
+    RankTooLow or NotDivisible when they do not exist. p, q, rank and the
+    divisor norm_a = <A,A> are not constructor arguments, so every instance
+    carries its proof.
     """
 
     jet: Jet2
     p: Poly = field(init=False)
     q: Poly = field(init=False)
     rank: int = field(init=False)
+    norm_a: Poly = field(init=False)
 
     def __post_init__(self):
         a, b = self.jet.linear, self.jet.quad
@@ -118,6 +116,7 @@ class RoundingJet:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "norm_a", norm_a)
 
     @property
     def source_dim(self) -> int:
@@ -191,8 +190,9 @@ def canonical_rounding(rj: RoundingJet) -> FracQuadMap:
     that is |N|^2 = D<A,A>.
     """
     a, b = rj.jet.linear, rj.jet.quad
-    numer = a + b - a.times_poly(2 * rj.p)
-    denom = 1 - 2 * rj.p + rj.q
+    two_p = 2 * rj.p
+    numer = PolyMap(a.source_dim, [ai + bi - two_p * ai for ai, bi in zip(a.coords, b.coords)])
+    denom = 1 - two_p + rj.q
     return FracQuadMap(numer=numer, denom=denom)
 
 
@@ -270,15 +270,15 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
         constraints.extend(list(row) for row in form.matrix)
     proj_rows, pivots = _linalg.rref(constraints)
     if len(pivots) == m:
-        raise IrrationalKernelWitness(
-            "no rational direction lies in ker A and the radical of B - pA"
-        )
+        # the degeneracy witness lies in ker A and in the radical of B - pA
+        raise CertificateError("ker A meets the radical of B - pA only in 0")
     proj = tuple(tuple(row) for row in proj_rows)
-    k = len(proj)
-    section = [[Fraction(int(p == i)) for p in pivots] for i in range(m)]  # m x k
-    sec_t = _linalg.transpose(section)  # k rows of length m... columns of the section
-    reduced_lin = PolyMap.from_linear_matrix(_linalg.matmul(a.linear_matrix(), section))
-    reduced_quad = PolyMap.from_quadratic_forms([f.restricted(sec_t) for f in b.quadratic_forms()])
+    # Restricting along the section x_i = y_j for i = pivots[j] (other x_i = 0)
+    # selects the pivot columns of A and the pivot block of each form.
+    reduced_lin = PolyMap.from_linear_matrix([[row[i] for i in pivots] for row in a.linear_matrix()])
+    reduced_quad = PolyMap.from_quadratic_forms(
+        [QuadForm(tuple(tuple(f.matrix[i][j] for j in pivots) for i in pivots)) for f in b.quadratic_forms()]
+    )
     reduced = RoundingJet(Jet2(reduced_lin, reduced_quad))
     if reduced_lin.compose_linear(proj) != a:
         raise CertificateError("projection does not recover A")

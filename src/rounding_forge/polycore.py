@@ -10,8 +10,10 @@ degree blow-up fails loudly at its source.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import _linalg
@@ -24,7 +26,10 @@ MAX_DEGREE = 8
 Exponents = tuple[int, ...]
 # Bits per variable in a packed exponent key: the field holds the sum of two
 # capped exponents, so adding two keys never carries into the next variable.
+# Above the variable fields sits the total degree, and x_m is the highest
+# variable field, so integer order on keys is the grlex order of _grlex_key.
 _FIELD_BITS = (2 * MAX_DEGREE).bit_length()
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class CertificateError(Exception):
@@ -48,6 +53,22 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), tuple(reversed(exps)))
 
 
+def _trusted_poly(num_vars: int, terms: dict[Exponents, Fraction]) -> "Poly":
+    """A Poly over terms that are already valid, built without re-checking.
+
+    Only kernel output inside this module comes here: int exponent tuples of
+    length num_vars, nonzero Fraction coefficients, degree within the cap.
+    """
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "num_vars", num_vars)
+    object.__setattr__(poly, "terms", terms)
+    return poly
+
+
+def _degree_cap_error(degree: int) -> ValueError:
+    return ValueError(f"total degree {degree} exceeds cap {MAX_DEGREE}")
+
+
 class Poly:
     """Polynomial with Fraction coefficients in variables x1..xm.
 
@@ -67,7 +88,7 @@ class Poly:
             if len(exps) != num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {num_vars} variables")
             if sum(exps) > MAX_DEGREE:
-                raise ValueError(f"total degree {sum(exps)} exceeds cap {MAX_DEGREE}")
+                raise _degree_cap_error(sum(exps))
             c = as_rational(coeff)
             if c != 0:
                 clean[exps] = c
@@ -111,7 +132,7 @@ class Poly:
         return max((sum(e) for e in self.terms), default=-1)
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _trusted_poly(self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def is_homogeneous(self, d: int) -> bool:
         return all(sum(e) == d for e in self.terms)
@@ -131,7 +152,8 @@ class Poly:
         if self.num_vars != other.num_vars:
             raise ValueError("polynomials live in different variable spaces")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, termwise, for op in (operator.add, operator.sub)."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.num_vars, other)
         if not isinstance(other, Poly):
@@ -139,20 +161,19 @@ class Poly:
         self._check_same_space(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.num_vars, out)
+            out[e] = op(out.get(e, 0), c)
+        return _trusted_poly(self.num_vars, {e: c for e, c in out.items() if c})
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return _trusted_poly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.num_vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -160,7 +181,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
-            return Poly(self.num_vars, {e: c * v for e, v in self.terms.items()})
+            return _trusted_poly(self.num_vars, {e: c * v for e, v in self.terms.items()} if c else {})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_space(other)
@@ -232,10 +253,9 @@ class Poly:
         """Pad with a trailing variable so every term reaches the given degree."""
         if total < self.degree():
             raise ValueError("target degree below actual degree")
-        out = {}
-        for e, c in self.terms.items():
-            out[e + (total - sum(e),)] = c
-        return Poly(self.num_vars + 1, out)
+        if total > MAX_DEGREE and self.terms:
+            raise _degree_cap_error(total)
+        return _trusted_poly(self.num_vars + 1, {e + (total - sum(e),): c for e, c in self.terms.items()})
 
     # ---- dunderware ------------------------------------------------------
 
@@ -276,8 +296,13 @@ class Poly:
 def _packed_terms(polys: Sequence[Poly], shifts: Sequence[int]) -> tuple[list[list[tuple[int, int]]], int]:
     """Terms as (packed exponents, integer numerator) over one shared denominator."""
     den = _linalg.common_denominator([c for p in polys for c in p.terms.values()])
-    return [[(sum([k << s for k, s in zip(e, shifts)]), c.numerator * (den // c.denominator))
+    top = _FIELD_BITS * len(shifts)
+    return [[(sum([k << s for k, s in zip(e, shifts)]) + (sum(e) << top), c.numerator * (den // c.denominator))
              for e, c in p.terms.items()] for p in polys], den
+
+
+def _unpack(key: int, shifts: Sequence[int]) -> Exponents:
+    return tuple([(key >> s) & _FIELD_MASK for s in shifts])
 
 
 def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
@@ -298,9 +323,14 @@ def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
     den = den_a * den_b
-    mask = (1 << _FIELD_BITS) - 1
-    return Poly(num_vars, {tuple([(k >> s) & mask for s in shifts]): Fraction(c, den)
-                           for k, c in acc.items() if c})
+    top = _FIELD_BITS * num_vars
+    out = {}
+    for k, c in acc.items():
+        if c:
+            if k >> top > MAX_DEGREE:
+                raise _degree_cap_error(k >> top)
+            out[_unpack(k, shifts)] = Fraction(c, den)
+    return _trusted_poly(num_vars, out)
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -309,32 +339,54 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     Uses graded lexicographic order with x1 < x2 < ... . A single divisor is
     its own Groebner basis, so the remainder vanishes exactly when g divides
     f as a polynomial.
+
+    The division is fraction-free (Knuth, TAOCP vol. 2, 4.6.1): f and g are
+    cleared to integer numerators, and the working polynomial is scaled, as
+    a whole, only when g's integer leading coefficient does not divide the
+    working leading coefficient. Each quotient and remainder term records
+    the scale it was found at and becomes one Fraction at the end.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_same_space(g)
-    glead, gcoeff = g.leading()
-    work = dict(f.terms)
-    quot: dict[Exponents, Fraction] = {}
-    rem: dict[Exponents, Fraction] = {}
+    shifts = [_FIELD_BITS * i for i in range(f.num_vars)]
+    (f_terms,), f_den = _packed_terms([f], shifts)
+    (g_terms,), g_den = _packed_terms([g], shifts)
+    glead, gcoeff = max(g_terms)
+    g_rest = [(k, c) for k, c in g_terms if k != glead]
+    # A top bit in every variable field: (key | high) - glead borrows from no
+    # neighbour, and the top bits all survive exactly when glead divides key.
+    high = sum([1 << (s + _FIELD_BITS - 1) for s in shifts])
+    work = dict(f_terms)
+    scale = 1
+    quot: list[tuple[int, int, int]] = []
+    rem: list[tuple[int, int, int]] = []
     while work:
-        le = max(work, key=_grlex_key)
-        lc = work[le]
-        diff = tuple(a - b for a, b in zip(le, glead))
-        if all(d >= 0 for d in diff):
-            c = lc / gcoeff
-            quot[diff] = quot.get(diff, Fraction(0)) + c
-            for ge, gc in g.terms.items():
-                key = tuple(a + b for a, b in zip(diff, ge))
-                v = work.get(key, Fraction(0)) - c * gc
-                if v:
-                    work[key] = v
-                else:
-                    work.pop(key, None)
-        else:
-            rem[le] = lc
-            del work[le]
-    return Poly(f.num_vars, quot), Poly(f.num_vars, rem)
+        le = max(work)
+        lc = work.pop(le)
+        diff = (le | high) - glead
+        if diff & high != high:
+            rem.append((le, lc, scale))
+            continue
+        diff ^= high
+        if lc % gcoeff:
+            step = abs(gcoeff) // gcd(lc, gcoeff)
+            scale *= step
+            lc *= step
+            work = {k: v * step for k, v in work.items()}
+        c = lc // gcoeff
+        quot.append((diff, c, scale))
+        for k, v in g_rest:
+            k += diff
+            v = work.get(k, 0) - c * v
+            if v:
+                work[k] = v
+            else:
+                work.pop(k, None)
+    # f = F/f_den and g = G/g_den, so q = Q * g_den/f_den and r = R/f_den
+    q = {_unpack(k, shifts): Fraction(c * g_den, s * f_den) for k, c, s in quot}
+    r = {_unpack(k, shifts): Fraction(c, s * f_den) for k, c, s in rem}
+    return _trusted_poly(f.num_vars, q), _trusted_poly(f.num_vars, r)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
@@ -398,7 +450,7 @@ class QuadForm:
                     e[i] += 1
                     e[j] += 1
                     terms[tuple(e)] = c
-        return Poly(n, terms)
+        return _trusted_poly(n, terms)
 
     def __call__(self, point: Sequence) -> Fraction:
         v = [as_rational(x) for x in point]

@@ -161,8 +161,7 @@ def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     when the jet is degenerate, i.e. when G is not positive definite.
     """
     h = homogenize(canonical_rounding(rj))
-    norm_a = inner_poly(rj.jet.linear, rj.jet.linear).homogenize(2)
-    return hopf_construction(h.numer, h.denom.to_poly(), norm_a)
+    return hopf_construction(h.numer, h.denom.to_poly(), rj.norm_a.homogenize(2))
 
 
 def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:

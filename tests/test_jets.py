@@ -29,7 +29,6 @@ from conftest import (
 )
 from rounding_forge.jets import (
     FracQuadMap,
-    IrrationalKernelWitness,
     Jet2,
     NotDegenerate,
     NotDivisible,
@@ -225,11 +224,9 @@ def test_degenerate_witness_randomized():
             continue
         seen += 1
         assert any(x != 0 for x in witness)
-        if all(isinstance(x, Fraction) for x in witness):
-            assert all(v == 0 for v in rj.jet.linear(witness))
-            assert (rj.q - rj.p * rj.p)(witness) == 0
-        else:
-            assert all(abs(v) < 1e-9 for v in rj.jet.linear.eval_float(witness))
+        assert all(isinstance(x, Fraction) for x in witness)
+        assert all(v == 0 for v in rj.jet.linear(witness))
+        assert (rj.q - rj.p * rj.p)(witness) == 0
     assert seen >= 5
 
 
@@ -317,6 +314,48 @@ def test_factor_recovers_normalized_jet_randomized():
         from rounding_forge._linalg import exact_rank
         assert exact_rank([list(r) for r in proj]) == len(proj) <= rj.source_dim
     assert factored >= 5
+
+
+def _pullback_by_matmul(rj):
+    """factor_degenerate's reduced (A, B - pA), restricted along the 0/1
+    section of the pivot columns with dense matrix products."""
+    from rounding_forge._linalg import matmul, rref, transpose
+
+    norm = normalize_p(rj)
+    a, b = norm.jet.linear, norm.jet.quad
+    constraints = [list(row) for row in a.linear_matrix()]
+    for form in b.quadratic_forms():
+        constraints.extend(list(row) for row in form.matrix)
+    _, pivots = rref(constraints)
+    section = [[F(int(p == i)) for p in pivots] for i in range(rj.source_dim)]
+    lin = PolyMap.from_linear_matrix(matmul(a.linear_matrix(), section))
+    quad = PolyMap.from_quadratic_forms([f.restricted(transpose(section)) for f in b.quadratic_forms()])
+    return lin, quad
+
+
+def test_factor_selects_the_pivot_coordinates():
+    rng = random.Random(71)
+    jets_seen = [random_valid_jet(rng) for _ in range(40)]
+    # a wide source: ker A has dimension at least 12, so the jet is degenerate
+    jets_seen.append(random_valid_jet(rng, m=16, n=4, scramble=False))
+    factored = []
+    for jet in jets_seen:
+        rj = validate_jet(jet)
+        if not is_degenerate(rj)[0]:
+            continue
+        _, reduced = factor_degenerate(rj)
+        factored.append(rj.source_dim)
+        assert (reduced.jet.linear, reduced.jet.quad) == _pullback_by_matmul(rj)
+    assert len(factored) >= 5 and factored[-1] == 16
+
+
+def test_factor_without_a_common_kernel_fails_its_certificate(monkeypatch):
+    # a nondegenerate jet passed off as degenerate leaves the constraint
+    # matrix at full rank; a degenerate one never does
+    rj = validate_jet(complex_square_jet())
+    monkeypatch.setattr(jets, "is_degenerate", lambda rj: (True, None))
+    with pytest.raises(CertificateError, match="only in 0"):
+        factor_degenerate(rj)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +473,6 @@ def test_series_requires_origin_and_rank():
         check_series_divisibility(PolyMap.from_linear_matrix([[1, 0], [1, 0]]), 2)
     with pytest.raises(ValueError):
         check_series_divisibility(PolyMap.identity(2), 5)
-
-
-def test_irrational_kernel_witness_is_declared():
-    # the error type is part of the contract even though validated rational
-    # jets always admit rational common-kernel directions when degenerate
-    assert issubclass(IrrationalKernelWitness, Exception)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict, dict_add, dict_inner, dict_mul, mixed_polys
+from conftest import as_dict, dict_add, dict_inner, dict_mul, mixed_coeffs, mixed_polys
 from rounding_forge import _linalg
 from rounding_forge.polycore import (
     MAX_DEGREE,
@@ -181,6 +182,10 @@ def test_homogenize_appends_trailing_variable():
     assert h.is_homogeneous(2)
     pt = [F(5, 3), F(-1, 2)]
     assert h(list(pt) + [F(1)]) == p(pt)
+    # padding past the degree cap is refused, as for any other term
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds cap"):
+        p.homogenize(MAX_DEGREE + 1)
+    assert Poly.zero(2).homogenize(MAX_DEGREE + 1) == Poly.zero(3)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,102 @@ def test_poly_divmod_invariant_randomized():
 def test_divide_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         poly_divmod(Poly.variable(1, 0), Poly.zero(1))
+
+
+def spread_polys(num_vars: int, max_deg: int, min_size: int = 0):
+    """Up to five terms of degree at most max_deg in any of num_vars
+    variables (a term is a multiset of variable indices), with integer and
+    large-prime-denominator coefficients."""
+    exps = st.lists(st.integers(0, num_vars - 1), max_size=max_deg).map(
+        lambda idx: tuple(idx.count(i) for i in range(num_vars))
+    )
+    values = st.one_of(st.integers(-9, 9).filter(bool).map(F), mixed_coeffs)
+    return st.dictionaries(exps, values, min_size=min_size, max_size=5).map(lambda d: Poly(num_vars, d))
+
+
+# f = g*h exactly, g*h plus a perturbation, or unrelated to g
+division_cases = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.sampled_from(["divisible", "perturbed", "unrelated"]),
+    spread_polys(n, 3, min_size=1),
+    spread_polys(n, 4),
+    spread_polys(n, 4),
+))
+
+
+def _to_sympy(p: Poly, gens) -> sympy.Poly:
+    # generators x_m, ..., x1, so each exponent tuple is read backwards
+    return sympy.Poly.from_dict({e[::-1]: c for e, c in p.terms.items()} or {(0,) * p.num_vars: 0},
+                                *gens, domain="QQ")
+
+
+def _from_sympy(p) -> dict:
+    return {e[::-1]: F(int(c.p), int(c.q)) for e, c in p.as_dict().items() if c}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(division_cases)
+def test_poly_divmod_matches_sympy_reduced(case):
+    kind, g, h, extra = case
+    f = {"divisible": g * h, "perturbed": g * h + extra, "unrelated": extra}[kind]
+    q, r = poly_divmod(f, g)
+    # f = q*g + r by the independent dict expansion
+    assert dict_add(dict_mul(as_dict(q), as_dict(g)), as_dict(r)) == as_dict(f)
+    if kind == "divisible":
+        assert (q, r) == (h, Poly.zero(f.num_vars))
+    # sympy's grlex over the reversed generators is grlex with x1 < x2 < ...
+    gens = sympy.symbols(f"x1:{f.num_vars + 1}")[::-1]
+    quotients, remainder = sympy.reduced(_to_sympy(f, gens), [_to_sympy(g, gens)], order="grlex")
+    assert as_dict(q) == (_from_sympy(quotients[0]) if quotients else {})
+    assert as_dict(r) == _from_sympy(remainder)
+
+
+def test_poly_divmod_scales_only_for_a_non_dividing_leading_coefficient():
+    # over integer numerators g = (6*x2 + x1)/2: 6 divides the first working
+    # leading coefficient (12) but not the next two, so the working
+    # polynomial is rescaled twice; the results come out reduced either way
+    g = Poly(2, {(0, 1): 3, (1, 0): F(1, 2)})
+    f = Poly(2, {(0, 3): 6, (1, 2): 2, (2, 0): 7, (0, 0): F(5, 11)})
+    q, r = poly_divmod(f, g)
+    assert q == Poly(2, {(0, 2): 2, (1, 1): F(1, 3), (2, 0): F(-1, 18)})
+    assert r == Poly(2, {(3, 0): F(1, 36), (2, 0): 7, (0, 0): F(5, 11)})
+    # terms keep the order the division found them in, highest first
+    assert list(q.terms) == [(0, 2), (1, 1), (2, 0)]
+    assert list(r.terms) == [(3, 0), (2, 0), (0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# kernel output: what the kernels build without validation is exactly what
+# the validating constructor would build
+
+
+def _assert_valid_kernel_output(p: Poly, num_vars: int) -> None:
+    assert p.num_vars == num_vars
+    assert p == Poly(num_vars, dict(p.terms))
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(len(e) == num_vars and all(type(k) is int and k >= 0 for k in e) for e in p.terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    spread_polys(n, 4), spread_polys(n, 4), spread_polys(n, 2), spread_polys(n, 2),
+    st.one_of(st.just(F(0)), mixed_coeffs), st.integers(0, 4),
+)))
+def test_kernel_output_is_valid(case):
+    a, b, u, v = case[:4]
+    c, d = case[4:]
+    n = a.num_vars
+    outputs = [
+        a * b, u * v, inner_poly(PolyMap(n, [u, v]), PolyMap(n, [v, u])),
+        a + b, a - b, a + (-a), a - a, -a, a * c, c * a, a + c, c - a,
+        a.homogeneous_part(d), QuadForm.from_poly(u.homogeneous_part(2)).to_poly(),
+    ]
+    if not b.is_zero():
+        outputs.extend(poly_divmod(a, b))
+    for out in outputs:
+        _assert_valid_kernel_output(out, n)
+    homogenized = a.homogenize(4)
+    _assert_valid_kernel_output(homogenized, n + 1)
+    assert homogenized.is_homogeneous(4)
 
 
 # ---------------------------------------------------------------------------

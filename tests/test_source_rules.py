@@ -1,8 +1,10 @@
 """Source rules checked on the package's syntax trees: certificates are
 raised as exceptions, never asserted, so `python -O` cannot strip them; a
 sphere map is built in exactly two places, the Hopf construction and the
-expanding check; and polynomials are divided only where a division proves
-something new, so no later stage re-divides what a RoundingJet proved."""
+expanding check; polynomials are divided only where a division proves
+something new, so no later stage re-divides what a RoundingJet proved; and
+only the polynomial kernels in polycore build a Poly without validating
+its terms."""
 
 import ast
 from pathlib import Path
@@ -57,12 +59,23 @@ def _callers(tree: ast.AST, callee: str, scope: tuple[str, ...] = ()) -> list[st
     return found
 
 
-def _package_callers(callee: str) -> list[str]:
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def _module_callers(sources: dict[str, str], callee: str) -> list[str]:
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found.extend(f"{path.stem}.{name}" for name in _callers(tree, callee))
+    for stem, text in sources.items():
+        found.extend(f"{stem}.{name}" for name in _callers(ast.parse(text, filename=stem), callee))
     return sorted(found)
+
+
+def _package_callers(callee: str) -> list[str]:
+    return _module_callers(_package_sources(), callee)
+
+
+def _foreign_callers(sources: dict[str, str], callee: str, home: str) -> list[str]:
+    return [name for name in _module_callers(sources, callee) if not name.startswith(home + ".")]
 
 
 def test_sphere_maps_come_from_one_construction():
@@ -94,3 +107,17 @@ def test_builder_rule_sees_nested_and_qualified_calls():
         "    return QuadSphereMap.checked(f, g)\n"
     )
     assert _callers(tree, "QuadSphereMap") == ["", "C.m", "C.m"]
+
+
+def test_trusted_construction_stays_in_polycore():
+    # kernel output skips Poly's validation, so only the kernels may build it
+    sources = _package_sources()
+    assert len(_module_callers(sources, "_trusted_poly")) >= 8
+    assert _foreign_callers(sources, "_trusted_poly", "polycore") == []
+
+
+def test_trusted_rule_catches_a_call_from_another_module():
+    sources = _package_sources()
+    sources["jets"] += "\ndef smuggle(n):\n    return polycore._trusted_poly(n, {})\n"
+    sources["spheres"] += "\nfrom .polycore import _trusted_poly\nZERO = _trusted_poly(0, {})\n"
+    assert _foreign_callers(sources, "_trusted_poly", "polycore") == ["jets.smuggle", "spheres."]
