@@ -48,13 +48,18 @@ def _clear_denominators(row: Sequence) -> list[int]:
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals: each row is scaled to integers, which does not
+    change the rank, and the integer rank is taken."""
+    return integer_rank([_clear_denominators(r) for r in rows])
 
-    Rows are scaled to integers first; intermediate entries stay integral, so
-    the only divisions are exact. Columns with no pivot below the current row
-    are skipped, which leaves the Bareiss divisibility invariant intact.
+
+def integer_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination; m is overwritten.
+
+    Intermediate entries stay integral, so the only divisions are exact.
+    Columns with no pivot below the current row are skipped, which leaves the
+    Bareiss divisibility invariant intact.
     """
-    m = [_clear_denominators(r) for r in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])

@@ -11,7 +11,7 @@ redundancy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _linalg
 from .jets import FracQuadMap
-from .polycore import Poly, as_rational
+from .polycore import Poly, _factored_terms, as_rational
 
 Coeffs = tuple[Fraction, ...]  # univariate polynomial, index = power of t
 
@@ -28,26 +28,11 @@ class DenominatorVanishesIdentically(Exception):
     """The chosen line lies inside the zero set of the denominator."""
 
 
-def _trim(c: Sequence[Fraction]) -> Coeffs:
+def _trim(c: Sequence) -> tuple:
     out = list(c)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _uni_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _uni_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
 
 
 def _uni_eval(a: Coeffs, t: Fraction) -> Fraction:
@@ -57,35 +42,47 @@ def _uni_eval(a: Coeffs, t: Fraction) -> Fraction:
     return total
 
 
-def _clear_line(base: Sequence[Fraction], direction: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
-    """Integer base and direction of the line scaled by the lcm L of their denominators."""
-    scale = _linalg.common_denominator([*base, *direction])
-    return ([x.numerator * (scale // x.denominator) for x in base],
-            [x.numerator * (scale // x.denominator) for x in direction], scale)
+def _cleared(polys: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer coefficient lists scaled by the lcm L of all their denominators, and L."""
+    scale = _linalg.common_denominator([c for p in polys for c in p])
+    return [[c.numerator * (scale // c.denominator) for c in p] for p in polys], scale
 
 
-def _integer_on_line(p: Poly, base: Sequence[int], direction: Sequence[int], scale: int) -> Coeffs:
-    """Coefficients of t -> p((base + t * direction) / scale) for an integer line.
+def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]], deg: int,
+                     base: Sequence[int], direction: Sequence[int], scale: int) -> list[int]:
+    """The deg + 1 integer coefficients of t -> scale^deg * p((base + t * direction) / scale).
 
-    With p = sum(n_e x^e) / den over integer numerators n_e, every term is
-    scaled to total degree deg by scale^(deg - |e|), its factors
-    (base_i + t direction_i)^k are multiplied out in ints, and each
-    coefficient becomes one Fraction over den * scale^deg.
+    terms are p's integer terms as (factor indices, numerator), none of
+    degree above deg; a term of degree k carries the factor scale^(deg - k).
+    Terms of degree 0, 1 and 2 use closed forms: c*x_i*x_j adds c*b_i*b_j,
+    c*(b_i*d_j + d_i*b_j) and c*d_i*d_j. A term of degree 3 or more
+    multiplies out its factors (b_i + t*d_i) one by one.
     """
-    deg = p.degree()
-    if deg < 0:
-        return ()
-    den = _linalg.common_denominator(p.terms.values())
+    powers = [scale**k for k in range(deg + 1)]
     acc = [0] * (deg + 1)
-    for e, c in p.terms.items():
-        term = [c.numerator * (den // c.denominator) * scale ** (deg - sum(e))]
-        for b, d, k in zip(base, direction, e):
-            for _ in range(k):
+    for factors, c in terms:
+        k = len(factors)
+        c *= powers[deg - k]
+        if k == 2:
+            i, j = factors
+            bi, bj, di, dj = base[i], base[j], direction[i], direction[j]
+            acc[0] += c * bi * bj
+            acc[1] += c * (bi * dj + di * bj)
+            acc[2] += c * di * dj
+        elif k == 1:
+            i = factors[0]
+            acc[0] += c * base[i]
+            acc[1] += c * direction[i]
+        elif k == 0:
+            acc[0] += c
+        else:
+            term = [c]
+            for i in factors:
+                b, d = base[i], direction[i]
                 term = [x * b + y * d for x, y in zip([*term, 0], [0, *term])]
-        for i, x in enumerate(term):
-            acc[i] += x
-    den *= scale**deg
-    return _trim([Fraction(x, den) for x in acc])
+            for r, x in enumerate(term):
+                acc[r] += x
+    return acc
 
 
 def poly_on_line(p: Poly, base: Sequence, direction: Sequence) -> Coeffs:
@@ -94,7 +91,13 @@ def poly_on_line(p: Poly, base: Sequence, direction: Sequence) -> Coeffs:
     direction = [as_rational(x) for x in direction]
     if len(base) != p.num_vars or len(direction) != p.num_vars:
         raise ValueError("line dimension mismatch")
-    return _integer_on_line(p, *_clear_line(base, direction))
+    deg = p.degree()
+    if deg < 0:
+        return ()
+    (terms,), den = _factored_terms([p])
+    (base, direction), scale = _cleared([base, direction])
+    den *= scale**deg
+    return tuple([Fraction(x, den) for x in _trim(_integer_on_line(terms, deg, base, direction, scale))])
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,30 @@ class Line:
         return [float(b) + t * float(d) for b, d in zip(self.base, self.direction)]
 
 
+def _sum_of_squares(polys: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of the sum of p^2 over trimmed integer coefficient lists.
+
+    The top coefficient is a sum of squares of leading coefficients, so the
+    result is trimmed too.
+    """
+    out = [0] * (2 * max((len(p) for p in polys), default=0) - 1)
+    for p in polys:
+        for i, x in enumerate(p):
+            out[2 * i] += x * x
+            x *= 2
+            for j in range(i + 1, len(p)):
+                out[i + j] += x * p[j]
+    return out
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 @dataclass(frozen=True)
 class RationalCurve:
     """Image of a line under a fractional map, as univariate data.
@@ -139,9 +166,12 @@ class RationalCurve:
     numerators: tuple[Coeffs, ...]
     denominator: Coeffs
     norm_numer: Coeffs = None  # type: ignore[assignment]
+    # (numerators, denominator, norm_numer) as integer coefficient lists, each
+    # a constant multiple of the Fraction field, for the exact circle rank
+    _integer: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        numerators = tuple(_trim([as_rational(c) for c in num]) for num in self.numerators)
+        numerators = [_trim([as_rational(c) for c in num]) for num in self.numerators]
         denominator = _trim([as_rational(c) for c in self.denominator])
         if not denominator:
             raise DenominatorVanishesIdentically("denominator is the zero polynomial")
@@ -149,16 +179,12 @@ class RationalCurve:
             raise ValueError("numerator degree exceeds 4")
         if len(denominator) > 3:
             raise ValueError("denominator degree exceeds 2")
-        square = ()
-        for num in numerators:
-            square = _uni_add(square, _uni_mul(num, num))
-        if self.norm_numer is not None:
-            given = _trim([as_rational(c) for c in self.norm_numer])
-            if given != square:
-                raise ValueError("norm_numer disagrees with the numerators")
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "norm_numer", square)
+        given = None if self.norm_numer is None else _trim([as_rational(c) for c in self.norm_numer])
+        numerators, num_scale = _cleared(numerators)
+        (denominator,), den_scale = _cleared([denominator])
+        _fill_curve(self, numerators, num_scale, denominator, den_scale)
+        if given is not None and given != self.norm_numer:
+            raise ValueError("norm_numer disagrees with the numerators")
 
     @property
     def target_dim(self) -> int:
@@ -172,20 +198,47 @@ class RationalCurve:
         return tuple(_uni_eval(num, t) / d for num in self.numerators)
 
 
+def _fill_curve(curve: RationalCurve, numerators: Sequence[Sequence[int]], num_scale: int,
+                denominator: Sequence[int], den_scale: int) -> None:
+    """Set a curve's fields from trimmed integer coefficients: numerators over
+    num_scale, denominator over den_scale, and |numerators|^2 computed here."""
+    norm = _sum_of_squares(numerators)
+    object.__setattr__(curve, "numerators",
+                       tuple([tuple([Fraction(x, num_scale) for x in num]) for num in numerators]))
+    object.__setattr__(curve, "denominator", tuple([Fraction(x, den_scale) for x in denominator]))
+    object.__setattr__(curve, "norm_numer", tuple([Fraction(x, num_scale * num_scale) for x in norm]))
+    object.__setattr__(curve, "_integer", (numerators, denominator, norm))
+
+
+def _trusted_curve(numerators: Sequence[Sequence[int]], denominator: Sequence[int], scale: int) -> RationalCurve:
+    """A RationalCurve over integer coefficients that share the denominator
+    scale, built without re-checking.
+
+    Only restrict_to_line comes here: the coefficient lists are trimmed,
+    within the degree caps, and the denominator is not zero.
+    """
+    curve = object.__new__(RationalCurve)
+    _fill_curve(curve, numerators, scale, denominator, scale)
+    return curve
+
+
 def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
     """Restrict numerator, denominator, and numerator norm to a rational line.
 
-    Composing with the line is a ring homomorphism, so the norm restriction
-    is recovered from the restricted numerators inside RationalCurve instead
-    of restricting the much larger multivariate norm polynomial."""
+    The map's integer form (numerators and denominator over one shared
+    denominator) is built once per map; the line is scaled to integers, and
+    every coefficient is found in ints. Composing with the line is a ring
+    homomorphism, so the norm restriction is the sum of the squared
+    restricted numerators, not a restriction of the much larger
+    multivariate norm polynomial."""
     if line.dim != fq.source_dim:
         raise ValueError("line lives in the wrong source space")
-    cleared = _clear_line(line.base, line.direction)
-    numerators = tuple(_integer_on_line(c, *cleared) for c in fq.numer.coords)
-    denominator = _integer_on_line(fq.denom, *cleared)
+    terms, den = fq._integer_form
+    (base, direction), scale = _cleared([line.base, line.direction])
+    *numerators, denominator = [_trim(_integer_on_line(t, 2, base, direction, scale)) for t in terms]
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
-    return RationalCurve(numerators=numerators, denominator=denominator)
+    return _trusted_curve(numerators, denominator, den * scale * scale)
 
 
 def circle_rank_exact(curve: RationalCurve) -> tuple[int, bool]:
@@ -195,14 +248,16 @@ def circle_rank_exact(curve: RationalCurve) -> tuple[int, bool]:
     one row per power of t, and computes its rank over the rationals. The
     affine span of the curve points (y, <y,y>, 1) has dimension rank - 1, and
     the image lies on a circle (or line or point) exactly when rank <= 3.
+    The columns come from the curve's integer coefficients; each is a
+    nonzero multiple of the rational column, which leaves the rank alone.
     """
-    d = curve.denominator
-    columns = [_uni_mul(d, num) for num in curve.numerators]
-    columns.append(curve.norm_numer)
-    columns.append(_uni_mul(d, d))
+    numerators, d, norm = curve._integer
+    columns = [_int_mul(d, num) for num in numerators]
+    columns.append(norm)
+    columns.append(_sum_of_squares([d]))
     nrows = max(len(c) for c in columns)
-    matrix = [[col[r] if r < len(col) else Fraction(0) for col in columns] for r in range(nrows)]
-    rank = _linalg.exact_rank(matrix)
+    matrix = [[col[r] if r < len(col) else 0 for col in columns] for r in range(nrows)]
+    rank = _linalg.integer_rank(matrix)
     return rank, rank <= 3
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import _linalg
@@ -27,6 +28,7 @@ from .polycore import (
     Poly,
     PolyMap,
     QuadForm,
+    _factored_terms,
     as_rational,
     divide_exact,
     inner_poly,
@@ -148,6 +150,16 @@ class FracQuadMap:
     def target_dim(self) -> int:
         return self.numer.target_dim
 
+    @cached_property
+    def _integer_form(self) -> tuple[list[list[tuple[tuple[int, ...], int]]], int]:
+        """The numerators and then the denominator as integer terms over one
+        shared denominator (see polycore._factored_terms).
+
+        Built on the map's first restriction to a line and kept with the map;
+        most maps are never restricted, so the constructor does not build it.
+        """
+        return _factored_terms([*self.numer.coords, self.denom])
+
     @property
     def is_germ(self) -> bool:
         """Whether the map is defined at the origin."""
@@ -167,9 +179,7 @@ class FracQuadMap:
 def jet_from_matrices(linear_rows: Sequence[Sequence], quad_matrices: Sequence[Sequence[Sequence]]) -> Jet2:
     """Build a Jet2 from an n x m matrix and n symmetric m x m matrices."""
     lin = PolyMap.from_linear_matrix(linear_rows)
-    quad = PolyMap.from_quadratic_forms(
-        [QuadForm(tuple(tuple(as_rational(x) for x in row) for row in mat)) for mat in quad_matrices]
-    )
+    quad = PolyMap.from_quadratic_forms([QuadForm(mat) for mat in quad_matrices])
     return Jet2(lin, quad)
 
 

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import _linalg
 
@@ -293,12 +293,29 @@ class Poly:
         return out.replace("+ -", "- ")
 
 
+def _integer_terms(polys: Sequence[Poly], key: Callable[[Exponents], object]) -> tuple[list[list[tuple]], int]:
+    """Terms as (key(exponents), integer numerator) over one shared denominator."""
+    den = _linalg.common_denominator([c for p in polys for c in p.terms.values()])
+    return [[(key(e), c.numerator * (den // c.denominator)) for e, c in p.terms.items()] for p in polys], den
+
+
 def _packed_terms(polys: Sequence[Poly], shifts: Sequence[int]) -> tuple[list[list[tuple[int, int]]], int]:
     """Terms as (packed exponents, integer numerator) over one shared denominator."""
-    den = _linalg.common_denominator([c for p in polys for c in p.terms.values()])
     top = _FIELD_BITS * len(shifts)
-    return [[(sum([k << s for k, s in zip(e, shifts)]) + (sum(e) << top), c.numerator * (den // c.denominator))
-             for e, c in p.terms.items()] for p in polys], den
+    return _integer_terms(polys, lambda e: sum([k << s for k, s in zip(e, shifts)]) + (sum(e) << top))
+
+
+def _factors(e: Exponents) -> tuple[int, ...]:
+    return tuple([i for i, k in enumerate(e) for _ in range(k)])
+
+
+def _factored_terms(polys: Sequence[Poly]) -> tuple[list[list[tuple[tuple[int, ...], int]]], int]:
+    """Terms as (factor indices, integer numerator) over one shared denominator.
+
+    The factor indices list one variable index per factor of the monomial,
+    so x1^2*x3 has (0, 0, 2) and a constant has ().
+    """
+    return _integer_terms(polys, _factors)
 
 
 def _unpack(key: int, shifts: Sequence[int]) -> Exponents:
@@ -423,8 +440,7 @@ class QuadForm:
         n = p.num_vars
         m = [[Fraction(0)] * n for _ in range(n)]
         for e, c in p.terms.items():
-            idx = [i for i, k in enumerate(e) for _ in range(k)]
-            i, j = idx
+            i, j = _factors(e)
             if i == j:
                 m[i][i] = c
             else:

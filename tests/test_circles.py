@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import complex_square_jet, mixed_polys, quaternion_jet
+from conftest import complex_square_jet, dict_inner, mixed_coeffs, mixed_polys, quaternion_jet
+from rounding_forge import jets
 from rounding_forge.circles import (
     DenominatorVanishesIdentically,
     Line,
@@ -22,6 +24,7 @@ from rounding_forge.circles import (
 from rounding_forge.cliff import normed_pairing, pairing_to_rounding
 from rounding_forge.jets import FracQuadMap, canonical_rounding, validate_jet
 from rounding_forge.polycore import Poly, PolyMap
+from rounding_forge.spheres import sphere_lift
 
 F = Fraction
 
@@ -107,6 +110,95 @@ def test_restrict_rejects_exactly_the_lines_inside_the_pole_set(l1, l2, base, di
             assert sum(c * t ** k for k, c in enumerate(num)) == coord(point)
 
 
+# Lines for the integer kernels: zeros, and numerators over large primes, so
+# the cleared line and its scale get big.
+prime_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from([1, 7, 65537, 1000003, 2**61 - 1])),
+)
+
+
+def lines_in(m: int):
+    return st.tuples(st.lists(prime_entries, min_size=m, max_size=m),
+                     st.lists(prime_entries, min_size=m, max_size=m).filter(any))
+
+
+@st.composite
+def fracquad_maps(draw):
+    """Numerators of mixed degree, one linear-only and one zero coordinate,
+    in a drawn order; the denominator may vanish on the line or everywhere."""
+    m = draw(st.integers(1, 4))
+    coords = [draw(mixed_polys(m, 2)) for _ in range(draw(st.integers(0, 3)))]
+    coords.append(Poly.linear([draw(st.one_of(st.just(F(0)), mixed_coeffs)) for _ in range(m)]))
+    coords.append(Poly.zero(m))
+    order = draw(st.permutations(range(len(coords))))
+    denom = draw(st.one_of(mixed_polys(m, 2).filter(lambda p: not p.is_zero()), mixed_polys(m, 2)))
+    return FracQuadMap(numer=PolyMap(m, [coords[k] for k in order]), denom=denom)
+
+
+def _at(coeffs, t):
+    return sum(c * t ** k for k, c in enumerate(coeffs))
+
+
+def _uni_dict(coeffs):
+    return {(k,): c for k, c in enumerate(coeffs) if c}
+
+
+@settings(max_examples=200, derandomize=True)
+@given(fracquad_maps().flatmap(lambda fq: st.tuples(st.just(fq), lines_in(fq.source_dim))))
+def test_restrict_to_line_matches_exact_evaluation(case):
+    fq, (base, direction) = case
+    line = Line(base=base, direction=direction)
+    # the restricted denominator has degree at most 2: three values decide it
+    if all(fq.denom(line.at(t)) == 0 for t in (0, 1, -1)):
+        with pytest.raises(DenominatorVanishesIdentically):
+            restrict_to_line(fq, line)
+        return
+    curve = restrict_to_line(fq, line)
+    for coeffs in (*curve.numerators, curve.denominator, curve.norm_numer):
+        assert all(type(c) is Fraction for c in coeffs)
+        assert not coeffs or coeffs[-1] != 0
+    for t in (F(0), F(1), F(-1), F(1, 2), F(-3, 7), F(5, 3)):
+        point = line.at(t)
+        values = fq.numer(point)
+        assert tuple(_at(num, t) for num in curve.numerators) == values
+        assert _at(curve.denominator, t) == fq.denom(point)
+        assert _at(curve.norm_numer, t) == sum(v * v for v in values)
+    # norm_numer is the sum of squares by the dict expansion
+    numerators = [_uni_dict(num) for num in curve.numerators]
+    assert dict_inner(numerators, numerators) == _uni_dict(curve.norm_numer)
+    # and the public constructor accepts the curve and rebuilds it unchanged
+    assert RationalCurve(curve.numerators, curve.denominator, curve.norm_numer) == curve
+
+
+def test_integer_form_is_built_lazily_and_once(monkeypatch):
+    built = []
+    factored_terms = jets._factored_terms
+
+    def counting(polys):
+        built.append(len(polys))
+        return factored_terms(polys)
+
+    monkeypatch.setattr(jets, "_factored_terms", counting)
+    rj = validate_jet(quaternion_jet())
+    fq = canonical_rounding(rj)
+    sphere_lift(rj)
+    assert built == []
+    rng = random.Random(23)
+    restricted = 0
+    while restricted < 20:
+        base = [F(rng.randint(-3, 3), rng.choice([1, 2, 65537])) for _ in range(7)]
+        direction = [F(rng.randint(-3, 3), rng.choice([1, 3])) for _ in range(7)]
+        if any(direction):
+            circle_rank_exact(restrict_to_line(fq, Line(base=base, direction=direction)))
+            restricted += 1
+    # four numerators and the denominator, cleared together once for the map
+    assert built == [5]
+    # an equal map built again is a new map with its own form
+    restrict_to_line(canonical_rounding(rj), Line(base=(0,) * 7, direction=(1,) + (0,) * 6))
+    assert built == [5, 5]
+
+
 def test_line_validation():
     with pytest.raises(ValueError):
         Line(base=(0, 0), direction=(0, 0))
@@ -159,6 +251,61 @@ def test_circle_rank_on_restrictions():
         curve = restrict_to_line(fq, Line(base=base, direction=direction))
         rank, in_circle = circle_rank_exact(curve)
         assert rank <= 3 and in_circle
+
+
+def _sympy_columns(curve):
+    # the columns d*f_i, <f,f> and d^2 of circle_rank_exact, in Fractions
+    d = curve.denominator
+    columns = [_mul(d, num) for num in curve.numerators] + [curve.norm_numer, _mul(d, d)]
+    rows = max(len(c) for c in columns)
+    return sympy.Matrix([[sympy.Rational(c[r].numerator, c[r].denominator) if r < len(c) else 0
+                          for c in columns] for r in range(rows)])
+
+
+# few distinct small values make low ranks common; mixed_coeffs adds large
+# primes to the denominators
+uni_coeffs = st.one_of(st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 3)]), mixed_coeffs)
+hand_built_curves = st.builds(
+    lambda nums, den: RationalCurve(numerators=tuple(map(tuple, nums)), denominator=tuple(den)),
+    st.lists(st.lists(uni_coeffs, max_size=5), max_size=4),
+    st.lists(uni_coeffs, min_size=1, max_size=3).filter(any),
+)
+
+
+@st.composite
+def restricted_curves(draw):
+    fq = draw(st.sampled_from([mobius_map(), QUATERNION_MAP]))
+    base, direction = draw(lines_in(fq.source_dim))
+    try:
+        return restrict_to_line(fq, Line(base=base, direction=direction))
+    except DenominatorVanishesIdentically:
+        return None
+
+
+QUATERNION_MAP = canonical_rounding(validate_jet(quaternion_jet()))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(hand_built_curves, restricted_curves()))
+def test_circle_rank_matches_sympy(curve):
+    assume(curve is not None)
+    rank, in_circle = circle_rank_exact(curve)
+    assert rank == _sympy_columns(curve).rank()
+    assert in_circle == (rank <= 3)
+
+
+def test_circle_rank_matches_sympy_on_quartic_numerators():
+    curves = [
+        # degree-4 numerators over one denominator: rank 5
+        RationalCurve(numerators=((F(0), F(1), F(0), F(0), F(1, 7)), (F(1, 3), F(0), F(-2), F(0), F(5))),
+                      denominator=(F(1), F(0), F(2, 65537))),
+        # the unit circle's numerators times (1 + t)^2, which the denominator lacks
+        RationalCurve(numerators=(_mul((F(1), F(2), F(1)), (F(0), F(2))),
+                                  _mul((F(1), F(2), F(1)), (F(1), F(0), F(-1)))),
+                      denominator=(F(1), F(0), F(1))),
+    ]
+    for curve in curves:
+        assert circle_rank_exact(curve)[0] == _sympy_columns(curve).rank()
 
 
 def test_circle_rank_rejects_twisted_cubic():

@@ -138,6 +138,17 @@ def test_jet_from_matrices_symmetry_required():
         jet_from_matrices([[1, 0], [0, 1]], [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
 
 
+def test_jet_from_matrices_refuses_floats():
+    identity = [[1, 0], [0, 1]]
+    zero = [[0, 0], [0, 0]]
+    with pytest.raises(TypeError):
+        jet_from_matrices([[1.0, 0], [0, 1]], [zero, zero])
+    with pytest.raises(TypeError):
+        jet_from_matrices(identity, [zero, [[0, 0.5], [0.5, 0]]])
+    jet = jet_from_matrices(identity, [zero, [[0, "1/2"], [F(1, 2), 0]]])
+    assert jet.quad.coords[1] == Poly(2, {(1, 1): 1})
+
+
 def test_random_jets_validate_with_oracle():
     rng = random.Random(41)
     for _ in range(30):

@@ -58,7 +58,7 @@ def test_degree_cap_enforced():
     p = Poly(1, {(3,): 1})
     with pytest.raises(ValueError):
         p ** 3
-    # the product kernel still builds its result through the capped constructor
+    # the product kernel checks the degree of its output against the cap itself
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_DEGREE}"):
         Poly(2, {(3, 2): F(1, 3)}) * Poly(2, {(0, MAX_DEGREE - 4): F(-2, 7)})
 

@@ -2,9 +2,10 @@
 raised as exceptions, never asserted, so `python -O` cannot strip them; a
 sphere map is built in exactly two places, the Hopf construction and the
 expanding check; polynomials are divided only where a division proves
-something new, so no later stage re-divides what a RoundingJet proved; and
+something new, so no later stage re-divides what a RoundingJet proved;
 only the polynomial kernels in polycore build a Poly without validating
-its terms."""
+its terms; and only the line restriction builds a RationalCurve without
+checking it."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,17 @@ def test_trusted_rule_catches_a_call_from_another_module():
     sources["jets"] += "\ndef smuggle(n):\n    return polycore._trusted_poly(n, {})\n"
     sources["spheres"] += "\nfrom .polycore import _trusted_poly\nZERO = _trusted_poly(0, {})\n"
     assert _foreign_callers(sources, "_trusted_poly", "polycore") == ["jets.smuggle", "spheres."]
+
+
+def test_trusted_curves_come_only_from_the_line_restriction():
+    # a trusted curve skips coercion, the degree caps and the norm check
+    assert _package_callers("_trusted_curve") == ["circles.restrict_to_line"]
+
+
+def test_trusted_curve_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["circles"] += "\ndef shortcut(num):\n    return _trusted_curve([num], (1,), 1)\n"
+    sources["cli"] += "\ndef emit_line(c):\n    return circles._trusted_curve([], (1,), c)\n"
+    assert _module_callers(sources, "_trusted_curve") == [
+        "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
+    ]
