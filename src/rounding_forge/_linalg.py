@@ -41,16 +41,20 @@ def common_denominator(fracs: Iterable[Fraction]) -> int:
     return lcm(*[f.denominator for f in fracs])
 
 
-def _clear_denominators(row: Sequence) -> list[int]:
-    fracs = [Fraction(x) for x in row]
-    den = common_denominator(fracs)
-    return [f.numerator * (den // f.denominator) for f in fracs]
+def cleared(lists: Sequence[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer lists scaled by the lcm L of all their denominators, and L.
+
+    Entries are Fractions or ints; this is the one place the package clears
+    denominators.
+    """
+    scale = common_denominator(x for row in lists for x in row)
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in lists], scale
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals: each row is scaled to integers, which does not
-    change the rank, and the integer rank is taken."""
-    return integer_rank([_clear_denominators(r) for r in rows])
+def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals: the matrix is scaled to integers, which does
+    not change the rank, and the integer rank is taken."""
+    return integer_rank(cleared(rows)[0])
 
 
 def integer_rank(m: list[list[int]]) -> int:
@@ -126,25 +130,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]
             v[p] = -red[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One rational solution of Mx = b with free variables set to 0, or None."""
-    a = to_fraction_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("rhs length mismatch")
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [row + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return x
 
 
 def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,12 +40,6 @@ def _uni_eval(a: Coeffs, t: Fraction) -> Fraction:
     for c in reversed(a):
         total = total * t + c
     return total
-
-
-def _cleared(polys: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer coefficient lists scaled by the lcm L of all their denominators, and L."""
-    scale = _linalg.common_denominator([c for p in polys for c in p])
-    return [[c.numerator * (scale // c.denominator) for c in p] for p in polys], scale
 
 
 def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]], deg: int,
@@ -95,7 +89,7 @@ def poly_on_line(p: Poly, base: Sequence, direction: Sequence) -> Coeffs:
     if deg < 0:
         return ()
     (terms,), den = _factored_terms([p])
-    (base, direction), scale = _cleared([base, direction])
+    (base, direction), scale = _linalg.cleared([base, direction])
     den *= scale**deg
     return tuple([Fraction(x, den) for x in _trim(_integer_on_line(terms, deg, base, direction, scale))])
 
@@ -124,9 +118,6 @@ class Line:
     def at(self, t) -> tuple[Fraction, ...]:
         t = as_rational(t)
         return tuple(b + t * d for b, d in zip(self.base, self.direction))
-
-    def at_float(self, t: float) -> list[float]:
-        return [float(b) + t * float(d) for b, d in zip(self.base, self.direction)]
 
 
 def _sum_of_squares(polys: Sequence[Sequence[int]]) -> list[int]:
@@ -180,8 +171,8 @@ class RationalCurve:
         if len(denominator) > 3:
             raise ValueError("denominator degree exceeds 2")
         given = None if self.norm_numer is None else _trim([as_rational(c) for c in self.norm_numer])
-        numerators, num_scale = _cleared(numerators)
-        (denominator,), den_scale = _cleared([denominator])
+        numerators, num_scale = _linalg.cleared(numerators)
+        (denominator,), den_scale = _linalg.cleared([denominator])
         _fill_curve(self, numerators, num_scale, denominator, den_scale)
         if given is not None and given != self.norm_numer:
             raise ValueError("norm_numer disagrees with the numerators")
@@ -234,7 +225,7 @@ def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
     if line.dim != fq.source_dim:
         raise ValueError("line lives in the wrong source space")
     terms, den = fq._integer_form
-    (base, direction), scale = _cleared([line.base, line.direction])
+    (base, direction), scale = _linalg.cleared([line.base, line.direction])
     *numerators, denominator = [_trim(_integer_on_line(t, 2, base, direction, scale)) for t in terms]
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
@@ -349,9 +340,8 @@ class NumericReport:
         return not self.violations
 
 
-FloatMap = Callable[[Sequence[float]], Sequence[float]]
-
 _GUARD = 1e-6  # reject parameters where |Q| < guard * (1 + |t|^2)
+_POINTS_PER_LINE = 16
 
 
 def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
@@ -364,8 +354,7 @@ def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
     return numerators, denominator
 
 
-def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7,
-                            points_per_line: int = 16) -> NumericReport:
+def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
     """Sample random lines, fit circles to their images, report violations.
 
     fmap is a FracQuadMap, or a raw (numerators, denominator) pair of exact
@@ -389,16 +378,16 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
         while not any(abs(d) > 1e-3 for d in direction):
             direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         pts = []
-        for _ in range(60 * points_per_line):
+        for _ in range(60 * _POINTS_PER_LINE):
             t = rng.uniform(-2.0, 2.0)
             x = [b + t * d for b, d in zip(base, direction)]
             qv = denominator.eval_float(x)
             if abs(qv) < _GUARD * (1.0 + t * t):
                 continue
             pts.append([num.eval_float(x) / qv for num in numerators])
-            if len(pts) >= points_per_line:
+            if len(pts) >= _POINTS_PER_LINE:
                 break
-        if len(pts) < points_per_line:
+        if len(pts) < _POINTS_PER_LINE:
             skipped.append(trial)
             continue
         fit = circle_fit(pts)
@@ -409,7 +398,7 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
         trials=trials,
         seed=seed,
         tol=tol,
-        points_per_line=points_per_line,
+        points_per_line=_POINTS_PER_LINE,
         max_residual=max_residual,
         violations=tuple(violations),
         skipped=tuple(skipped),

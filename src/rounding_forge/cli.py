@@ -202,6 +202,8 @@ def fracquad_from_obj(doc) -> jets.FracQuadMap:
         raise DocumentError("$.F", f"expected {n} coordinate polynomials")
     coords = [poly_from_doc(c, f"$.F[{i}]", m) for i, c in enumerate(coords_doc)]
     denom = poly_from_doc(doc.get("Q"), "$.Q", m)
+    if denom.is_zero():
+        raise DocumentError("$.Q", "denominator is the zero polynomial")
     try:
         return jets.FracQuadMap(numer=PolyMap(m, coords), denom=denom)
     except ValueError as exc:

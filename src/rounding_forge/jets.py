@@ -302,7 +302,11 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
 def parallel_factor(a: PolyMap, c: PolyMap) -> Poly | None:
     """The linear l with C = l * A coordinate-wise, when one exists.
 
-    Requires rank(A) >= 2, which also makes l unique.
+    Requires rank(A) >= 2, which also makes l unique. l is read off one
+    coordinate: if A_i = sum_j a_j x_j is the first nonzero one and a_k its
+    first nonzero coefficient, C_i = l * A_i has coefficient l_k * a_k on
+    x_k^2 and l_j * a_k + l_k * a_j on x_j * x_k. The product l * A is then
+    checked against C in full.
     """
     rank = rank_linear(a)
     if rank < 2:
@@ -312,24 +316,16 @@ def parallel_factor(a: PolyMap, c: PolyMap) -> Poly | None:
     if not all(x.is_zero() or x.is_homogeneous(2) for x in c.coords):
         raise ValueError("C must be homogeneous quadratic")
     m = a.source_dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for ai, ci in zip(a.coords, c.coords):
-        monomials = set(ci.terms)
-        for j in range(m):
-            xj = Poly.variable(m, j)
-            monomials.update((xj * ai).terms)
-        for mono in sorted(monomials):
-            row = [(Poly.variable(m, j) * ai).terms.get(mono, Fraction(0)) for j in range(m)]
-            rows.append(row)
-            rhs.append(ci.terms.get(mono, Fraction(0)))
-    sol = _linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    candidate = Poly.linear(sol)
-    if a.times_poly(candidate) != c:
-        return None
-    return candidate
+    row, ci = next((row, ci) for row, ci in zip(a.linear_matrix(), c.coords) if any(row))
+    k = next(j for j, x in enumerate(row) if x)
+
+    def coeff(j: int) -> Fraction:  # the coefficient of x_j * x_k in C_i
+        return ci.terms.get(tuple([int(v == j) + int(v == k) for v in range(m)]), Fraction(0))
+
+    ell_k = coeff(k) / row[k]
+    ell = [ell_k if j == k else (coeff(j) - ell_k * row[j]) / row[k] for j in range(m)]
+    candidate = Poly.linear(ell)
+    return candidate if a.times_poly(candidate) == c else None
 
 
 def transform_jet(jet: Jet2, lam, ell: Poly) -> Jet2:

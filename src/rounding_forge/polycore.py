@@ -41,7 +41,9 @@ class CertificateError(Exception):
 
 
 def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; reject floats."""
+    """Coerce ints and strings like '3/4'; pass Fractions through; reject floats."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing to coerce a float into the exact layer")
     return Fraction(x)
@@ -295,8 +297,8 @@ class Poly:
 
 def _integer_terms(polys: Sequence[Poly], key: Callable[[Exponents], object]) -> tuple[list[list[tuple]], int]:
     """Terms as (key(exponents), integer numerator) over one shared denominator."""
-    den = _linalg.common_denominator([c for p in polys for c in p.terms.values()])
-    return [[(key(e), c.numerator * (den // c.denominator)) for e, c in p.terms.items()] for p in polys], den
+    numerators, den = _linalg.cleared([p.terms.values() for p in polys])
+    return [[(key(e), c) for e, c in zip(p.terms, row)] for p, row in zip(polys, numerators)], den
 
 
 def _packed_terms(polys: Sequence[Poly], shifts: Sequence[int]) -> tuple[list[list[tuple[int, int]]], int]:
@@ -474,20 +476,8 @@ class QuadForm:
             raise ValueError("point dimension mismatch")
         return sum(v[i] * sum(self.matrix[i][j] * v[j] for j in range(self.dim)) for i in range(self.dim))
 
-    def __add__(self, other: "QuadForm") -> "QuadForm":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return QuadForm(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.matrix, other.matrix)))
-
-    def __sub__(self, other: "QuadForm") -> "QuadForm":
-        return self + (-other)
-
     def __neg__(self) -> "QuadForm":
         return QuadForm(tuple(tuple(-x for x in row) for row in self.matrix))
-
-    def scaled(self, c) -> "QuadForm":
-        c = as_rational(c)
-        return QuadForm(tuple(tuple(c * x for x in row) for row in self.matrix))
 
     def restricted(self, basis: Sequence[Sequence]) -> "QuadForm":
         """Pull the form back along the subspace spanned by the given vectors."""
@@ -546,9 +536,6 @@ class PolyMap:
 
     def homogeneous_part(self, d: int) -> "PolyMap":
         return PolyMap(self.source_dim, [c.homogeneous_part(d) for c in self.coords])
-
-    def degree(self) -> int:
-        return max((c.degree() for c in self.coords), default=-1)
 
     def is_linear(self) -> bool:
         return all(c.is_zero() or c.is_homogeneous(1) for c in self.coords)

@@ -43,26 +43,6 @@ class PoleProximity(Exception):
 
 
 @dataclass(frozen=True)
-class HomogenizedMap:
-    """Homogeneous quadratic numerator and denominator on R^(m+1).
-
-    The extra variable is appended last; setting it to 1 recovers the
-    original map.
-    """
-
-    numer: PolyMap
-    denom: QuadForm
-
-    @property
-    def source_dim(self) -> int:
-        return self.numer.source_dim
-
-    @property
-    def target_dim(self) -> int:
-        return self.numer.target_dim
-
-
-@dataclass(frozen=True)
 class QuadSphereMap:
     """Quadratic map f with <f, f> = gram^2 for a positive definite gram.
 
@@ -121,34 +101,37 @@ def _factor_gram(gram: QuadForm) -> tuple[tuple[tuple[Fraction, ...], ...], tupl
     return tuple(tuple(row) for row in lower), tuple(diag)
 
 
-def homogenize(fq: FracQuadMap) -> HomogenizedMap:
-    """Homogenize a fractional-quadratic germ with denominator 1 at 0."""
+def homogenize(fq: FracQuadMap) -> tuple[PolyMap, QuadForm]:
+    """Homogenize a fractional-quadratic germ with denominator 1 at 0.
+
+    Returns the homogeneous quadratic numerator and denominator on R^(m+1);
+    the extra variable is appended last, and setting it to 1 recovers the
+    original map.
+    """
     if fq.denom.constant_term() != 1:
         raise ValueError("denominator must take the value 1 at the origin")
     numer = PolyMap(fq.source_dim + 1, [c.homogenize(2) for c in fq.numer.coords])
-    denom = QuadForm.from_poly(fq.denom.homogenize(2))
-    return HomogenizedMap(numer=numer, denom=denom)
+    return numer, QuadForm.from_poly(fq.denom.homogenize(2))
 
 
-def split_norm(h: HomogenizedMap) -> tuple[QuadForm, QuadForm]:
+def split_norm(numer: PolyMap, denom: QuadForm) -> tuple[QuadForm, QuadForm]:
     """Factor the squared numerator norm as Q1 * Q2 with Q1 the denominator.
 
     Both factors are normalized to take nonnegative values: when the
     quotient comes out negative semidefinite, both signs are flipped.
     """
-    q1 = h.denom
-    quotient, rem = poly_divmod(inner_poly(h.numer, h.numer), q1.to_poly())
+    quotient, rem = poly_divmod(inner_poly(numer, numer), denom.to_poly())
     if not rem.is_zero():
         raise NotDivisible("<F, F>", rem)
     if not quotient.is_homogeneous(2):
         raise Q2NotQuadratic(f"quotient {quotient} is not homogeneous quadratic")
     q2 = QuadForm.from_poly(quotient)
-    plus1, minus1, _ = form_signature(q1)
+    plus1, minus1, _ = form_signature(denom)
     plus2, minus2, _ = form_signature(q2)
     if minus1 == 0 and minus2 == 0:
-        return q1, q2
+        return denom, q2
     if plus1 == 0 and plus2 == 0:
-        return -q1, -q2
+        return -denom, -q2
     raise ValueError("norm factors are not semidefinite of a common sign")
 
 
@@ -160,8 +143,8 @@ def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     P = D^h, Q = <A,A> it gives <f, f> = G^2. Raises Degenerate exactly
     when the jet is degenerate, i.e. when G is not positive definite.
     """
-    h = homogenize(canonical_rounding(rj))
-    return hopf_construction(h.numer, h.denom.to_poly(), rj.norm_a.homogenize(2))
+    numer, denom = homogenize(canonical_rounding(rj))
+    return hopf_construction(numer, denom.to_poly(), rj.norm_a.homogenize(2))
 
 
 def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:

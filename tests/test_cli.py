@@ -286,6 +286,29 @@ def test_degen_witness(tmp_path, capsys):
     assert report["witnesses"]["degeneracy_witness"] == ["0", "0", "1"]
 
 
+def test_check_reports_the_degen_witness(tmp_path, capsys):
+    path = write_doc(tmp_path, "jet.json", FLAT_JET)
+    code, checked = run_json(capsys, "check", path)
+    assert code == 0
+    assert checked["verdicts"]["degenerate"] is True
+    _, degen = run_json(capsys, "degen", path)
+    assert checked["witnesses"]["degeneracy_witness"] == degen["witnesses"]["degeneracy_witness"]
+
+
+@pytest.mark.parametrize("command, jets_", [
+    ("canon", ["bad"]), ("degen", ["bad"]), ("factor", ["bad"]), ("sphere", ["bad"]),
+    ("equiv", ["bad", "good"]), ("equiv", ["good", "bad"]),
+])
+def test_not_divisible_jet_exits_two_everywhere(tmp_path, capsys, command, jets_):
+    paths = {"bad": write_doc(tmp_path, "bad.json", NOT_DIVISIBLE_JET),
+             "good": write_doc(tmp_path, "good.json", COMPLEX_JET)}
+    code, report = run_json(capsys, command, *[paths[j] for j in jets_])
+    assert code == 2
+    assert report["exit_status"] == 2
+    assert report["verdicts"] == {"valid": False, "reason": "not-divisible"}
+    assert report["witnesses"]["failed_product"] == "<A,B>"
+
+
 def test_factor_flat_jet(tmp_path, capsys):
     path = write_doc(tmp_path, "jet.json", FLAT_JET)
     out_path = str(tmp_path / "reduced.json")
@@ -343,6 +366,16 @@ def test_sphere_lift_document(tmp_path, capsys):
     assert doc["m"] == 3 and doc["n"] == 3
 
 
+@pytest.mark.parametrize("argv", [["sphere", "jet.json"], ["hopf", "--size", "2", "4"]])
+def test_out_writes_the_report_document(tmp_path, capsys, argv):
+    write_doc(tmp_path, "jet.json", COMPLEX_JET)
+    out_path = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, report = run_json(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text()) == report["witnesses"]["document"]
+
+
 def test_sphere_degenerate_exits_two(tmp_path, capsys):
     path = write_doc(tmp_path, "jet.json", FLAT_JET)
     code, report = run_json(capsys, "sphere", path)
@@ -377,6 +410,13 @@ def test_hopf_from_size(capsys):
     code, report = run_json(capsys, "hopf", "--size", "2", "2")
     assert code == 0
     assert report["verdicts"] == {"feasible": True, "source_dim": 4, "target_dim": 3}
+
+
+def test_hopf_infeasible_size_exits_two(capsys):
+    code, report = run_json(capsys, "hopf", "--size", "3", "2")
+    assert code == 2
+    assert report["verdicts"] == {"feasible": False}
+    assert report["witnesses"]["rho"] == 2
 
 
 def test_hopf_rejects_tampered_pairing(tmp_path, capsys):
@@ -424,6 +464,24 @@ def test_verify_flags_non_rounding_map(tmp_path, capsys):
     assert code == 2
     assert report["verdicts"]["ok"] is False
     assert report["numeric"]["violations"]
+
+
+def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
+    doc = {
+        "kind": "fracquad",
+        "m": 2,
+        "n": 2,
+        "F": [
+            {"vars": 2, "terms": [[[1, 0], "1"]]},
+            {"vars": 2, "terms": [[[0, 1], "1"]]},
+        ],
+        "Q": {"vars": 2, "terms": []},
+    }
+    path = write_doc(tmp_path, "map.json", doc)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1
+    assert out == ""
+    assert err == "rounding-forge: error: $.Q: denominator is the zero polynomial\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import rounding_forge
 from rounding_forge import jets
@@ -46,7 +48,7 @@ from rounding_forge.jets import (
     transform_jet,
     validate_jet,
 )
-from rounding_forge.polycore import CertificateError, Poly, PolyMap
+from rounding_forge.polycore import CertificateError, Poly, PolyMap, rank_linear
 
 F = Fraction
 
@@ -393,6 +395,61 @@ def test_parallel_factor_requires_rank_two():
         parallel_factor(a, PolyMap.zero(2, 2))
 
 
+_fractions = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def parallel_cases(draw):
+    """(A, C): A of rank >= 2 whose rows may be zero or start with zeros, and
+    C = l*A, l*A plus one stray quadratic term, or 0."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(n):
+        lead = draw(st.integers(0, m))  # lead == m is a zero coordinate
+        rows.append([F(0)] * lead + [draw(_fractions) for _ in range(m - lead)])
+    a = PolyMap.from_linear_matrix(rows)
+    assume(rank_linear(a) >= 2)
+    kind = draw(st.sampled_from(["multiple", "perturbed", "zero"]))
+    if kind == "zero":
+        return a, PolyMap.zero(m, n)
+    c = a.times_poly(Poly.linear([draw(_fractions) for _ in range(m)]))
+    if kind == "perturbed":
+        i, j = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2)))
+        e = tuple(int(v == i) + int(v == j) for v in range(m))
+        r = draw(st.integers(0, n - 1))
+        stray = Poly(m, {e: draw(_fractions.filter(bool))})
+        c = PolyMap(m, [x + stray if k == r else x for k, x in enumerate(c.coords)])
+    return a, c
+
+
+def _sympy_expr(p: Poly, xs):
+    return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**k for x, k in zip(xs, e)])
+               for e, c in p.terms.items())
+
+
+@settings(max_examples=200, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+@given(parallel_cases())
+def test_parallel_factor_matches_sympy(case):
+    # sympy solves the whole coefficient system of C = l*A for l
+    a, c = case
+    m = a.source_dim
+    xs = sympy.symbols(f"x0:{m}")
+    ls = sympy.symbols(f"l0:{m}")
+    ell = sum(li * xi for li, xi in zip(ls, xs))
+    equations = []
+    for ai, ci in zip(a.coords, c.coords):
+        residual = sympy.expand(_sympy_expr(ci, xs) - ell * _sympy_expr(ai, xs))
+        equations.extend(sympy.Poly(residual, *xs).coeffs())
+    solutions = sympy.linsolve(equations, ls)
+    found = parallel_factor(a, c)
+    if solutions == sympy.EmptySet:
+        assert found is None
+    else:
+        (solution,) = solutions
+        assert found == Poly.linear([F(int(v.p), int(v.q)) for v in solution])
+
+
 def test_transform_invertible():
     rng = random.Random(71)
     for _ in range(20):
@@ -439,6 +496,18 @@ def test_jets_equivalent_rejects():
     doubled_a = Jet2(j1.linear.scaled(2), j1.quad)
     assert jets_equivalent(j1, doubled_a) is None
     assert jets_equivalent(j1, quaternion_jet()) is None
+
+
+def test_jets_equivalent_needs_a_nonzero_multiple_of_the_linear_part():
+    j1 = complex_square_jet()
+    flat = Jet2(PolyMap.zero(2, 2), j1.quad)
+    assert jets_equivalent(flat, j1) is None
+    # lam is read off the first nonzero coefficient of A1; here it is 0
+    swapped = Jet2(PolyMap.from_linear_matrix([[0, 1], [1, 0]]), j1.quad)
+    assert jets_equivalent(j1, swapped) is None
+    # lam = 1 from the first coordinate, but A2 is not A1
+    stretched = Jet2(PolyMap.from_linear_matrix([[1, 0], [0, 2]]), j1.quad)
+    assert jets_equivalent(j1, stretched) is None
 
 
 def test_degeneracy_is_equivalence_invariant():

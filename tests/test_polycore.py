@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import as_dict, dict_add, dict_inner, dict_mul, mixed_coeffs, mixed_polys
 from rounding_forge import _linalg
+from rounding_forge.circles import Line
 from rounding_forge.polycore import (
     MAX_DEGREE,
     Poly,
@@ -43,6 +44,16 @@ def test_as_rational_accepts_exact_inputs():
 def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+def test_as_rational_passes_a_fraction_through():
+    x = F(-2, 6)
+    assert as_rational(x) is x
+    assert as_rational(" -6/8 ") == F(-3, 4)
+    with pytest.raises(TypeError):
+        Line((F(1), 0.5), (1, 1))
+    with pytest.raises(TypeError):
+        Line((0, 0), (F(1), 2.0))
 
 
 def test_zero_terms_are_pruned():
@@ -412,14 +423,6 @@ def test_nullspace_annihilates_and_rank_nullity():
         assert len(basis) == cols - _linalg.exact_rank(m)
         for v in basis:
             assert all(x == 0 for x in _linalg.matvec(m, list(v)))
-
-
-def test_solve_consistent_and_inconsistent():
-    a = [[F(1), F(2)], [F(3), F(4)]]
-    x = _linalg.solve(a, [F(5), F(6)])
-    assert _linalg.matvec(a, x) == [F(5), F(6)]
-    singular = [[F(1), F(2)], [F(2), F(4)]]
-    assert _linalg.solve(singular, [F(1), F(0)]) is None
 
 
 def test_congruent_diagonalize_identity():

@@ -4,8 +4,8 @@ sphere map is built in exactly two places, the Hopf construction and the
 expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
 only the polynomial kernels in polycore build a Poly without validating
-its terms; and only the line restriction builds a RationalCurve without
-checking it."""
+its terms; only the line restriction builds a RationalCurve without
+checking it; and denominators are cleared in one helper."""
 
 import ast
 from pathlib import Path
@@ -135,4 +135,17 @@ def test_trusted_curve_rule_catches_a_foreign_call():
     sources["cli"] += "\ndef emit_line(c):\n    return circles._trusted_curve([], (1,), c)\n"
     assert _module_callers(sources, "_trusted_curve") == [
         "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
+    ]
+
+
+def test_denominators_are_cleared_in_one_place():
+    assert _package_callers("common_denominator") == ["_linalg.cleared"]
+
+
+def test_clearing_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["circles"] += "\ndef scale_of(xs):\n    return _linalg.common_denominator(xs)\n"
+    sources["_linalg"] += "\nclass Row:\n    den = common_denominator([])\n"
+    assert _module_callers(sources, "common_denominator") == [
+        "_linalg.Row", "_linalg.cleared", "circles.scale_of",
     ]

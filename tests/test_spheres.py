@@ -22,7 +22,6 @@ from rounding_forge.jets import NotDivisible, canonical_rounding, is_degenerate,
 from rounding_forge.polycore import Poly, PolyMap, QuadForm, form_signature
 from rounding_forge.spheres import (
     Degenerate,
-    HomogenizedMap,
     PoleProximity,
     Q2NotQuadratic,
     QuadSphereMap,
@@ -45,12 +44,12 @@ def mobius_fq():
 
 
 def test_homogenize_frozen_values():
-    h = homogenize(mobius_fq())
-    assert h.numer == PolyMap(3, [
+    numer, denom = homogenize(mobius_fq())
+    assert numer == PolyMap(3, [
         Poly(3, {(1, 0, 1): 1, (2, 0, 0): -1, (0, 2, 0): -1}),
         Poly(3, {(0, 1, 1): 1}),
     ])
-    assert h.denom.matrix == (
+    assert denom.matrix == (
         (F(1), F(0), F(-1)),
         (F(0), F(1), F(0)),
         (F(-1), F(0), F(1)),
@@ -66,19 +65,18 @@ def test_homogenize_requires_unit_constant():
 
 
 def test_split_norm_frozen_factors():
-    q1, q2 = split_norm(homogenize(mobius_fq()))
+    q1, q2 = split_norm(*homogenize(mobius_fq()))
     assert q1.matrix == ((F(1), F(0), F(-1)), (F(0), F(1), F(0)), (F(-1), F(0), F(1)))
     assert q2.matrix == ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(0)))
 
 
 def test_split_norm_flips_a_negated_pair():
-    h = homogenize(mobius_fq())
-    negated = HomogenizedMap(numer=h.numer, denom=-h.denom)
-    q1, q2 = split_norm(negated)
+    numer, denom = homogenize(mobius_fq())
+    q1, q2 = split_norm(numer, -denom)
     plus1, minus1, _ = form_signature(q1)
     plus2, minus2, _ = form_signature(q2)
     assert minus1 == 0 and minus2 == 0
-    assert q1.matrix == h.denom.matrix
+    assert q1.matrix == denom.matrix
 
 
 def test_split_norm_rejects_inhomogeneous_quotient():
@@ -86,14 +84,14 @@ def test_split_norm_rejects_inhomogeneous_quotient():
     numer = PolyMap(2, [Poly(2, {(1, 1): 1, (1, 0): 1})])
     denom = QuadForm.from_poly(Poly(2, {(2, 0): 1}))
     with pytest.raises(Q2NotQuadratic):
-        split_norm(HomogenizedMap(numer=numer, denom=denom))
+        split_norm(numer, denom)
 
 
 def test_split_norm_rejects_nondivisible():
     numer = PolyMap(2, [Poly(2, {(2, 0): 1})])
     denom = QuadForm.from_poly(Poly(2, {(0, 2): 1}))
     with pytest.raises(NotDivisible):
-        split_norm(HomogenizedMap(numer=numer, denom=denom))
+        split_norm(numer, denom)
 
 
 # ---------------------------------------------------------------------------
