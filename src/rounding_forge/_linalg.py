@@ -194,18 +194,30 @@ def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     """Exact LDL^T of a positive definite symmetric matrix.
 
     Raises ValueError when a pivot is not positive, i.e. when the input is
-    not positive definite.
+    not positive definite. Each row keeps its nonzero (k, L[i][k] * D[k])
+    for the columns done so far, and both sums run over those alone, so an
+    identity gram costs O(n^2) comparisons instead of O(n^3) products.
     """
     a = to_fraction_matrix(s)
     n = len(a)
     lower = identity(n)
     diag: list[Fraction] = []
+    # L[i][j] * D[j] is the off-diagonal value that L[i][j] was divided from
+    scaled: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for j in range(n):
-        d = a[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        terms = scaled[j]
+        d = a[j][j]
+        if terms:
+            d -= sum([lower[j][k] * ld for k, ld in terms])
         if d <= 0:
             raise ValueError("matrix is not positive definite")
         diag.append(d)
         for i in range(j + 1, n):
-            off = a[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = off / d
+            off = a[i][j]
+            if terms:
+                row = lower[i]
+                off -= sum([row[k] * ld for k, ld in terms])
+            if off:
+                lower[i][j] = off / d
+                scaled[i].append((j, off))
     return lower, diag

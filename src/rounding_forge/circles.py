@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _linalg
 from .jets import FracQuadMap
-from .polycore import Poly, _factored_terms, as_rational
+from .polycore import Poly, _eval_float_terms, _factored_terms, _float_terms, as_rational
 
 Coeffs = tuple[Fraction, ...]  # univariate polynomial, index = power of t
 
@@ -288,13 +288,20 @@ def circle_fit(points: Sequence[Sequence[float]]) -> CircleFit:
     The plane is the top-2 principal subspace of the centered samples; inside
     it the classical linearized fit solves the normal equations for center
     and radius. Nearly collinear or coincident samples degrade to a line or
-    point fit rather than returning a meaningless huge circle.
+    point fit rather than returning a meaningless huge circle. Samples that
+    are not finite, or so large that their squared spread about the
+    centroid overflows, raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 5:
         raise ValueError("need at least 5 points")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = pts.mean(axis=0)
+        centered = pts - centroid
+        # every square the fit takes is bounded by this sum
+        spread = np.sum(centered * centered)
+    if not np.isfinite(spread):
+        raise ValueError("samples must be finite")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if vt.shape[0] < 2:
         vt = np.vstack([vt, np.zeros_like(vt[0])])
@@ -351,7 +358,16 @@ def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
     numerators = list(numerators)
     if not isinstance(denominator, Poly) or not all(isinstance(p, Poly) for p in numerators):
         raise TypeError("expected a FracQuadMap or (list of Poly, Poly)")
+    if any(p.num_vars != denominator.num_vars for p in numerators):
+        raise ValueError("point dimension mismatch")
     return numerators, denominator
+
+
+def _compiled(p: Poly, name: str):
+    try:
+        return _float_terms(p)
+    except OverflowError:
+        raise ValueError(f"{name} has a coefficient outside float range") from None
 
 
 def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
@@ -362,9 +378,16 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     to the oracle as controls. Half the lines pass through the origin. Lines
     where not enough parameters clear the denominator guard are skipped, not
     counted as violations.
+
+    Every coordinate is compiled to float terms once, before the first
+    trial, and evaluated with Poly.eval_float's exact operations. A
+    coefficient outside float range raises ValueError naming its
+    coordinate, F[i] or Q.
     """
     numerators, denominator = _as_numeric_pair(fmap)
     m = denominator.num_vars
+    den_terms = _compiled(denominator, "Q")
+    num_terms = [_compiled(p, f"F[{i}]") for i, p in enumerate(numerators)]
     rng = random.Random(seed)
     violations: list[int] = []
     skipped: list[int] = []
@@ -381,10 +404,10 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
         for _ in range(60 * _POINTS_PER_LINE):
             t = rng.uniform(-2.0, 2.0)
             x = [b + t * d for b, d in zip(base, direction)]
-            qv = denominator.eval_float(x)
+            qv = _eval_float_terms(den_terms, x)
             if abs(qv) < _GUARD * (1.0 + t * t):
                 continue
-            pts.append([num.eval_float(x) / qv for num in numerators])
+            pts.append([_eval_float_terms(terms, x) / qv for terms in num_terms])
             if len(pts) >= _POINTS_PER_LINE:
                 break
         if len(pts) < _POINTS_PER_LINE:

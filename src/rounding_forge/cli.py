@@ -14,6 +14,7 @@ or a failed internal exact certificate).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -28,6 +29,9 @@ from .polycore import CertificateError, Poly, PolyMap
 
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-7
+# work budgets, checked while the arguments are parsed
+MAX_TRIALS = 10000
+MAX_PAIRING_N = 64
 SEED_ENV_VAR = "ROUNDING_FORGE_SEED"
 
 
@@ -295,6 +299,14 @@ def _numeric_doc(rep: circles.NumericReport) -> dict:
     }
 
 
+def _run_oracle(fq: jets.FracQuadMap, args) -> circles.NumericReport:
+    """The sampling oracle; a map it cannot sample in floats is a document error."""
+    try:
+        return circles.verify_rounding_numeric(fq, trials=args.trials, seed=args.seed, tol=args.tol)
+    except ValueError as exc:
+        raise DocumentError("$", str(exc)) from None
+
+
 def _witness_vector(witness) -> list[str]:
     return [_rat_str(x) for x in witness]
 
@@ -349,11 +361,11 @@ def cmd_canon(args) -> Report:
     report.witnesses["q"] = poly_to_doc(rj.q)
     doc = fracquad_to_doc(fq)
     report.witnesses["document"] = doc
+    if args.verify:
+        # before --out, so a map the oracle cannot sample leaves no file behind
+        report.numeric = _numeric_doc(_run_oracle(fq, args))
     if args.out:
         _write_doc(args.out, doc)
-    if args.verify:
-        rep = circles.verify_rounding_numeric(fq, trials=args.trials, seed=args.seed, tol=args.tol)
-        report.numeric = _numeric_doc(rep)
     return report
 
 
@@ -484,7 +496,7 @@ def cmd_verify(args) -> Report:
     report = Report(command="verify")
     report.inputs["map"] = _digest(args.map)
     fq = fracquad_from_obj(_load_json(args.map))
-    rep = circles.verify_rounding_numeric(fq, trials=args.trials, seed=args.seed, tol=args.tol)
+    rep = _run_oracle(fq, args)
     report.numeric = _numeric_doc(rep)
     report.verdicts["ok"] = rep.ok
     if not rep.ok:
@@ -571,19 +583,39 @@ def _positive_finite_float(raw: str) -> float:
     return value
 
 
-def _kappa_bound(raw: str) -> int:
-    value = _positive_int(raw)
-    if value > cliff.KAPPA_DOMAIN_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {cliff.KAPPA_DOMAIN_CAP}, got {value}")
-    return value
+def _at_most(cap: int):
+    """A type= function for positive integers no larger than cap."""
+
+    def parse(raw: str) -> int:
+        value = _positive_int(raw)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+
+    return parse
+
+
+class _LastAtMost(argparse.Action):
+    """Store a list of sizes whose last entry is no larger than cap."""
+
+    def __init__(self, *args, cap: int, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cap = cap
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[-1] > self.cap:
+            message = f"{self.metavar[-1]} must be at most {self.cap}, got {values[-1]}"
+            raise argparse.ArgumentError(self, message)
+        setattr(namespace, self.dest, values)
 
 
 def _add_numeric_flags(sub) -> None:
-    sub.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
+    sub.add_argument("--trials", type=_at_most(MAX_TRIALS), default=DEFAULT_TRIALS)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--tol", type=_positive_finite_float, default=DEFAULT_TOL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rounding-forge", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -620,21 +652,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pairing", help="construct a normed pairing [r, n, n]")
     p.add_argument("r", type=_positive_int)
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_at_most(MAX_PAIRING_N))
     p.add_argument("--out")
     p.set_defaults(handler=cmd_pairing)
 
     p = subs.add_parser("hopf", help="Hopf sphere map of a pairing")
     p.add_argument("pairing", nargs="?")
-    p.add_argument("--size", nargs=2, type=_positive_int, metavar=("R", "N"))
+    p.add_argument("--size", nargs=2, type=_positive_int, metavar=("R", "N"),
+                   action=_LastAtMost, cap=MAX_PAIRING_N)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_hopf)
 
     p = subs.add_parser("tables", help="rho / kappa tables and parity verdicts")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho", type=_positive_int, metavar="N")
-    group.add_argument("--kappa", type=_kappa_bound, metavar="M")
-    group.add_argument("--stiefel", nargs=3, type=_positive_int, metavar=("R", "S", "N"))
+    group.add_argument("--rho", type=_at_most(cliff.KAPPA_DOMAIN_CAP), metavar="N")
+    group.add_argument("--kappa", type=_at_most(cliff.KAPPA_DOMAIN_CAP), metavar="M")
+    group.add_argument("--stiefel", nargs=3, type=_positive_int, metavar=("R", "S", "N"),
+                       action=_LastAtMost, cap=cliff.KAPPA_DOMAIN_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_tables)
 

@@ -217,14 +217,7 @@ class Poly:
     def eval_float(self, point: Sequence[float]) -> float:
         if len(point) != self.num_vars:
             raise ValueError("point dimension mismatch")
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for v, k in zip(point, e):
-                if k:
-                    term *= float(v) ** k
-            total += term
-        return total
+        return _eval_float_terms(_float_terms(self), [float(v) for v in point])
 
     def substitute(self, args: Sequence["Poly"]) -> "Poly":
         """Evaluate at polynomial arguments, one per variable."""
@@ -293,6 +286,28 @@ class Poly:
                 bits.append(f"{c}*{mono}")
         out = " + ".join(bits)
         return out.replace("+ -", "- ")
+
+
+_FloatTerms = list[tuple[float, list[tuple[int, int]]]]
+
+
+def _float_terms(p: Poly) -> _FloatTerms:
+    """p's terms as (float coefficient, [(variable, exponent), ...]), in
+    p.terms order and with only the nonzero exponents, for
+    _eval_float_terms. A coefficient outside float range raises
+    OverflowError."""
+    return [(float(c), [(v, k) for v, k in enumerate(e) if k]) for e, c in p.terms.items()]
+
+
+def _eval_float_terms(terms: _FloatTerms, x: Sequence[float]) -> float:
+    """Evaluate _float_terms output at a point of floats: each term is its
+    coefficient times x[v] ** k in variable order, summed in term order."""
+    total = 0.0
+    for term, factors in terms:
+        for v, k in factors:
+            term *= x[v] ** k
+        total += term
+    return total
 
 
 def _integer_terms(polys: Sequence[Poly], key: Callable[[Exponents], object]) -> tuple[list[list[tuple]], int]:

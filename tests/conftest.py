@@ -47,6 +47,43 @@ def as_dict(p: Poly) -> dict:
     return dict(p.terms)
 
 
+# reference float evaluation: one direct loop over the terms, converting
+# each coefficient and coordinate where it is used; the compiled evaluator
+# must match it bit for bit
+
+
+def eval_float_reference(p: Poly, point) -> float:
+    if len(point) != p.num_vars:
+        raise ValueError("point dimension mismatch")
+    total = 0.0
+    for e, c in p.terms.items():
+        term = float(c)
+        for v, k in zip(point, e):
+            if k:
+                term *= float(v) ** k
+        total += term
+    return total
+
+
+# reference LDL^T: the dense O(n^3) loop, zero products included
+
+
+def ldl_dense_reference(s):
+    a = [[Fraction(x) for x in row] for row in s]
+    n = len(a)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag: list = []
+    for j in range(n):
+        d = a[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        if d <= 0:
+            raise ValueError("matrix is not positive definite")
+        diag.append(d)
+        for i in range(j + 1, n):
+            off = a[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = off / d
+    return lower, diag
+
+
 # Hypothesis inputs for the integer-numerator kernels: nonzero numerators of
 # either sign over mixed denominators, large primes among them, so that the
 # shared lcm is big; empty dictionaries give zero polynomials.

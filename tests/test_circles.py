@@ -3,6 +3,7 @@ fitting, and the randomized sampling oracle."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -471,3 +472,31 @@ def test_numeric_oracle_deterministic():
 def test_numeric_oracle_rejects_bad_input():
     with pytest.raises(TypeError):
         verify_rounding_numeric(([1, 2], 3))
+
+
+def test_numeric_oracle_rejects_mismatched_pairs_up_front():
+    fq = mobius_map()
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        verify_rounding_numeric(([Poly.variable(3, 0)], fq.denom))
+    # a zero denominator skips every line, so no numerator is ever evaluated
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        verify_rounding_numeric(([Poly.variable(3, 0)], Poly.zero(2)), trials=2)
+
+
+def test_numeric_oracle_names_a_coordinate_outside_float_range():
+    fq = mobius_map()
+    huge = Poly(2, {(1, 0): 10**400})
+    with pytest.raises(ValueError, match=r"^F\[1\] has a coefficient outside float range$"):
+        verify_rounding_numeric(([fq.numer.coords[0], huge], fq.denom))
+    with pytest.raises(ValueError, match="^Q has a coefficient outside float range$"):
+        verify_rounding_numeric((list(fq.numer.coords), fq.denom + huge))
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 1e307])
+def test_circle_fit_rejects_samples_it_cannot_square(scale):
+    # 1e307 is finite, but the squared spread of the samples overflows
+    pts = [[scale * math.cos(a), scale * math.sin(a)] for a in range(8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            circle_fit(pts)

@@ -484,6 +484,82 @@ def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
     assert err == "rounding-forge: error: $.Q: denominator is the zero polynomial\n"
 
 
+def _outsized_map(exponents, coeff):
+    return {
+        "kind": "fracquad",
+        "m": 2,
+        "n": 2,
+        "F": [{"vars": 2, "terms": [[exponents, coeff]]}, {"vars": 2, "terms": [[[0, 1], "1"]]}],
+        "Q": {"vars": 2, "terms": [[[0, 0], "1"]]},
+    }
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_outsized_map([1, 0], str(10**400)), "F[0] has a coefficient outside float range"),
+    (_outsized_map([2, 0], str(10**307)), "samples must be finite"),
+])
+def test_verify_of_a_map_outside_float_range_is_one_error_line(tmp_path, capsys, doc, message):
+    code, out, err = run(capsys, "verify", write_doc(tmp_path, "map.json", doc))
+    assert (code, out, err) == (1, "", f"rounding-forge: error: $: {message}\n")
+
+
+def test_canon_verify_of_an_outsized_canonical_map_is_one_error_line(tmp_path, capsys):
+    # x + c*z^2 is valid with p = c*x1 and q = c^2*|x|^2, so the canonical
+    # denominator carries c^2 = 10^400
+    c = str(10**200)
+    doc = dict(COMPLEX_JET, B=[[[c, "0"], ["0", "-" + c]], [["0", c], [c, "0"]]])
+    path = write_doc(tmp_path, "jet.json", doc)
+    out_path = tmp_path / "map.json"
+    code, out, err = run(capsys, "canon", path, "--verify", "--out", str(out_path))
+    assert (code, out, err) == (1, "", "rounding-forge: error: $: Q has a coefficient outside float range\n")
+    assert not out_path.exists()
+    code, report = run_json(capsys, "canon", path)
+    assert code == 0 and report["verdicts"]["valid"] is True
+
+
+# ---------------------------------------------------------------------------
+# work budgets: checked while the arguments are parsed, so a breach never
+# reaches the work it would request
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("an over-budget request reached the work")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "map.json", "--trials", "10001"), "argument --trials: must be at most 10000, got 10001"),
+    (("canon", "jet.json", "--verify", "--trials", "99999999"),
+     "argument --trials: must be at most 10000, got 99999999"),
+    (("pairing", "9", "65"), "argument n: must be at most 64, got 65"),
+    (("pairing", "9", "4096"), "argument n: must be at most 64, got 4096"),
+    (("hopf", "--size", "9", "4096"), "argument --size: N must be at most 64, got 4096"),
+    (("tables", "--rho", str(cliff.KAPPA_DOMAIN_CAP + 1)),
+     f"argument --rho: must be at most {cliff.KAPPA_DOMAIN_CAP}, got {cliff.KAPPA_DOMAIN_CAP + 1}"),
+    (("tables", "--stiefel", "3", "5", str(10**12)),
+     f"argument --stiefel: N must be at most {cliff.KAPPA_DOMAIN_CAP}, got {10**12}"),
+])
+def test_work_budgets_are_argument_errors(capsys, monkeypatch, argv, message):
+    from rounding_forge import circles
+
+    for module, name in [(circles, "verify_rounding_numeric"), (cliff, "normed_pairing"),
+                         (cliff, "rho"), (cliff, "stiefel_hopf_feasible"), (cli, "_load_json")]:
+        monkeypatch.setattr(module, name, _no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"rounding-forge: error: arguments: {message}\n")
+
+
+def test_budgets_admit_their_limits_and_bound_only_n():
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert parser.parse_args(["verify", "m.json", "--trials", "10000"]).trials == 10000
+    assert parser.parse_args(["verify", "m.json"]).trials == cli.DEFAULT_TRIALS
+    assert parser.parse_args(["pairing", "100", "64"]).n == 64
+    assert parser.parse_args(["hopf", "--size", "100", "64"]).size == [100, 64]
+    cap = cliff.KAPPA_DOMAIN_CAP
+    assert parser.parse_args(["tables", "--stiefel", "7", str(10**9), str(cap)]).stiefel == [7, 10**9, cap]
+    assert parser.parse_args(["tables", "--rho", str(cap)]).rho == cap
+
+
 # ---------------------------------------------------------------------------
 # tables
 

@@ -12,8 +12,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_dict, dict_add, dict_inner, dict_mul, mixed_coeffs, mixed_polys
-from rounding_forge import _linalg
+from conftest import (
+    as_dict,
+    dict_add,
+    dict_inner,
+    dict_mul,
+    eval_float_reference,
+    ldl_dense_reference,
+    mixed_coeffs,
+    mixed_polys,
+)
+from rounding_forge import _linalg, cliff
 from rounding_forge.circles import Line
 from rounding_forge.polycore import (
     MAX_DEGREE,
@@ -24,6 +33,8 @@ from rounding_forge.polycore import (
     divide_exact,
     form_signature,
     inner_poly,
+    _eval_float_terms,
+    _float_terms,
     poly_divmod,
     rank_linear,
 )
@@ -157,6 +168,41 @@ def test_eval_float_tracks_exact_eval():
     exact = p(pt)
     approx = p.eval_float([float(x) for x in pt])
     assert abs(approx - float(exact)) < 1e-14
+
+
+# points mix floats (signed zeros among them), ints and Fractions over
+# large primes; bounded so that no power overflows
+_point_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.just(-0.0),
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from([1, 3, 97, 65537, 2**61 - 1])),
+)
+
+
+@st.composite
+def _poly_and_point(draw):
+    m = draw(st.integers(1, 6))
+    p = draw(mixed_polys(m, draw(st.integers(0, 4))))
+    return p, draw(st.lists(_point_entries, min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_and_point())
+def test_compiled_float_evaluation_matches_the_reference_bit_for_bit(case):
+    p, point = case
+    want = eval_float_reference(p, point).hex()
+    assert p.eval_float(point).hex() == want
+    assert _eval_float_terms(_float_terms(p), [float(v) for v in point]).hex() == want
+
+
+def test_float_terms_keep_term_order_and_nonzero_exponents():
+    p = Poly(3, {(0, 2, 1): F(1, 3), (0, 0, 0): -2, (1, 0, 0): F(5, 2)})
+    assert _float_terms(p) == [(1 / 3, [(1, 2), (2, 1)]), (-2.0, []), (2.5, [(0, 1)])]
+    assert _float_terms(Poly.zero(2)) == []
+    assert Poly.zero(2).eval_float([-0.0, 1.0]).hex() == (0.0).hex()
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        p.eval_float([1.0, 2.0])
 
 
 def test_grlex_leading_term():
@@ -481,3 +527,88 @@ def test_ldl_reconstructs_positive_definite():
 def test_ldl_rejects_indefinite():
     with pytest.raises(ValueError):
         _linalg.ldl([[F(1), F(2)], [F(2), F(1)]])
+
+
+# ---------------------------------------------------------------------------
+# sparse LDL^T against sympy and the dense loop
+
+
+def _sympy_ldl(s):
+    lower, diag = sympy.Matrix(s).LDLdecomposition(hermitian=False)
+    n = len(s)
+    as_fraction = lambda x: Fraction(int(x.p), int(x.q))  # noqa: E731
+    return ([[as_fraction(lower[i, j]) for j in range(n)] for i in range(n)],
+            [as_fraction(diag[i, i]) for i in range(n)])
+
+
+def _lower_unit(draw, n, density):
+    rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if draw(st.floats(0, 1)) < density:
+                rows[i][j] = draw(mixed_coeffs)
+    return rows
+
+
+@st.composite
+def _factored(draw, kind):
+    n = draw(st.integers(1, 6))
+    lower = _lower_unit(draw, n, 1.0 if kind == "dense" else 0.3)
+    diag = [abs(draw(mixed_coeffs)) for _ in range(n)]
+    return [[sum(lower[i][k] * diag[k] * lower[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _positive_definite(draw):
+    """L D L^T for a random unit lower L and positive D: dense, or with
+    zero entries below the diagonal, or a block diagonal of those."""
+    kind = draw(st.sampled_from(["dense", "sparse", "blocks"]))
+    if kind == "blocks":
+        kinds = draw(st.lists(st.sampled_from(["dense", "sparse"]), min_size=1, max_size=3))
+        blocks = [draw(_factored(k)) for k in kinds]
+        n = sum(len(b) for b in blocks)
+        out = [[F(0)] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                out[at + i][at:at + len(b)] = row
+            at += len(b)
+        return out
+    return draw(_factored(kind))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positive_definite())
+def test_sparse_ldl_matches_sympy_and_the_dense_loop(s):
+    got = _linalg.ldl(s)
+    assert got == ldl_dense_reference(s)
+    assert got == _sympy_ldl(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_positive_definite(), st.booleans())
+def test_sparse_ldl_rejects_what_the_dense_loop_rejects(s, singular):
+    n = len(s)
+    if singular:
+        # drop the last pivot: L diag(D_1..D_n-1, 0) L^T is semidefinite
+        lower, diag = ldl_dense_reference(s)
+        diag[-1] = F(0)
+        bad = [[sum(lower[i][k] * diag[k] * lower[j][k] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    else:
+        # e_n^T S e_n = -1, so S is indefinite
+        bad = [row[:] for row in s]
+        bad[-1][-1] = F(-1)
+    with pytest.raises(ValueError, match="not positive definite"):
+        ldl_dense_reference(bad)
+    with pytest.raises(ValueError, match="not positive definite"):
+        _linalg.ldl(bad)
+
+
+def test_sparse_ldl_on_every_hopf_gram_up_to_16():
+    sizes = [(r, n) for n in range(1, 17) for r in range(1, cliff.rho(n) + 1)]
+    assert len(sizes) == 41
+    for r, n in sizes:
+        gram = [list(row) for row in cliff.hopf_map(cliff.normed_pairing(r, n)).gram.matrix]
+        got = _linalg.ldl(gram)
+        assert got == ldl_dense_reference(gram) == _sympy_ldl(gram)

@@ -5,7 +5,8 @@ expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
 only the polynomial kernels in polycore build a Poly without validating
 its terms; only the line restriction builds a RationalCurve without
-checking it; and denominators are cleared in one helper."""
+checking it; denominators are cleared in one helper; and the numeric
+oracle evaluates only polynomials it compiled once, never eval_float."""
 
 import ast
 from pathlib import Path
@@ -148,4 +149,23 @@ def test_clearing_rule_catches_a_foreign_call():
     sources["_linalg"] += "\nclass Row:\n    den = common_denominator([])\n"
     assert _module_callers(sources, "common_denominator") == [
         "_linalg.Row", "_linalg.cleared", "circles.scale_of",
+    ]
+
+
+def test_numeric_oracle_stays_on_compiled_evaluation():
+    # eval_float converts every coefficient on every call; circles compiles
+    # each coordinate once per oracle run instead
+    sources = _package_sources()
+    assert _module_callers({"circles": sources["circles"]}, "eval_float") == []
+    assert _module_callers({"circles": sources["circles"]}, "_eval_float_terms") == [
+        "circles.verify_rounding_numeric", "circles.verify_rounding_numeric",
+    ]
+
+
+def test_compiled_evaluation_rule_catches_an_eval_float_call():
+    sources = _package_sources()
+    sources["circles"] += "\ndef sample(p, x):\n    return p.eval_float(x)\n"
+    sources["circles"] += "\nclass Probe:\n    value = denominator.eval_float([0.0])\n"
+    assert _module_callers({"circles": sources["circles"]}, "eval_float") == [
+        "circles.Probe", "circles.sample",
     ]
