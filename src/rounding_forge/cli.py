@@ -29,9 +29,12 @@ from .polycore import CertificateError, Poly, PolyMap
 
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-7
-# work budgets, checked while the arguments are parsed
+# work budgets, checked while the arguments or a document's sizes are parsed
 MAX_TRIALS = 10000
 MAX_PAIRING_N = 64
+MAX_JET_DIM = 32
+# odd binomials listed by tables --stiefel; a longer list is cut and counted
+MAX_LISTED_BINOMIALS = 64
 SEED_ENV_VAR = "ROUNDING_FORGE_SEED"
 
 
@@ -45,10 +48,6 @@ class DocumentError(Exception):
 
 # ---------------------------------------------------------------------------
 # scalar and polynomial serialization
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _float_str(x: float) -> str:
@@ -68,7 +67,7 @@ def _parse_rat(value, path: str) -> Fraction:
 def poly_to_doc(p: Poly) -> dict:
     return {
         "vars": p.num_vars,
-        "terms": [[list(e), _rat_str(c)] for e, c in sorted(p.terms.items())],
+        "terms": [[list(e), str(c)] for e, c in sorted(p.terms.items())],
     }
 
 
@@ -109,24 +108,11 @@ def _matrix_from_doc(doc, path: str, rows: int, cols: int) -> list[list[Fraction
 
 
 def _matrix_to_doc(rows) -> list[list[str]]:
-    return [[_rat_str(x) for x in row] for row in rows]
+    return [[str(x) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # documents
-
-
-@dataclass(frozen=True)
-class JetDocument:
-    """Parsed jet input: an n x m linear matrix and n symmetric matrices."""
-
-    source_dim: int
-    target_dim: int
-    linear_rows: tuple
-    quad_matrices: tuple
-
-    def to_jet(self) -> jets.Jet2:
-        return jets.jet_from_matrices(self.linear_rows, self.quad_matrices)
 
 
 def _load_json(path: str):
@@ -148,16 +134,18 @@ def _expect_kind(doc, kind: str) -> None:
         raise DocumentError("$.kind", f"expected {kind!r}, got {doc.get('kind')!r}")
 
 
-def _dim(doc, key: str) -> int:
+def _dim(doc, key: str, cap: int) -> int:
     v = doc.get(key)
     if not isinstance(v, int) or v < 1:
         raise DocumentError(f"$.{key}", "expected a positive integer")
+    if v > cap:
+        raise DocumentError(f"$.{key}", f"must be at most {cap}, got {v}")
     return v
 
 
-def jet_document_from_obj(doc) -> JetDocument:
+def jet_document_from_obj(doc) -> jets.Jet2:
     _expect_kind(doc, "jet")
-    m, n = _dim(doc, "m"), _dim(doc, "n")
+    m, n = _dim(doc, "m", MAX_JET_DIM), _dim(doc, "n", MAX_JET_DIM)
     linear = _matrix_from_doc(doc.get("A"), "$.A", n, m)
     quads = doc.get("B")
     if not isinstance(quads, list) or len(quads) != n:
@@ -169,13 +157,8 @@ def jet_document_from_obj(doc) -> JetDocument:
             for b in range(a):
                 if rows[a][b] != rows[b][a]:
                     raise DocumentError(f"$.B[{i}][{a}][{b}]", "matrix is not symmetric")
-        mats.append(tuple(tuple(row) for row in rows))
-    return JetDocument(
-        source_dim=m,
-        target_dim=n,
-        linear_rows=tuple(tuple(row) for row in linear),
-        quad_matrices=tuple(mats),
-    )
+        mats.append(rows)
+    return jets.jet_from_matrices(linear, mats)
 
 
 def jet_to_doc(jet: jets.Jet2) -> dict:
@@ -200,7 +183,7 @@ def fracquad_to_doc(fq: jets.FracQuadMap) -> dict:
 
 def fracquad_from_obj(doc) -> jets.FracQuadMap:
     _expect_kind(doc, "fracquad")
-    m, n = _dim(doc, "m"), _dim(doc, "n")
+    m, n = _dim(doc, "m", MAX_JET_DIM), _dim(doc, "n", MAX_JET_DIM)
     coords_doc = doc.get("F")
     if not isinstance(coords_doc, list) or len(coords_doc) != n:
         raise DocumentError("$.F", f"expected {n} coordinate polynomials")
@@ -221,23 +204,21 @@ def pairing_to_doc(p: cliff.NormedPairing) -> dict:
         "s": p.right_dim,
         "n": p.target_dim,
         "tensor": [
-            [[_rat_str(c) for c in row] for row in slab] for slab in p.tensor
+            [[str(c) for c in row] for row in slab] for slab in p.tensor
         ],
     }
 
 
 def pairing_from_obj(doc) -> cliff.NormedPairing:
     _expect_kind(doc, "pairing")
-    r, s, n = _dim(doc, "r"), _dim(doc, "s"), _dim(doc, "n")
+    r, s, n = (_dim(doc, key, MAX_PAIRING_N) for key in ("r", "s", "n"))
     tensor_doc = doc.get("tensor")
     if not isinstance(tensor_doc, list) or len(tensor_doc) != r:
         raise DocumentError("$.tensor", f"expected {r} slabs")
-    tensor = []
-    for i, slab in enumerate(tensor_doc):
-        tensor.append(_matrix_from_doc(slab, f"$.tensor[{i}]", s, n))
+    tensor = [_matrix_from_doc(slab, f"$.tensor[{i}]", s, n) for i, slab in enumerate(tensor_doc)]
     # a structurally sound tensor that fails the norm identity is a
     # mathematical rejection, not a parse error; let ValueError escape
-    return cliff.NormedPairing.checked(r, s, n, tensor)
+    return cliff.NormedPairing(r, s, n, tensor)
 
 
 def spheremap_to_doc(sm: spheres.QuadSphereMap) -> dict:
@@ -248,7 +229,7 @@ def spheremap_to_doc(sm: spheres.QuadSphereMap) -> dict:
         "f": [poly_to_doc(c) for c in sm.f.coords],
         "G": _matrix_to_doc(sm.gram.matrix),
         "L": _matrix_to_doc(sm.lower),
-        "D": [_rat_str(d) for d in sm.diag],
+        "D": [str(d) for d in sm.diag],
     }
 
 
@@ -286,7 +267,12 @@ def _digest(path: str) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _numeric_doc(rep: circles.NumericReport) -> dict:
+def _run_oracle(fq: jets.FracQuadMap, args) -> dict:
+    """The sampling oracle's summary; a map it cannot sample in floats is a document error."""
+    try:
+        rep = circles.verify_rounding_numeric(fq, trials=args.trials, seed=args.seed, tol=args.tol)
+    except ValueError as exc:
+        raise DocumentError("$", str(exc)) from None
     return {
         "trials": rep.trials,
         "seed": rep.seed,
@@ -299,40 +285,45 @@ def _numeric_doc(rep: circles.NumericReport) -> dict:
     }
 
 
-def _run_oracle(fq: jets.FracQuadMap, args) -> circles.NumericReport:
-    """The sampling oracle; a map it cannot sample in floats is a document error."""
-    try:
-        return circles.verify_rounding_numeric(fq, trials=args.trials, seed=args.seed, tol=args.tol)
-    except ValueError as exc:
-        raise DocumentError("$", str(exc)) from None
-
-
-def _witness_vector(witness) -> list[str]:
-    return [_rat_str(x) for x in witness]
-
-
 def _load_jet(path: str, report: Report, role: str = "jet"):
     report.inputs[role] = _digest(path)
-    doc = jet_document_from_obj(_load_json(path))
+    jet = jet_document_from_obj(_load_json(path))
     try:
-        return jets.validate_jet(doc.to_jet())
+        return jets.validate_jet(jet)
     except jets.RankTooLow as exc:
-        report.verdicts["valid"] = False
-        report.verdicts["reason"] = "rank-too-low"
+        report.verdicts.update(valid=False, reason="rank-too-low")
         report.witnesses["rank"] = exc.rank
-        report.exit_status = 2
-        return None
     except jets.NotDivisible as exc:
-        report.verdicts["valid"] = False
-        report.verdicts["reason"] = "not-divisible"
-        report.witnesses["failed_product"] = exc.which
-        report.witnesses["remainder"] = poly_to_doc(exc.remainder)
+        report.verdicts.update(valid=False, reason="not-divisible")
+        report.witnesses.update(failed_product=exc.which, remainder=poly_to_doc(exc.remainder))
+    report.exit_status = 2
+    return None
+
+
+def _rounding_verdicts(rj: jets.RoundingJet, report: Report):
+    """Validity, rank, degeneracy, p and q into report; returns the degeneracy witness."""
+    degenerate, witness = jets.is_degenerate(rj)
+    report.verdicts.update(valid=True, rank=rj.rank, degenerate=degenerate)
+    report.witnesses["p"] = poly_to_doc(rj.p)
+    report.witnesses["q"] = poly_to_doc(rj.q)
+    return witness
+
+
+def _sized_pairing(r: int, n: int, report: Report):
+    """The [r, n, n] pairing, or None with the infeasible verdict in report."""
+    report.inputs["params"] = {"r": r, "n": n}
+    try:
+        return cliff.normed_pairing(r, n)
+    except cliff.SizeInfeasible:
+        report.verdicts.update(feasible=False)
+        report.witnesses["rho"] = cliff.rho(n)
         report.exit_status = 2
         return None
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; a handler puts a result document in witnesses["document"] and
+# main writes it to --out
 
 
 def cmd_check(args) -> Report:
@@ -340,12 +331,9 @@ def cmd_check(args) -> Report:
     rj = _load_jet(args.jet, report)
     if rj is None:
         return report
-    degenerate, witness = jets.is_degenerate(rj)
-    report.verdicts.update(valid=True, rank=rj.rank, degenerate=degenerate)
-    report.witnesses["p"] = poly_to_doc(rj.p)
-    report.witnesses["q"] = poly_to_doc(rj.q)
+    witness = _rounding_verdicts(rj, report)
     if witness is not None:
-        report.witnesses["degeneracy_witness"] = _witness_vector(witness)
+        report.witnesses["degeneracy_witness"] = [str(x) for x in witness]
     return report
 
 
@@ -355,17 +343,10 @@ def cmd_canon(args) -> Report:
     if rj is None:
         return report
     fq = jets.canonical_rounding(rj)
-    degenerate, _ = jets.is_degenerate(rj)
-    report.verdicts.update(valid=True, rank=rj.rank, degenerate=degenerate)
-    report.witnesses["p"] = poly_to_doc(rj.p)
-    report.witnesses["q"] = poly_to_doc(rj.q)
-    doc = fracquad_to_doc(fq)
-    report.witnesses["document"] = doc
+    _rounding_verdicts(rj, report)
+    report.witnesses["document"] = fracquad_to_doc(fq)
     if args.verify:
-        # before --out, so a map the oracle cannot sample leaves no file behind
-        report.numeric = _numeric_doc(_run_oracle(fq, args))
-    if args.out:
-        _write_doc(args.out, doc)
+        report.numeric = _run_oracle(fq, args)
     return report
 
 
@@ -377,7 +358,7 @@ def cmd_degen(args) -> Report:
     degenerate, witness = jets.is_degenerate(rj)
     report.verdicts.update(valid=True, degenerate=degenerate)
     if witness is not None:
-        report.witnesses["degeneracy_witness"] = _witness_vector(witness)
+        report.witnesses["degeneracy_witness"] = [str(x) for x in witness]
     return report
 
 
@@ -389,17 +370,12 @@ def cmd_factor(args) -> Report:
     try:
         proj, reduced = jets.factor_degenerate(rj)
     except jets.NotDegenerate:
-        report.verdicts.update(valid=True, degenerate=False, factored=False)
-        report.verdicts["reason"] = "not-degenerate"
+        report.verdicts.update(valid=True, degenerate=False, factored=False, reason="not-degenerate")
         report.exit_status = 2
         return report
-    report.verdicts.update(valid=True, degenerate=True, factored=True)
-    report.verdicts["reduced_source_dim"] = reduced.source_dim
+    report.verdicts.update(valid=True, degenerate=True, factored=True, reduced_source_dim=reduced.source_dim)
     report.witnesses["projection"] = _matrix_to_doc(proj)
-    doc = jet_to_doc(reduced.jet)
-    report.witnesses["document"] = doc
-    if args.out:
-        _write_doc(args.out, doc)
+    report.witnesses["document"] = jet_to_doc(reduced.jet)
     return report
 
 
@@ -417,7 +393,7 @@ def cmd_equiv(args) -> Report:
         return report
     lam, ell = result
     report.verdicts.update(valid=True, equivalent=True)
-    report.witnesses["lam"] = _rat_str(lam)
+    report.witnesses["lam"] = str(lam)
     report.witnesses["ell"] = poly_to_doc(ell)
     return report
 
@@ -430,35 +406,23 @@ def cmd_sphere(args) -> Report:
     try:
         sm = spheres.sphere_lift(rj)
     except spheres.Degenerate as exc:
-        report.verdicts.update(valid=True, lifted=False)
-        report.verdicts["reason"] = "degenerate"
+        report.verdicts.update(valid=True, lifted=False, reason="degenerate")
         report.witnesses["gram_signature"] = list(exc.signature)
         report.exit_status = 2
         return report
-    report.verdicts.update(valid=True, lifted=True)
-    report.verdicts["gram_signature"] = [sm.source_dim, 0, 0]
-    doc = spheremap_to_doc(sm)
-    report.witnesses["document"] = doc
-    if args.out:
-        _write_doc(args.out, doc)
+    report.verdicts.update(valid=True, lifted=True, gram_signature=[sm.source_dim, 0, 0])
+    report.witnesses["document"] = spheremap_to_doc(sm)
     return report
 
 
 def cmd_pairing(args) -> Report:
-    report = Report(command="pairing", inputs={"params": {"r": args.r, "n": args.n}})
-    try:
-        pairing = cliff.normed_pairing(args.r, args.n)
-    except cliff.SizeInfeasible:
-        report.verdicts.update(feasible=False)
-        report.witnesses["rho"] = cliff.rho(args.n)
-        report.exit_status = 2
+    report = Report(command="pairing")
+    pairing = _sized_pairing(args.r, args.n, report)
+    if pairing is None:
         return report
     report.verdicts.update(feasible=True)
     report.witnesses["rho"] = cliff.rho(args.n)
-    doc = pairing_to_doc(pairing)
-    report.witnesses["document"] = doc
-    if args.out:
-        _write_doc(args.out, doc)
+    report.witnesses["document"] = pairing_to_doc(pairing)
     return report
 
 
@@ -469,26 +433,18 @@ def cmd_hopf(args) -> Report:
         try:
             pairing = pairing_from_obj(_load_json(args.pairing))
         except ValueError as exc:
-            report.verdicts.update(valid_pairing=False)
-            report.verdicts["reason"] = str(exc)
+            report.verdicts.update(valid_pairing=False, reason=str(exc))
             report.exit_status = 2
+            return report
+    elif args.size:
+        pairing = _sized_pairing(*args.size, report)
+        if pairing is None:
             return report
     else:
-        r, n = args.size
-        report.inputs["params"] = {"r": r, "n": n}
-        try:
-            pairing = cliff.normed_pairing(r, n)
-        except cliff.SizeInfeasible:
-            report.verdicts.update(feasible=False)
-            report.witnesses["rho"] = cliff.rho(n)
-            report.exit_status = 2
-            return report
+        raise DocumentError("arguments", "hopf needs a pairing file or --size R N")
     sm = cliff.hopf_map(pairing)
     report.verdicts.update(feasible=True, source_dim=sm.source_dim, target_dim=sm.target_dim)
-    doc = spheremap_to_doc(sm)
-    report.witnesses["document"] = doc
-    if args.out:
-        _write_doc(args.out, doc)
+    report.witnesses["document"] = spheremap_to_doc(sm)
     return report
 
 
@@ -496,42 +452,44 @@ def cmd_verify(args) -> Report:
     report = Report(command="verify")
     report.inputs["map"] = _digest(args.map)
     fq = fracquad_from_obj(_load_json(args.map))
-    rep = _run_oracle(fq, args)
-    report.numeric = _numeric_doc(rep)
-    report.verdicts["ok"] = rep.ok
-    if not rep.ok:
+    report.numeric = _run_oracle(fq, args)
+    report.verdicts["ok"] = report.numeric["ok"]
+    if not report.numeric["ok"]:
         report.exit_status = 2
     return report
 
 
+def _value_table(name: str, var: str, fn, upto: int, report: Report) -> list[str]:
+    """fn(1..upto) into report.verdicts[name]; returns the text table."""
+    report.inputs["params"] = {f"{name}_up_to": upto}
+    values = {k: fn(k) for k in range(1, upto + 1)}
+    report.verdicts[name] = {str(k): v for k, v in values.items()}
+    head = f"{name}({var})"
+    return [f"{var:>6}  {head}"] + [f"{k:>6}  {v:>{len(head)}}" for k, v in values.items()]
+
+
 def cmd_tables(args) -> Report:
     report = Report(command="tables")
-    lines: list[str] = []
     if args.rho is not None:
-        report.inputs["params"] = {"rho_up_to": args.rho}
-        values = {str(n): cliff.rho(n) for n in range(1, args.rho + 1)}
-        report.verdicts["rho"] = values
-        lines.append(f"{'n':>6}  {'rho(n)':>6}")
-        lines.extend(f"{n:>6}  {cliff.rho(n):>6}" for n in range(1, args.rho + 1))
+        lines = _value_table("rho", "n", cliff.rho, args.rho, report)
     elif args.kappa is not None:
-        report.inputs["params"] = {"kappa_up_to": args.kappa}
-        values = {str(m): cliff.kappa(m) for m in range(1, args.kappa + 1)}
-        report.verdicts["kappa"] = values
-        lines.append(f"{'m':>6}  {'kappa(m)':>8}")
-        lines.extend(f"{m:>6}  {cliff.kappa(m):>8}" for m in range(1, args.kappa + 1))
+        lines = _value_table("kappa", "m", cliff.kappa, args.kappa, report)
     else:
         r, s, n = args.stiefel
         report.inputs["params"] = {"r": r, "s": s, "n": n}
         feasible, violations = cliff.stiefel_hopf_feasible(r, s, n)
+        listed = violations[:MAX_LISTED_BINOMIALS]
         report.verdicts["feasible"] = feasible
-        report.witnesses["odd_binomials"] = violations
-        verdict = "feasible" if feasible else "infeasible"
-        lines.append(f"[{r}, {s}, {n}]: {verdict}")
+        report.witnesses["odd_binomials"] = listed
+        lines = [f"[{r}, {s}, {n}]: {'feasible' if feasible else 'infeasible'}"]
         if violations:
-            lines.append("odd binomials at k = " + ", ".join(str(k) for k in violations))
+            lines.append("odd binomials at k = " + ", ".join(str(k) for k in listed))
+        if len(listed) < len(violations):
+            report.witnesses["odd_binomial_count"] = len(violations)
+            lines[-1] += f", ... ({len(violations)} in all)"
         if not feasible:
             report.exit_status = 2
-    report.witnesses.setdefault("table", lines)
+    report.witnesses["table"] = lines
     return report
 
 
@@ -686,9 +644,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        if args.command == "hopf" and not args.pairing and not args.size:
-            raise DocumentError("arguments", "hopf needs a pairing file or --size R N")
         report = args.handler(args)
+        # after the handler returns, so a failed command leaves no file behind
+        if "document" in report.witnesses and args.out:
+            _write_doc(args.out, report.witnesses["document"])
     except DocumentError as exc:
         print(f"rounding-forge: error: {exc}", file=sys.stderr)
         return 1

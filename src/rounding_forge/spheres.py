@@ -110,7 +110,7 @@ def _factor_gram(gram: QuadForm) -> tuple[tuple[tuple[Fraction, ...], ...], tupl
     return tuple(tuple(row) for row in lower), tuple(diag)
 
 
-def homogenize(fq: FracQuadMap) -> tuple[PolyMap, QuadForm]:
+def homogenize(fq: FracQuadMap) -> tuple[PolyMap, Poly]:
     """Homogenize a fractional-quadratic germ with denominator 1 at 0.
 
     Returns the homogeneous quadratic numerator and denominator on R^(m+1);
@@ -120,27 +120,27 @@ def homogenize(fq: FracQuadMap) -> tuple[PolyMap, QuadForm]:
     if fq.denom.constant_term() != 1:
         raise ValueError("denominator must take the value 1 at the origin")
     numer = PolyMap(fq.source_dim + 1, [c.homogenize(2) for c in fq.numer.coords])
-    return numer, QuadForm.from_poly(fq.denom.homogenize(2))
+    return numer, fq.denom.homogenize(2)
 
 
-def split_norm(numer: PolyMap, denom: QuadForm) -> tuple[QuadForm, QuadForm]:
+def split_norm(numer: PolyMap, denom: Poly) -> tuple[QuadForm, QuadForm]:
     """Factor the squared numerator norm as Q1 * Q2 with Q1 the denominator.
 
     Both factors are normalized to take nonnegative values: when the
     quotient comes out negative semidefinite, both signs are flipped.
     """
-    quotient, rem = poly_divmod(inner_poly(numer, numer), denom.to_poly())
+    quotient, rem = poly_divmod(inner_poly(numer, numer), denom)
     if not rem.is_zero():
         raise NotDivisible("<F, F>", rem)
     if not quotient.is_homogeneous(2):
         raise Q2NotQuadratic(f"quotient {quotient} is not homogeneous quadratic")
-    q2 = QuadForm.from_poly(quotient)
-    plus1, minus1, _ = form_signature(denom)
+    q1, q2 = QuadForm.from_poly(denom), QuadForm.from_poly(quotient)
+    plus1, minus1, _ = form_signature(q1)
     plus2, minus2, _ = form_signature(q2)
     if minus1 == 0 and minus2 == 0:
-        return denom, q2
+        return q1, q2
     if plus1 == 0 and plus2 == 0:
-        return -denom, -q2
+        return -q1, -q2
     raise ValueError("norm factors are not semidefinite of a common sign")
 
 
@@ -153,7 +153,7 @@ def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     when the jet is degenerate, i.e. when G is not positive definite.
     """
     numer, denom = homogenize(canonical_rounding(rj))
-    return hopf_construction(numer, denom.to_poly(), rj.norm_a.homogenize(2))
+    return hopf_construction(numer, denom, rj.norm_a.homogenize(2))
 
 
 def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:

@@ -97,6 +97,14 @@ def test_check_not_divisible(tmp_path, capsys):
     assert report["witnesses"]["remainder"]["terms"]
 
 
+def test_jet_document_parses_to_the_matrix_jet():
+    from fractions import Fraction
+
+    linear = [[Fraction(x) for x in row] for row in COMPLEX_JET["A"]]
+    quads = [[[Fraction(x) for x in row] for row in mat] for mat in COMPLEX_JET["B"]]
+    assert cli.jet_document_from_obj(COMPLEX_JET) == jets.jet_from_matrices(linear, quads)
+
+
 def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/jet.json")
     assert code == 1
@@ -366,14 +374,48 @@ def test_sphere_lift_document(tmp_path, capsys):
     assert doc["m"] == 3 and doc["n"] == 3
 
 
-@pytest.mark.parametrize("argv", [["sphere", "jet.json"], ["hopf", "--size", "2", "4"]])
+@pytest.mark.parametrize("argv", [
+    ["sphere", "jet.json"], ["hopf", "--size", "2", "4"],
+    ["canon", "jet.json"], ["factor", "flat.json"], ["pairing", "2", "4"],
+])
 def test_out_writes_the_report_document(tmp_path, capsys, argv):
     write_doc(tmp_path, "jet.json", COMPLEX_JET)
+    write_doc(tmp_path, "flat.json", FLAT_JET)
     out_path = tmp_path / "out.json"
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, report = run_json(capsys, *argv, "--out", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text()) == report["witnesses"]["document"]
+
+
+def _tampered_pairing():
+    doc = cli.pairing_to_doc(cliff.normed_pairing(2, 2))
+    doc["tensor"][1][0][0] = "1"
+    return doc
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["sphere", "flat.json"], 2),
+    (["factor", "jet.json"], 2),
+    (["hopf", "--size", "3", "2"], 2),
+    (["hopf", "tampered.json"], 2),
+    (["canon", "outsized.json", "--verify"], 1),
+])
+def test_out_is_not_written_without_a_document(tmp_path, capsys, argv, expect):
+    c = str(10**200)
+    docs = {
+        "jet.json": COMPLEX_JET,
+        "flat.json": FLAT_JET,
+        "tampered.json": _tampered_pairing(),
+        "outsized.json": dict(COMPLEX_JET, B=[[[c, "0"], ["0", "-" + c]], [["0", c], [c, "0"]]]),
+    }
+    for name, doc in docs.items():
+        write_doc(tmp_path, name, doc)
+    out_path = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == expect
+    assert not out_path.exists()
 
 
 def test_sphere_degenerate_exits_two(tmp_path, capsys):
@@ -548,6 +590,44 @@ def test_work_budgets_are_argument_errors(capsys, monkeypatch, argv, message):
     assert (code, out, err) == (1, "", f"rounding-forge: error: arguments: {message}\n")
 
 
+IDENTITY_MAP = {
+    "kind": "fracquad",
+    "m": 2,
+    "n": 2,
+    "F": [{"vars": 2, "terms": [[[1, 0], "1"]]}, {"vars": 2, "terms": [[[0, 1], "1"]]}],
+    "Q": {"vars": 2, "terms": [[[0, 0], "1"]]},
+}
+PAIRING_2_2 = cli.pairing_to_doc(cliff.normed_pairing(2, 2))
+
+
+@pytest.mark.parametrize("command, doc, key, cap", [
+    ("check", dict(COMPLEX_JET, m=33), "m", 32),
+    ("check", dict(COMPLEX_JET, n=10**9), "n", 32),
+    ("verify", dict(IDENTITY_MAP, m=33), "m", 32),
+    ("verify", dict(IDENTITY_MAP, n=4096), "n", 32),
+    ("hopf", dict(PAIRING_2_2, r=65), "r", 64),
+    ("hopf", dict(PAIRING_2_2, s=65), "s", 64),
+    ("hopf", dict(PAIRING_2_2, n=10**6), "n", 64),
+])
+def test_document_budgets_are_document_errors(tmp_path, capsys, monkeypatch, command, doc, key, cap):
+    from rounding_forge import circles
+
+    for module, name in [(cli, "_matrix_from_doc"), (cli, "poly_from_doc"), (jets, "jet_from_matrices"),
+                         (jets, "validate_jet"), (circles, "verify_rounding_numeric"),
+                         (cliff, "NormedPairing"), (cliff, "hopf_map")]:
+        monkeypatch.setattr(module, name, _no_work)
+    code, out, err = run(capsys, command, write_doc(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (1, "", f"rounding-forge: error: $.{key}: must be at most {cap}, got {doc[key]}\n")
+
+
+def test_document_budget_admits_a_jet_at_its_limit():
+    m = cli.MAX_JET_DIM
+    doc = {"kind": "jet", "m": m, "n": m, "A": [[int(i == j) for j in range(m)] for i in range(m)],
+           "B": [[[0] * m for _ in range(m)] for _ in range(m)]}
+    jet = cli.jet_document_from_obj(doc)
+    assert (jet.source_dim, jet.target_dim) == (m, m)
+
+
 def test_budgets_admit_their_limits_and_bound_only_n():
     parser = cli.build_parser()
     assert parser is cli.build_parser()
@@ -589,6 +669,21 @@ def test_tables_stiefel_infeasible(capsys):
     assert code == 2
     assert "infeasible" in out
     assert "k = 4" in out
+
+
+def test_tables_stiefel_lists_a_bounded_number_of_binomials(capsys):
+    code, report = run_json(capsys, "tables", "--stiefel", "3", "5", "6", "--json")
+    assert (code, report["witnesses"]["odd_binomials"]) == (2, [4])
+    assert "odd_binomial_count" not in report["witnesses"]
+    argv = ("tables", "--stiefel", "1048576", "1048576", "1048575")
+    code, out, err = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert code == 2 and len(out) < 8192
+    assert report["witnesses"]["odd_binomials"] == list(range(cli.MAX_LISTED_BINOMIALS))
+    assert report["witnesses"]["odd_binomial_count"] == 1048576
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and len(out) < 8192
+    assert out.splitlines()[-1].endswith(", 63, ... (1048576 in all)")
 
 
 def test_tables_flags_are_exclusive(capsys):

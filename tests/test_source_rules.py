@@ -5,8 +5,9 @@ expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
 only the polynomial kernels in polycore build a Poly without validating
 its terms; only the line restriction builds a RationalCurve without
-checking it; denominators are cleared in one helper; and the numeric
-oracle evaluates only polynomials it compiled once, never eval_float."""
+checking it; denominators are cleared in one helper; the numeric oracle
+evaluates only polynomials it compiled once, never eval_float; and only
+the CLI's main writes an --out document."""
 
 import ast
 from pathlib import Path
@@ -169,3 +170,17 @@ def test_compiled_evaluation_rule_catches_an_eval_float_call():
     assert _module_callers({"circles": sources["circles"]}, "eval_float") == [
         "circles.Probe", "circles.sample",
     ]
+
+
+def test_out_documents_are_written_only_by_main():
+    # handlers put their document in the report; main writes it once, after
+    # the handler has returned
+    assert _package_callers("_write_doc") == ["cli.main"]
+
+
+def test_out_rule_catches_a_write_from_a_handler():
+    sources = _package_sources()
+    head = "def cmd_sphere(args) -> Report:\n"
+    assert head in sources["cli"]
+    sources["cli"] = sources["cli"].replace(head, head + "    _write_doc(args.out, {})\n")
+    assert _module_callers(sources, "_write_doc") == ["cli.cmd_sphere", "cli.main"]
