@@ -31,10 +31,6 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def matvec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def common_denominator(fracs: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators; 1 for no values."""
     # A list, not a generator: star-args built from a generator strand resized tuples on CPython's free lists.
@@ -180,14 +176,6 @@ def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]
             if a[k][i] != 0:
                 add_col(i, k, -a[k][i] / d)
     return p, [a[i][i] for i in range(n)]
-
-
-def signature_of(s: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix."""
-    _, diag = congruent_diagonalize(s)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return plus, minus, len(diag) - plus - minus
 
 
 def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _linalg
 from .jets import FracQuadMap
-from .polycore import Poly, _eval_float_terms, _factored_terms, _float_terms, as_rational
+from .polycore import Poly, _eval_float_terms, _float_terms, as_rational
 
 Coeffs = tuple[Fraction, ...]  # univariate polynomial, index = power of t
 
@@ -35,22 +35,16 @@ def _trim(c: Sequence) -> tuple:
     return tuple(out)
 
 
-def _uni_eval(a: Coeffs, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(a):
-        total = total * t + c
-    return total
-
-
 def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]], deg: int,
                      base: Sequence[int], direction: Sequence[int], scale: int) -> list[int]:
     """The deg + 1 integer coefficients of t -> scale^deg * p((base + t * direction) / scale).
 
     terms are p's integer terms as (factor indices, numerator), none of
     degree above deg; a term of degree k carries the factor scale^(deg - k).
-    Terms of degree 0, 1 and 2 use closed forms: c*x_i*x_j adds c*b_i*b_j,
-    c*(b_i*d_j + d_i*b_j) and c*d_i*d_j. A term of degree 3 or more
-    multiplies out its factors (b_i + t*d_i) one by one.
+    Every term has degree at most 2: PolyMap caps its coordinates at degree
+    2 and FracQuadMap caps its denominator at degree 2, and restrict_to_line
+    passes only a FracQuadMap's terms. Each term uses a closed form:
+    c*x_i*x_j adds c*b_i*b_j, c*(b_i*d_j + d_i*b_j) and c*d_i*d_j.
     """
     powers = [scale**k for k in range(deg + 1)]
     acc = [0] * (deg + 1)
@@ -67,31 +61,9 @@ def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]], deg: int,
             i = factors[0]
             acc[0] += c * base[i]
             acc[1] += c * direction[i]
-        elif k == 0:
-            acc[0] += c
         else:
-            term = [c]
-            for i in factors:
-                b, d = base[i], direction[i]
-                term = [x * b + y * d for x, y in zip([*term, 0], [0, *term])]
-            for r, x in enumerate(term):
-                acc[r] += x
+            acc[0] += c
     return acc
-
-
-def poly_on_line(p: Poly, base: Sequence, direction: Sequence) -> Coeffs:
-    """Coefficients of t -> p(base + t * direction)."""
-    base = [as_rational(x) for x in base]
-    direction = [as_rational(x) for x in direction]
-    if len(base) != p.num_vars or len(direction) != p.num_vars:
-        raise ValueError("line dimension mismatch")
-    deg = p.degree()
-    if deg < 0:
-        return ()
-    (terms,), den = _factored_terms([p])
-    (base, direction), scale = _linalg.cleared([base, direction])
-    den *= scale**deg
-    return tuple([Fraction(x, den) for x in _trim(_integer_on_line(terms, deg, base, direction, scale))])
 
 
 @dataclass(frozen=True)
@@ -180,13 +152,6 @@ class RationalCurve:
     @property
     def target_dim(self) -> int:
         return len(self.numerators)
-
-    def point(self, t) -> tuple[Fraction, ...]:
-        t = as_rational(t)
-        d = _uni_eval(self.denominator, t)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at t = {t}")
-        return tuple(_uni_eval(num, t) / d for num in self.numerators)
 
 
 def _fill_curve(curve: RationalCurve, numerators: Sequence[Sequence[int]], num_scale: int,

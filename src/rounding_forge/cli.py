@@ -115,16 +115,30 @@ def _matrix_to_doc(rows) -> list[list[str]]:
 # documents
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> tuple[dict, object]:
+    """The file's digest for the report and its parsed JSON, from one read.
+
+    Newlines are translated as text mode would, so error positions count
+    lines the same way for LF, CRLF and CR files.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DocumentError(path, f"cannot read: {exc}") from None
+    digest = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return digest, json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     except UnicodeDecodeError as exc:
         raise DocumentError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     except RecursionError:
         raise DocumentError(path, "nested too deeply") from None
+    except ValueError as exc:
+        # an integer literal past Python's int-to-str digit limit
+        raise DocumentError(path, str(exc)) from None
 
 
 def _expect_kind(doc, kind: str) -> None:
@@ -258,15 +272,6 @@ class Report:
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def _digest(path: str) -> dict:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DocumentError(path, f"cannot read: {exc}") from None
-    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-
-
 def _run_oracle(fq: jets.FracQuadMap, args) -> dict:
     """The sampling oracle's summary; a map it cannot sample in floats is a document error."""
     try:
@@ -286,8 +291,8 @@ def _run_oracle(fq: jets.FracQuadMap, args) -> dict:
 
 
 def _load_jet(path: str, report: Report, role: str = "jet"):
-    report.inputs[role] = _digest(path)
-    jet = jet_document_from_obj(_load_json(path))
+    report.inputs[role], doc = _load_json(path)
+    jet = jet_document_from_obj(doc)
     try:
         return jets.validate_jet(jet)
     except jets.RankTooLow as exc:
@@ -429,9 +434,9 @@ def cmd_pairing(args) -> Report:
 def cmd_hopf(args) -> Report:
     report = Report(command="hopf")
     if args.pairing:
-        report.inputs["pairing"] = _digest(args.pairing)
+        report.inputs["pairing"], doc = _load_json(args.pairing)
         try:
-            pairing = pairing_from_obj(_load_json(args.pairing))
+            pairing = pairing_from_obj(doc)
         except ValueError as exc:
             report.verdicts.update(valid_pairing=False, reason=str(exc))
             report.exit_status = 2
@@ -450,8 +455,8 @@ def cmd_hopf(args) -> Report:
 
 def cmd_verify(args) -> Report:
     report = Report(command="verify")
-    report.inputs["map"] = _digest(args.map)
-    fq = fracquad_from_obj(_load_json(args.map))
+    report.inputs["map"], doc = _load_json(args.map)
+    fq = fracquad_from_obj(doc)
     report.numeric = _run_oracle(fq, args)
     report.verdicts["ok"] = report.numeric["ok"]
     if not report.numeric["ok"]:

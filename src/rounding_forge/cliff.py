@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .jets import FracQuadMap
 from .polycore import CertificateError, Poly, PolyMap, as_rational, inner_poly
 from .spheres import QuadSphereMap, hopf_construction
@@ -122,12 +120,6 @@ class _SignedPerm:
     def anticommutes(self, other: "_SignedPerm") -> bool:
         return (self @ other) == (other @ self).neg()
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.int8)
-        for j, (p, s) in enumerate(zip(self.perm, self.signs)):
-            out[p, j] = s
-        return out
-
 
 @lru_cache(maxsize=None)
 def _cayley_dickson_table(dim: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -212,19 +204,15 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
 
 
 class CliffordRep:
-    """k anticommuting orthogonal complex structures on R^dim.
-
-    generators materializes the dense signed-permutation matrices (dtype
-    int8); the defining identities were already checked exactly on the
-    compact encoding when the representation was built.
-    """
+    """k anticommuting orthogonal complex structures on R^dim, kept as
+    signed permutations and checked against the defining identities when
+    the representation is built."""
 
     def __init__(self, k: int, perms: tuple[_SignedPerm, ...]):
         self.k = k
         self.dim = perms[0].dim if perms else 1
         self._perms = perms
         self._verify()
-        self._dense: tuple[np.ndarray, ...] | None = None
 
     def _verify(self) -> None:
         for i, g in enumerate(self._perms):
@@ -237,12 +225,6 @@ class CliffordRep:
             for j in range(i):
                 if not g.anticommutes(self._perms[j]):
                     raise CertificateError(f"generators {i} and {j} do not anticommute")
-
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        if self._dense is None:
-            self._dense = tuple(g.dense() for g in self._perms)
-        return self._dense
 
     def __repr__(self):
         return f"CliffordRep(k={self.k}, dim={self.dim})"

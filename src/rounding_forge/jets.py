@@ -221,11 +221,6 @@ def fracquad_jet(fq: FracQuadMap) -> Jet2:
     return Jet2(linear=f1, quad=f2 - f1.times_poly(d1))
 
 
-def _deficiency_form(rj: RoundingJet) -> QuadForm:
-    deficiency = rj.q - rj.p * rj.p
-    return QuadForm.zero(rj.source_dim) if deficiency.is_zero() else QuadForm.from_poly(deficiency)
-
-
 def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     """Decide degeneracy exactly and, when degenerate, produce a witness.
 
@@ -238,7 +233,7 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     kernel = _linalg.nullspace(rj.jet.linear.linear_matrix(), rj.source_dim)
     if not kernel:
         return False, None
-    restricted = _deficiency_form(rj).restricted(kernel)
+    restricted = QuadForm.from_poly(rj.q - rj.p * rj.p).restricted(kernel)
     trans, diag = _linalg.congruent_diagonalize([list(r) for r in restricted.matrix])
     if any(d < 0 for d in diag):
         raise CertificateError("q - p^2 is not positive semidefinite on ker A")

@@ -191,14 +191,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.constant(self.num_vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # ---- evaluation and substitution ------------------------------------
 
     def __call__(self, point: Sequence) -> Fraction:
@@ -636,4 +628,7 @@ def rank_linear(a: PolyMap) -> int:
 
 def form_signature(q: QuadForm) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) by Lagrange congruent diagonalization."""
-    return _linalg.signature_of([list(r) for r in q.matrix])
+    _, diag = _linalg.congruent_diagonalize([list(r) for r in q.matrix])
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return plus, minus, len(diag) - plus - minus

@@ -2,6 +2,7 @@
 exit codes, document round trips, and determinism of the emitted JSON."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -160,6 +161,66 @@ def test_deeply_nested_document_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"rounding-forge: error: {path}: nested too deeply\n"
+
+
+def _command_documents(tmp_path):
+    """One readable document per document command, keyed by command."""
+    fq = canonical_rounding(validate_jet(cli.jet_document_from_obj(COMPLEX_JET)))
+    jet = write_doc(tmp_path, "jet.json", COMPLEX_JET)
+    return {
+        **{command: [jet] for command in ("check", "canon", "degen", "factor", "sphere")},
+        "equiv": [jet, write_doc(tmp_path, "flat.json", FLAT_JET)],
+        "verify": [write_doc(tmp_path, "map.json", cli.fracquad_to_doc(fq))],
+        "hopf": [write_doc(tmp_path, "pairing.json", cli.pairing_to_doc(cliff.normed_pairing(2, 2)))],
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "canon", "degen", "factor", "sphere", "equiv", "verify", "hopf"])
+def test_each_document_is_opened_once(tmp_path, capsys, monkeypatch, command):
+    paths = _command_documents(tmp_path)[command]
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    argv = [command, *paths] + (["--trials", "2"] if command == "verify" else [])
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2)
+    assert sorted(opened) == sorted(paths)
+    json.loads(out)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{\r\n  "kind": "jet",\r\n  "m": 2,,\r\n}', ":3:10: Expecting property name enclosed in double quotes"),
+    (b'{\r  "kind": "jet",\r  "m": 2,,\r}', ":3:10: Expecting property name enclosed in double quotes"),
+    (b" " * 9000 + b"\xff{}", ": not UTF-8: invalid start byte at byte 9000"),
+    (b"[" + b" " * 9000 + b'"\xe2\x82', ": not UTF-8: unexpected end of data at byte 9002"),
+])
+def test_error_positions_count_newlines_as_text_mode_does(tmp_path, capsys, data, message):
+    # lines and columns as a text-mode read reports them: CRLF and a lone CR
+    # each end one line; byte offsets count from the start of the file
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (1, "", f"rounding-forge: error: {path}{message}\n")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-str digit limit")
+@pytest.mark.parametrize("command", ["check", "canon", "degen", "factor", "sphere", "equiv", "verify", "hopf"])
+def test_overlong_integer_literal_is_one_error_line(tmp_path, capsys, command):
+    # json turns a literal past the digit limit into a plain ValueError
+    path = tmp_path / "long.json"
+    digits = sys.get_int_max_str_digits() + 1
+    path.write_text(json.dumps(COMPLEX_JET)[:-1] + ', "pad": ' + "7" * digits + "}")
+    argv = [command, str(path)] + ([str(path)] if command == "equiv" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"rounding-forge: error: {path}: Exceeds the limit ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("terms", [5, None])
@@ -823,5 +884,83 @@ def test_fuzzed_documents_report_or_fail_with_one_line(tmp_path, capsys, site, v
         assert out == ""
         assert err.startswith("rounding-forge: error: ")
         assert err.count("\n") == 1
+    else:
+        json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: argument lists drawn from a bounded vocabulary must give a
+# report (exit 0 or 2) or exactly one error line (exit 1). The over-budget
+# values are ones that argument parsing rejects against a budget, and --out
+# always names a fresh path, so no example starts unbounded work or touches a
+# fixture.
+
+# each command with its number of positional arguments and its own flags
+ARGV_COMMANDS = {
+    "check": (1, ()), "degen": (1, ()), "factor": (1, ("--out",)), "sphere": (1, ("--out",)),
+    "canon": (1, ("--out", "--verify", "--trials", "--seed", "--tol")), "equiv": (2, ()),
+    "pairing": (2, ("--out",)), "hopf": (1, ("--size", "--out")),
+    "tables": (0, ("--rho", "--kappa", "--stiefel", "--json")),
+    "verify": (1, ("--trials", "--seed", "--tol")), "frobnicate": (0, ()),
+}
+# each flag with the number of values it takes
+ARGV_FLAGS = {"--verify": 0, "--json": 0, "--nope": 0, "--trials": 1, "--seed": 1, "--tol": 1,
+              "--rho": 1, "--kappa": 1, "--size": 2, "--stiefel": 3, "--out": 1}
+ARGV_NUMBERS = ["-1", "0", "1", "2", "3", "4", "5"]
+ARGV_OVER_BUDGET = [str(cli.MAX_TRIALS + 1), str(cli.MAX_PAIRING_N + 1), str(cliff.KAPPA_DOMAIN_CAP + 1)]
+ARGV_JUNK = ["", "x", "1/2", "nan", "inf", "1e-9", "-", "--"]
+ENV_SEEDS = [None, "0", "7", "-3", "junk", "", "1" * 5000]
+OUT_NAMES = itertools.count()
+
+
+def _argv_fixtures(tmp_path) -> list[str]:
+    """Document paths, a directory and a missing path, written on first use."""
+    docs = tmp_path / "docs"
+    if not docs.exists():
+        docs.mkdir()
+        for name, doc in (("jet", COMPLEX_JET), ("flat", FLAT_JET), ("rank", RANK_ONE_JET)):
+            write_doc(docs, f"{name}.json", doc)
+        fq = canonical_rounding(validate_jet(cli.jet_document_from_obj(COMPLEX_JET)))
+        write_doc(docs, "map.json", cli.fracquad_to_doc(fq))
+        write_doc(docs, "pairing.json", cli.pairing_to_doc(cliff.normed_pairing(2, 2)))
+    return sorted(str(p) for p in docs.iterdir()) + [str(docs), str(tmp_path / "missing.json")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_reports_or_fails_with_one_line(tmp_path, capsys, monkeypatch, data):
+    paths = _argv_fixtures(tmp_path)
+    values = paths + ARGV_NUMBERS + ARGV_OVER_BUDGET + ARGV_JUNK
+    command = data.draw(st.sampled_from(sorted(ARGV_COMMANDS)))
+    arity, own_flags = ARGV_COMMANDS[command]
+    # mostly the command's own shape: repeats weight the fitting draws
+    count = data.draw(st.sampled_from([arity] * 4 + [0, 1, 2, 3]))
+    fitting = ARGV_NUMBERS if command == "pairing" else paths
+    argv = [command, *data.draw(st.lists(st.sampled_from(fitting * 3 + values),
+                                         min_size=count, max_size=count))]
+    flags = data.draw(st.lists(st.sampled_from(list(own_flags) * 6 + sorted(ARGV_FLAGS)), max_size=3))
+    for name in flags:
+        if name == "--out":
+            argv += [name, str(tmp_path / f"out{next(OUT_NAMES)}.json")]
+        else:
+            arity = ARGV_FLAGS[name]
+            argv += [name, *data.draw(st.lists(st.sampled_from(ARGV_NUMBERS * 3 + values),
+                                               min_size=arity, max_size=arity))]
+    seed = data.draw(st.sampled_from(ENV_SEEDS))
+    if seed is None:
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("rounding-forge: error: ")
+        assert err.count("\n") == 1
+        return
+    args = cli.build_parser().parse_args(argv)
+    if args.command == "tables" and not args.json:
+        assert out.endswith("\n") and out.strip()
     else:
         json.loads(out)

@@ -130,9 +130,16 @@ def test_generator_dimensions_frozen():
     assert _DIMS[:17] == expected
 
 
+def _dense(g) -> np.ndarray:
+    """The int64 matrix of a signed permutation: column j holds signs[j] at row perm[j]."""
+    out = np.zeros((g.dim, g.dim), dtype=np.int64)
+    out[list(g.perm), range(g.dim)] = g.signs
+    return out
+
+
 def test_single_generator_is_the_rotation():
     rep = clifford_generators(1)
-    assert np.array_equal(rep.generators[0], np.array([[0, -1], [1, 0]]))
+    assert np.array_equal(_dense(rep._perms[0]), np.array([[0, -1], [1, 0]]))
 
 
 def test_generator_relations_dense():
@@ -140,7 +147,7 @@ def test_generator_relations_dense():
     for k in (2, 3, 4, 7, 8, 9, 12):
         rep = clifford_generators(k)
         eye = np.eye(rep.dim, dtype=np.int64)
-        gens = [g.astype(np.int64) for g in rep.generators]
+        gens = [_dense(g) for g in rep._perms]
         assert len(gens) == k
         for i, e in enumerate(gens):
             assert np.array_equal(e @ e, -eye)

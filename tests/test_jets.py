@@ -203,6 +203,14 @@ def test_fracquad_jet_rejects_non_germ():
         fracquad_jet(FracQuadMap(numer=bad_origin, denom=Poly.constant(2, 1)))
 
 
+def test_fracquad_map_caps_the_denominator_at_degree_two():
+    # the line restriction's closed forms cover terms of degree 2 at most
+    numer = PolyMap.identity(2)
+    with pytest.raises(ValueError, match="denominator degree exceeds 2"):
+        FracQuadMap(numer=numer, denom=Poly(2, {(0, 0): 1, (2, 1): 1}))
+    assert FracQuadMap(numer=numer, denom=Poly(2, {(0, 0): 1, (1, 1): 1})).denom.degree() == 2
+
+
 # ---------------------------------------------------------------------------
 # degeneracy
 

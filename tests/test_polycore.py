@@ -79,7 +79,7 @@ def test_degree_cap_enforced():
         Poly(1, {(MAX_DEGREE + 1,): 1})
     p = Poly(1, {(3,): 1})
     with pytest.raises(ValueError):
-        p ** 3
+        p * p * p
     # the product kernel checks the degree of its output against the cap itself
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_DEGREE}"):
         Poly(2, {(3, 2): F(1, 3)}) * Poly(2, {(0, MAX_DEGREE - 4): F(-2, 7)})
@@ -468,7 +468,7 @@ def test_nullspace_annihilates_and_rank_nullity():
         basis = _linalg.nullspace(m, cols)
         assert len(basis) == cols - _linalg.exact_rank(m)
         for v in basis:
-            assert all(x == 0 for x in _linalg.matvec(m, list(v)))
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
 
 
 def test_congruent_diagonalize_identity():
@@ -486,9 +486,9 @@ def test_congruent_diagonalize_identity():
 
 def test_signature_hyperbolic_plane():
     # off-diagonal form needs the hyperbolic fallback step
-    assert _linalg.signature_of([[F(0), F(1)], [F(1), F(0)]]) == (1, 1, 0)
-    assert _linalg.signature_of([[F(2)]]) == (1, 0, 0)
-    assert _linalg.signature_of([[F(0)]]) == (0, 0, 1)
+    assert form_signature(QuadForm([[F(0), F(1)], [F(1), F(0)]])) == (1, 1, 0)
+    assert form_signature(QuadForm([[F(2)]])) == (1, 0, 0)
+    assert form_signature(QuadForm([[F(0)]])) == (0, 0, 1)
 
 
 def test_signature_invariant_under_congruence():
@@ -506,7 +506,7 @@ def test_signature_invariant_under_congruence():
                 for k in range(n):
                     p[k][j] += c * p[k][i]
         s2 = _linalg.matmul(_linalg.matmul(_linalg.transpose(p), s), p)
-        assert _linalg.signature_of(s2) == _linalg.signature_of(s)
+        assert form_signature(QuadForm(s2)) == form_signature(QuadForm(s))
 
 
 def test_form_signature_wrapper():

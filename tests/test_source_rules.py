@@ -5,9 +5,10 @@ expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
 only the polynomial kernels in polycore build a Poly without validating
 its terms; only the line restriction builds a RationalCurve without
-checking it; denominators are cleared in one helper; the numeric oracle
-evaluates only polynomials it compiled once, never eval_float; and only
-the CLI's main writes an --out document."""
+checking it; only the line restriction, whose maps cap every term at
+degree 2, composes a polynomial with a line; denominators are cleared in
+one helper; the numeric oracle evaluates only polynomials it compiled
+once, never eval_float; and only the CLI's main writes an --out document."""
 
 import ast
 from pathlib import Path
@@ -137,6 +138,21 @@ def test_trusted_curve_rule_catches_a_foreign_call():
     sources["cli"] += "\ndef emit_line(c):\n    return circles._trusted_curve([], (1,), c)\n"
     assert _module_callers(sources, "_trusted_curve") == [
         "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
+    ]
+
+
+def test_only_the_line_restriction_composes_with_a_line():
+    # _integer_on_line has closed forms for degree 2 and below only;
+    # restrict_to_line passes a FracQuadMap's terms, which are capped there
+    assert _package_callers("_integer_on_line") == ["circles.restrict_to_line"]
+
+
+def test_line_composition_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["circles"] += "\ndef cubic_on_line(terms, b, d):\n    return _integer_on_line(terms, 3, b, d, 1)\n"
+    sources["spheres"] += "\nclass Probe:\n    at = circles._integer_on_line([], 2, [0], [1], 1)\n"
+    assert _module_callers(sources, "_integer_on_line") == [
+        "circles.cubic_on_line", "circles.restrict_to_line", "spheres.Probe",
     ]
 
 
