@@ -1,6 +1,11 @@
-"""Exact linear algebra over Fraction: rank, RREF, nullspaces, congruence, LDL^T.
+"""Exact linear algebra: rank, RREF, nullspaces, LDL^T and congruence.
 
-Everything here is deterministic; pivots are chosen by position, never by size.
+Rank, RREF, nullspaces and LDL^T clear their input to integers once (with
+`cleared`) and eliminate fraction-free, in the manner of Bareiss: every
+intermediate entry is a minor of the cleared matrix, so the only divisions
+are exact, and each Fraction of the result is formed once at the end.
+Congruent diagonalization works on Fractions. Everything here is
+deterministic; pivots are chosen by position, never by size.
 """
 
 from __future__ import annotations
@@ -17,18 +22,8 @@ def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def common_denominator(fracs: Iterable[Fraction]) -> int:
@@ -83,47 +78,72 @@ def integer_rank(m: list[list[int]]) -> int:
     return r
 
 
+def _integer_rref(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns the nonzero rows, the pivot columns (picked left to right) and d:
+    every pivot ends equal to the last pivot d, so the rows are d times the
+    reduced row echelon form. Each step replaces every other row i by
+    (p * m[i] - m[i][c] * m[r]) / p', with p the new pivot and p' the one
+    before; rows below the pivot hold minors (Sylvester's identity) and rows
+    above hold d times their reduced entries (Cramer's rule), so every
+    division is exact. A row that reaches zero stays zero and is dropped.
+    """
+    m = [row for row in m if any(row)]
+    if not m:
+        return [], [], 1
+    ncols = len(m[0])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            mic = row[c]
+            if i == r or not (mic or p != prev):
+                continue
+            if mic:
+                m[i] = [(p * x - mic * y) // prev for x, y in zip(row, prow)]
+            else:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+        m[r:] = [row for row in m[r:] if any(row)]
+        if r == len(m):
+            break
+    return m[:r], pivots, prev
+
+
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; pivot columns are picked left to right.
 
-    Returns the nonzero rows and the pivot column indices.
+    Returns the nonzero rows and the pivot column indices. The rows are
+    scaled to integers and reduced fraction-free; the reduced form is unique,
+    so it does not depend on that route.
     """
-    a = to_fraction_matrix(rows)
-    if not a:
-        return [], []
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[:r], pivots
+    red, pivots, d = _integer_rref(cleared(rows)[0])
+    return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
     """Canonical rational basis of {x : Mx = 0}, one vector per free column."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    zero, one = Fraction(0), Fraction(1)
+    red, pivots, d = _integer_rref(cleared(rows)[0])
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(red, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return basis
 
@@ -179,33 +199,34 @@ def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]
 
 
 def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
-    """Exact LDL^T of a positive definite symmetric matrix.
+    """Exact LDL^T of a positive definite symmetric matrix, by symmetric Bareiss.
 
-    Raises ValueError when a pivot is not positive, i.e. when the input is
-    not positive definite. Each row keeps its nonzero (k, L[i][k] * D[k])
-    for the columns done so far, and both sums run over those alone, so an
-    identity gram costs O(n^2) comparisons instead of O(n^3) products.
+    S is cleared once to A = c * S and eliminated without division, which
+    leaves Delta_k, the k-th leading principal minor of A, as the k-th pivot:
+    D_k = Delta_k / (c * Delta_(k-1)), and L[i][k] = a_ik / Delta_k for the
+    entry a_ik of the pivot column. Raises ValueError at the first pivot that
+    is not positive, i.e. when the input is not positive definite. Only the
+    lower triangle is updated, and a row with a zero in the pivot column is
+    left alone while the pivot repeats, so an identity gram costs O(n^2)
+    comparisons.
     """
-    a = to_fraction_matrix(s)
+    a, scale = cleared(s)
     n = len(a)
     lower = identity(n)
     diag: list[Fraction] = []
-    # L[i][j] * D[j] is the off-diagonal value that L[i][j] was divided from
-    scaled: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for j in range(n):
-        terms = scaled[j]
-        d = a[j][j]
-        if terms:
-            d -= sum([lower[j][k] * ld for k, ld in terms])
-        if d <= 0:
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
             raise ValueError("matrix is not positive definite")
-        diag.append(d)
-        for i in range(j + 1, n):
-            off = a[i][j]
-            if terms:
-                row = lower[i]
-                off -= sum([row[k] * ld for k, ld in terms])
-            if off:
-                lower[i][j] = off / d
-                scaled[i].append((j, off))
+        diag.append(Fraction(p, scale * prev))
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            if aik:
+                lower[i][k] = Fraction(aik, p)
+                row[k + 1:i + 1] = [(p * row[j] - aik * a[j][k]) // prev for j in range(k + 1, i + 1)]
+            elif p != prev:
+                row[k + 1:i + 1] = [p * x // prev for x in row[k + 1:i + 1]]
+        prev = p
     return lower, diag

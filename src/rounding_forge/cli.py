@@ -482,16 +482,15 @@ def cmd_tables(args) -> Report:
     else:
         r, s, n = args.stiefel
         report.inputs["params"] = {"r": r, "s": s, "n": n}
-        feasible, violations = cliff.stiefel_hopf_feasible(r, s, n)
-        listed = violations[:MAX_LISTED_BINOMIALS]
+        feasible, listed, count = cliff.stiefel_hopf_feasible(r, s, n, MAX_LISTED_BINOMIALS)
         report.verdicts["feasible"] = feasible
         report.witnesses["odd_binomials"] = listed
         lines = [f"[{r}, {s}, {n}]: {'feasible' if feasible else 'infeasible'}"]
-        if violations:
+        if count:
             lines.append("odd binomials at k = " + ", ".join(str(k) for k in listed))
-        if len(listed) < len(violations):
-            report.witnesses["odd_binomial_count"] = len(violations)
-            lines[-1] += f", ... ({len(violations)} in all)"
+        if len(listed) < count:
+            report.witnesses["odd_binomial_count"] = count
+            lines[-1] += f", ... ({count} in all)"
         if not feasible:
             report.exit_status = 2
     report.witnesses["table"] = lines
@@ -649,7 +648,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        report = args.handler(args)
+        try:
+            report = args.handler(args)
+        except ValueError as exc:
+            # str() of a computed exact value past Python's int-to-str digit
+            # limit, met while the handler writes its report; the inputs passed it
+            raise DocumentError("report", str(exc)) from None
         # after the handler returns, so a failed command leaves no file behind
         if "document" in report.witnesses and args.out:
             _write_doc(args.out, report.witnesses["document"])

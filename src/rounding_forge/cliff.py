@@ -337,18 +337,47 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
         raise CertificateError(f"pairing [{r}, {n}, {n}]: {exc}") from None
 
 
-def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, list[int]]:
+def stiefel_hopf_feasible(r: int, s: int, n: int, limit: int) -> tuple[bool, list[int], int]:
     """Necessary parity condition for a nonsingular [r, s, n]-pairing.
 
-    Every binomial C(n, k) with n - r < k < s must be even; the returned
-    violations list the odd ones (Lucas: C(n, k) is odd iff k AND n == k).
+    Every binomial C(n, k) with n - r < k < s must be even. By Lucas, C(n, k)
+    is odd iff k AND n == k, so the odd ones are the submasks of n in the
+    range. Returns whether there are none, the first `limit` of them in
+    increasing order, and how many there are; the count is taken bit by bit,
+    so no list longer than `limit` is built.
     """
     if r < 1 or s < 1 or n < 1:
         raise ValueError("sizes must be positive")
     lo = max(n - r + 1, 0)
     hi = min(s, n + 1)
-    violations = [k for k in range(lo, hi) if (k & n) == k]
-    return (not violations, violations)
+    first = _submasks_below(n, lo)
+    count = max(_submasks_below(n, hi) - first, 0)
+    listed = [_submask(n, i) for i in range(first, first + min(count, limit))]
+    return not count, listed, count
+
+
+def _submasks_below(n: int, x: int) -> int:
+    """The number of submasks k of n (k AND n == k) with k < x, for x >= 0."""
+    count = 0
+    for b in reversed(range(x.bit_length())):
+        if x >> b & 1:
+            # k agrees with x above bit b and has 0 there: any submask below b
+            count += 1 << (n & ((1 << b) - 1)).bit_count()
+            if not n >> b & 1:
+                break
+    return count
+
+
+def _submask(n: int, i: int) -> int:
+    """The i-th submask of n in increasing order: the bits of i placed on the set bits of n."""
+    k = 0
+    while i:
+        low = n & -n
+        if i & 1:
+            k |= low
+        n ^= low
+        i >>= 1
+    return k
 
 
 def hopf_map(pairing: NormedPairing) -> QuadSphereMap:

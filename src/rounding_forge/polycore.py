@@ -487,11 +487,20 @@ class QuadForm:
         return QuadForm(tuple(tuple(-x for x in row) for row in self.matrix))
 
     def restricted(self, basis: Sequence[Sequence]) -> "QuadForm":
-        """Pull the form back along the subspace spanned by the given vectors."""
-        cols = [[as_rational(x) for x in v] for v in basis]
-        k = _linalg.matmul([list(r) for r in self.matrix], _linalg.transpose(cols))
-        inner = _linalg.matmul(cols, k)
-        return QuadForm(tuple(tuple(row) for row in inner))
+        """Pull the form back along the subspace spanned by the given vectors.
+
+        The Gram matrix K S K^T of the basis rows K is computed on integers:
+        S = S' / s and K = K' / k are cleared once, and each entry is one
+        Fraction (K' S' K'^T)_ij / (s k^2).
+        """
+        rows, k_den = _linalg.cleared([[as_rational(x) for x in v] for v in basis])
+        if any(len(v) != self.dim for v in rows):
+            raise ValueError("inner dimensions differ")
+        s, s_den = _linalg.cleared(self.matrix)
+        den = s_den * k_den * k_den
+        # S is symmetric, so its rows are its columns
+        ks = [[sum([x * y for x, y in zip(v, col)]) for col in s] for v in rows]
+        return QuadForm(tuple(tuple(Fraction(sum([x * y for x, y in zip(u, w)]), den) for w in rows) for u in ks))
 
 
 class PolyMap:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,14 +78,16 @@ class QuadSphereMap:
         """Validate <f, f> = gram^2 by expansion and factor the gram form.
 
         For (f, gram) pairs built outside the pipeline; sphere_lift and
-        hopf_map inherit their proofs and go through hopf_construction.
+        hopf_map inherit their proofs and go through hopf_construction. The
+        gram form may be indefinite here, so Degenerate carries its full
+        signature.
         """
         if gram.dim != f.source_dim:
             raise ValueError("gram form lives in a different space")
         gram_poly = gram.to_poly()
         if inner_poly(f, f) != gram_poly * gram_poly:
             raise ValueError("<f, f> is not the square of the gram form")
-        return QuadSphereMap(f, gram, *_factor_gram(gram))
+        return QuadSphereMap(f, gram, *_factor_gram(gram, form_signature))
 
 
 def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> QuadSphereMap:
@@ -94,19 +96,32 @@ def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> QuadSphereMap:
     <f, f> = 4PQ + (P - Q)^2 = G^2 holds by algebra alone once the caller has
     proved |numer|^2 = P * Q, so nothing is expanded here; G is factored by
     the one exact LDL^T, and Degenerate means G is not positive definite.
+    The caller's Q is <A,A> or |y|^2: positive semidefinite and nonzero, so
+    P = |numer|^2 / Q >= 0 wherever Q > 0, hence everywhere by continuity,
+    and G is positive semidefinite. A degenerate G therefore has signature
+    (r, 0, d - r), with r its rank.
     This and QuadSphereMap.checked are the only places a QuadSphereMap is built.
     """
     coords = [2 * c for c in numer.coords] + [p - q]
     gram = QuadForm.from_poly(p + q)
-    return QuadSphereMap(PolyMap(numer.source_dim, coords), gram, *_factor_gram(gram))
+    factors = _factor_gram(gram, _semidefinite_signature)
+    return QuadSphereMap(PolyMap(numer.source_dim, coords), gram, *factors)
 
 
-def _factor_gram(gram: QuadForm) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-    """Exact LDL^T of gram; Degenerate when a pivot is not positive."""
+def _semidefinite_signature(gram: QuadForm) -> tuple[int, int, int]:
+    """Signature of a gram form known to be positive semidefinite, from its rank."""
+    rank = _linalg.exact_rank(gram.matrix)
+    return rank, 0, gram.dim - rank
+
+
+def _factor_gram(
+    gram: QuadForm, signature: Callable[[QuadForm], tuple[int, int, int]]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """Exact LDL^T of gram; Degenerate(signature(gram)) when a pivot is not positive."""
     try:
-        lower, diag = _linalg.ldl([list(r) for r in gram.matrix])
+        lower, diag = _linalg.ldl(gram.matrix)
     except ValueError:
-        raise Degenerate(form_signature(gram)) from None
+        raise Degenerate(signature(gram)) from None
     return tuple(tuple(row) for row in lower), tuple(diag)
 
 

@@ -65,6 +65,20 @@ def eval_float_reference(p: Poly, point) -> float:
     return total
 
 
+# dense matrix products on lists of rationals, for checking factorizations
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def matmul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ")
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
 # reference LDL^T: the dense O(n^3) loop, zero products included
 
 

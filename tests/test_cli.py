@@ -223,6 +223,20 @@ def test_overlong_integer_literal_is_one_error_line(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-str digit limit")
+@pytest.mark.parametrize("command", ["check", "canon", "sphere"])
+def test_computed_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys, command):
+    # the entries parse, but p, q and the canonical map square them
+    digits = sys.get_int_max_str_digits() * 2 // 3
+    big = "3" * digits
+    path = write_doc(tmp_path, "big.json", dict(COMPLEX_JET, A=[[big, "0"], ["0", big]]))
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rounding-forge: error: report: Exceeds the limit ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("terms", [5, None])
 def test_non_list_terms_is_one_error_line(tmp_path, capsys, terms):
     doc = {

@@ -7,6 +7,7 @@ parity via math.comb."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,9 +249,10 @@ def test_pairing_checked_rejects_broken_tensor():
 
 
 def test_stiefel_frozen_example():
-    feasible, violations = stiefel_hopf_feasible(3, 5, 6)
+    feasible, violations, count = stiefel_hopf_feasible(3, 5, 6, 64)
     assert not feasible
     assert violations == [4]
+    assert count == 1
 
 
 def test_stiefel_against_math_comb():
@@ -259,24 +261,47 @@ def test_stiefel_against_math_comb():
         r = rng.randint(1, 12)
         s = rng.randint(1, 12)
         n = rng.randint(1, 20)
-        feasible, violations = stiefel_hopf_feasible(r, s, n)
+        feasible, violations, count = stiefel_hopf_feasible(r, s, n, 64)
         expected = [k for k in range(max(n - r + 1, 0), min(s, n + 1))
                     if math.comb(n, k) % 2 == 1]
         assert violations == expected
         assert feasible == (not expected)
+        assert count == len(expected)
+
+
+def test_stiefel_lists_the_first_odd_binomials_and_counts_them_all():
+    rng = random.Random(16)
+    for _ in range(300):
+        r, s, n = rng.randint(1, 80), rng.randint(1, 80), rng.randint(1, 80)
+        limit = rng.randint(0, 8)
+        expected = [k for k in range(max(n - r + 1, 0), min(s, n + 1))
+                    if math.comb(n, k) % 2 == 1]
+        assert stiefel_hopf_feasible(r, s, n, limit) == (not expected, expected[:limit], len(expected))
+
+
+def test_stiefel_counts_without_listing():
+    # every k below 2^20 is a submask of 2^20 - 1; only `limit` are built
+    tracemalloc.start()
+    try:
+        feasible, violations, count = stiefel_hopf_feasible(2**20, 2**20, 2**20 - 1, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (feasible, violations, count) == (False, list(range(64)), 2**20)
+    assert peak < 64 * 1024
 
 
 def test_stiefel_square_sizes_from_pairings():
     # existence (r <= rho(n)) implies the parity condition cannot object
     for n in (1, 2, 4, 8, 16, 32):
         for r in range(1, rho(n) + 1):
-            feasible, _ = stiefel_hopf_feasible(r, n, n)
+            feasible, _, _ = stiefel_hopf_feasible(r, n, n, 64)
             assert feasible
 
 
 def test_stiefel_rejects_nonpositive():
     with pytest.raises(ValueError):
-        stiefel_hopf_feasible(0, 1, 1)
+        stiefel_hopf_feasible(0, 1, 1, 64)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@ from conftest import (
     dict_inner,
     dict_mul,
     flat_degenerate_jet,
+    matmul,
     quat_inv,
     quat_mul,
     quaternion_jet,
     random_valid_jet,
+    transpose,
 )
 from rounding_forge.jets import (
     FracQuadMap,
@@ -340,7 +342,7 @@ def test_factor_recovers_normalized_jet_randomized():
 def _pullback_by_matmul(rj):
     """factor_degenerate's reduced (A, B - pA), restricted along the 0/1
     section of the pivot columns with dense matrix products."""
-    from rounding_forge._linalg import matmul, rref, transpose
+    from rounding_forge._linalg import rref
 
     norm = normalize_p(rj)
     a, b = norm.jet.linear, norm.jet.quad

@@ -19,8 +19,10 @@ from conftest import (
     dict_mul,
     eval_float_reference,
     ldl_dense_reference,
+    matmul,
     mixed_coeffs,
     mixed_polys,
+    transpose,
 )
 from rounding_forge import _linalg, cliff
 from rounding_forge.circles import Line
@@ -471,6 +473,104 @@ def test_nullspace_annihilates_and_rank_nullity():
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
 
 
+# fraction-free RREF, nullspace and the integer Gram restriction against
+# sympy and dense Fraction products
+
+_entries = st.one_of(st.just(F(0)), mixed_coeffs)
+
+
+def _dense_product(rows, k, cols):
+    return [[sum(a[t] * b[t] for t in range(k)) for b in cols] for a in rows]
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Tall matrices shaped like factor_degenerate's (n + n*m) x m constraints,
+    wide and square ones, of any rank up to full (a product of random
+    rows x k and k x cols factors), with some rows and columns zeroed."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    if shape == "tall":
+        cols, n = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+        rows = n + n * cols
+    elif shape == "wide":
+        rows = draw(st.integers(1, 4))
+        cols = draw(st.integers(rows + 1, 7))
+    else:
+        rows = cols = draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(rows, cols)))
+    left = [[draw(_entries) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(_entries) for _ in range(k)] for _ in range(cols)]
+    m = _dense_product(left, k, right)
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [F(0)] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+def _as_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rational_matrices())
+def test_rref_and_nullspace_match_sympy(m):
+    cols = len(m[0])
+    red, pivots = sympy.Matrix(m).rref()
+    assert _linalg.rref(m) == ([[_as_fraction(red[i, j]) for j in range(cols)] for i in range(len(pivots))],
+                               list(pivots))
+    expected = [tuple(_as_fraction(x) for x in v) for v in sympy.Matrix(m).nullspace()]
+    assert _linalg.nullspace(m, cols) == expected
+
+
+def test_rref_pivots_of_either_sign_and_integer_input():
+    assert _linalg.rref([[0, -3, 6], [-2, 1, 0], [4, 1, -6]]) == (
+        [[1, 0, F(-1)], [0, 1, F(-2)]], [0, 1])
+    assert _linalg.nullspace([[0, -3, 6], [-2, 1, 0], [4, 1, -6]], 3) == [(F(1), F(2), F(1))]
+    assert _linalg.rref([[0, 0], [0, 0]]) == ([], [])
+    assert _linalg.nullspace([[0, 0]], 2) == [(1, 0), (0, 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=0, max_size=n + 1))))
+def test_restricted_matches_the_dense_gram_product(drawn):
+    half, basis = drawn
+    n = len(half)
+    s = [[half[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    expected = matmul(matmul(basis, s), transpose(basis))
+    assert QuadForm(s).restricted(basis).matrix == tuple(tuple(row) for row in expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.one_of(st.just(F(0)), mixed_coeffs), min_size=n, max_size=n))))
+def test_ldl_matches_sympy_or_rejects(drawn):
+    # S = L D L^T with D of any signs: positive definite exactly when every
+    # D_k > 0, semidefinite with a zero D_k, indefinite with a negative one
+    entries, diag = drawn
+    n = len(diag)
+    lower = [[F(int(i == j)) if j >= i else entries[i][j] for j in range(n)] for i in range(n)]
+    s = [[sum(lower[i][k] * diag[k] * lower[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    if all(d > 0 for d in diag):
+        assert _linalg.ldl(s) == (lower, diag) == _sympy_ldl(s)
+    else:
+        with pytest.raises(ValueError, match="not positive definite"):
+            ldl_dense_reference(s)
+        with pytest.raises(ValueError, match="not positive definite"):
+            _linalg.ldl(s)
+
+
+def test_ldl_takes_integers_as_they_are():
+    assert _linalg.ldl([[4, 2], [2, 3]]) == _sympy_ldl([[4, 2], [2, 3]]) == (
+        [[1, 0], [F(1, 2), 1]], [4, 2])
+    with pytest.raises(ValueError, match="not positive definite"):
+        _linalg.ldl([[1, 2], [2, 4]])
+
+
 def test_congruent_diagonalize_identity():
     rng = random.Random(17)
     for _ in range(40):
@@ -478,7 +578,7 @@ def test_congruent_diagonalize_identity():
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         s = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
         p, diag = _linalg.congruent_diagonalize(s)
-        pt_s_p = _linalg.matmul(_linalg.matmul(_linalg.transpose(p), s), p)
+        pt_s_p = matmul(matmul(transpose(p), s), p)
         for i in range(n):
             for j in range(n):
                 assert pt_s_p[i][j] == (diag[i] if i == j else 0)
@@ -505,7 +605,7 @@ def test_signature_invariant_under_congruence():
                 c = F(rng.randint(-2, 2))
                 for k in range(n):
                     p[k][j] += c * p[k][i]
-        s2 = _linalg.matmul(_linalg.matmul(_linalg.transpose(p), s), p)
+        s2 = matmul(matmul(transpose(p), s), p)
         assert form_signature(QuadForm(s2)) == form_signature(QuadForm(s))
 
 
@@ -519,7 +619,7 @@ def test_ldl_reconstructs_positive_definite():
     lower, diag = _linalg.ldl(s)
     n = 3
     d = [[diag[i] if i == j else F(0) for j in range(n)] for i in range(n)]
-    back = _linalg.matmul(_linalg.matmul(lower, d), _linalg.transpose(lower))
+    back = matmul(matmul(lower, d), transpose(lower))
     assert back == [[F(x) for x in row] for row in s]
     assert all(v > 0 for v in diag)
 

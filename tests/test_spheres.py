@@ -166,6 +166,15 @@ def test_checked_rejects_indefinite_gram():
         QuadSphereMap.checked(f, bad)
 
 
+def test_checked_reports_the_signature_of_a_negative_gram():
+    # <f, f> = (x1^2 + x2^2)^2 = G^2 for G = -(x1^2 + x2^2) too; checked takes
+    # any gram, so its Degenerate carries the full signature, not the rank
+    f = PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1}), Poly(2, {(1, 1): 2})])
+    with pytest.raises(Degenerate) as exc:
+        QuadSphereMap.checked(f, -QuadForm.identity_form(2))
+    assert exc.value.signature == (0, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # the lift proves one identity: the oracle rebuilds f and G from the jet's
 # own p, q with plain dicts, and the proofs later stages used to repeat are
@@ -223,6 +232,24 @@ def test_sphere_lift_matches_the_hopf_oracle():
                 for i in range(n)]
         assert ldlt == [list(row) for row in sm.gram.matrix]
     assert lifted >= 5 and degenerate >= 3
+
+
+def test_degenerate_lift_signature_comes_from_the_rank(monkeypatch):
+    # the lift's G is positive semidefinite, so its rank gives the signature
+    # form_signature gives, and the lift does not ask form_signature for it
+    degenerate = [rj for rj in map(validate_jet, _oracle_jets()) if is_degenerate(rj)[0]]
+    expected = [form_signature(QuadForm.from_poly(Poly(rj.source_dim + 1, _lift_oracle(rj)[1])))
+                for rj in degenerate]
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("form_signature is not needed for a semidefinite gram")
+
+    monkeypatch.setattr(spheres, "form_signature", boom)
+    for rj, signature in zip(degenerate, expected):
+        with pytest.raises(Degenerate) as exc:
+            sphere_lift(rj)
+        assert exc.value.signature == signature
+    assert len(degenerate) >= 3
 
 
 def test_sphere_lift_proves_the_identity_once(monkeypatch):
