@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -482,7 +483,8 @@ def cmd_tables(args) -> Report:
     else:
         r, s, n = args.stiefel
         report.inputs["params"] = {"r": r, "s": s, "n": n}
-        feasible, listed, count = cliff.stiefel_hopf_feasible(r, s, n, MAX_LISTED_BINOMIALS)
+        feasible, count, odd = cliff.stiefel_hopf_feasible(r, s, n)
+        listed = list(itertools.islice(odd, MAX_LISTED_BINOMIALS))
         report.verdicts["feasible"] = feasible
         report.witnesses["odd_binomials"] = listed
         lines = [f"[{r}, {s}, {n}]: {'feasible' if feasible else 'infeasible'}"]
@@ -651,8 +653,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             report = args.handler(args)
         except ValueError as exc:
-            # str() of a computed exact value past Python's int-to-str digit
-            # limit, met while the handler writes its report; the inputs passed it
+            # only Python's int-to-str digit limit, met when str() writes a computed
+            # exact value into the report; any other ValueError is a fault and propagates
+            if not str(exc).startswith("Exceeds the limit"):
+                raise
             raise DocumentError("report", str(exc)) from None
         # after the handler returns, so a failed command leaves no file behind
         if "document" in report.witnesses and args.out:

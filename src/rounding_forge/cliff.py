@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .jets import FracQuadMap
 from .polycore import CertificateError, Poly, PolyMap, as_rational, inner_poly
@@ -337,23 +337,21 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
         raise CertificateError(f"pairing [{r}, {n}, {n}]: {exc}") from None
 
 
-def stiefel_hopf_feasible(r: int, s: int, n: int, limit: int) -> tuple[bool, list[int], int]:
+def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, int, Iterator[int]]:
     """Necessary parity condition for a nonsingular [r, s, n]-pairing.
 
     Every binomial C(n, k) with n - r < k < s must be even. By Lucas, C(n, k)
     is odd iff k AND n == k, so the odd ones are the submasks of n in the
-    range. Returns whether there are none, the first `limit` of them in
-    increasing order, and how many there are; the count is taken bit by bit,
-    so no list longer than `limit` is built.
+    range. Returns whether there are none, how many there are, and an iterator
+    over them in increasing order; the count is taken bit by bit, so a caller
+    builds only as many of them as it takes.
     """
     if r < 1 or s < 1 or n < 1:
         raise ValueError("sizes must be positive")
     lo = max(n - r + 1, 0)
     hi = min(s, n + 1)
-    first = _submasks_below(n, lo)
-    count = max(_submasks_below(n, hi) - first, 0)
-    listed = [_submask(n, i) for i in range(first, first + min(count, limit))]
-    return not count, listed, count
+    count = max(_submasks_below(n, hi) - _submasks_below(n, lo), 0)
+    return not count, count, _submasks_between(n, lo, hi)
 
 
 def _submasks_below(n: int, x: int) -> int:
@@ -368,16 +366,18 @@ def _submasks_below(n: int, x: int) -> int:
     return count
 
 
-def _submask(n: int, i: int) -> int:
-    """The i-th submask of n in increasing order: the bits of i placed on the set bits of n."""
-    k = 0
-    while i:
-        low = n & -n
-        if i & 1:
-            k |= low
-        n ^= low
-        i >>= 1
-    return k
+def _submasks_between(n: int, lo: int, hi: int) -> Iterator[int]:
+    """The submasks of n in [lo, hi), in increasing order, for 0 <= lo <= n."""
+    # the least submask above lo - 1: set every bit below the highest bit of
+    # lo - 1 outside n, then carry into the lowest free bit of n above them
+    k = lo - 1
+    k |= (1 << (k & ~n).bit_length()) - 1
+    k = ((k | ~n) + 1) & n
+    while k < hi:
+        yield k
+        if k == n:
+            return
+        k = ((k | ~n) + 1) & n
 
 
 def hopf_map(pairing: NormedPairing) -> QuadSphereMap:

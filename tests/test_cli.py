@@ -237,6 +237,18 @@ def test_computed_value_past_the_digit_limit_is_one_error_line(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def test_other_value_errors_from_a_handler_propagate(tmp_path, monkeypatch):
+    # a fault in the package stays a traceback, not an error line
+    from rounding_forge import spheres
+
+    def broken(rj):
+        raise ValueError("matrix is not positive definite")
+
+    monkeypatch.setattr(spheres, "sphere_lift", broken)
+    with pytest.raises(ValueError, match="not positive definite"):
+        cli.main(["sphere", write_doc(tmp_path, "jet.json", COMPLEX_JET)])
+
+
 @pytest.mark.parametrize("terms", [5, None])
 def test_non_list_terms_is_one_error_line(tmp_path, capsys, terms):
     doc = {

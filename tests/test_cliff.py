@@ -5,6 +5,7 @@ Brute-force oracles live in this file: rho via the minimal generator
 dimension table, kappa via an independent iterative greedy pass, binomial
 parity via math.comb."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -249,10 +250,10 @@ def test_pairing_checked_rejects_broken_tensor():
 
 
 def test_stiefel_frozen_example():
-    feasible, violations, count = stiefel_hopf_feasible(3, 5, 6, 64)
+    feasible, count, violations = stiefel_hopf_feasible(3, 5, 6)
     assert not feasible
-    assert violations == [4]
     assert count == 1
+    assert list(violations) == [4]
 
 
 def test_stiefel_against_math_comb():
@@ -261,33 +262,34 @@ def test_stiefel_against_math_comb():
         r = rng.randint(1, 12)
         s = rng.randint(1, 12)
         n = rng.randint(1, 20)
-        feasible, violations, count = stiefel_hopf_feasible(r, s, n, 64)
+        feasible, count, violations = stiefel_hopf_feasible(r, s, n)
         expected = [k for k in range(max(n - r + 1, 0), min(s, n + 1))
                     if math.comb(n, k) % 2 == 1]
-        assert violations == expected
+        assert list(violations) == expected
         assert feasible == (not expected)
         assert count == len(expected)
 
 
-def test_stiefel_lists_the_first_odd_binomials_and_counts_them_all():
-    rng = random.Random(16)
-    for _ in range(300):
-        r, s, n = rng.randint(1, 80), rng.randint(1, 80), rng.randint(1, 80)
-        limit = rng.randint(0, 8)
-        expected = [k for k in range(max(n - r + 1, 0), min(s, n + 1))
-                    if math.comb(n, k) % 2 == 1]
-        assert stiefel_hopf_feasible(r, s, n, limit) == (not expected, expected[:limit], len(expected))
+def test_stiefel_counts_and_lists_the_submasks_in_every_range():
+    # every [lo, hi) against n, including ranges that start off a submask
+    for n in range(1, 80):
+        for r in range(1, n + 2):
+            for s in range(1, n + 3):
+                feasible, count, violations = stiefel_hopf_feasible(r, s, n)
+                expected = [k for k in range(max(n - r + 1, 0), min(s, n + 1)) if k & n == k]
+                assert (feasible, count, list(violations)) == (not expected, len(expected), expected)
 
 
 def test_stiefel_counts_without_listing():
-    # every k below 2^20 is a submask of 2^20 - 1; only `limit` are built
+    # every k below 2^20 is a submask of 2^20 - 1; only the 64 taken are built
     tracemalloc.start()
     try:
-        feasible, violations, count = stiefel_hopf_feasible(2**20, 2**20, 2**20 - 1, 64)
+        feasible, count, violations = stiefel_hopf_feasible(2**20, 2**20, 2**20 - 1)
+        listed = list(itertools.islice(violations, 64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (feasible, violations, count) == (False, list(range(64)), 2**20)
+    assert (feasible, count, listed) == (False, 2**20, list(range(64)))
     assert peak < 64 * 1024
 
 
@@ -295,13 +297,13 @@ def test_stiefel_square_sizes_from_pairings():
     # existence (r <= rho(n)) implies the parity condition cannot object
     for n in (1, 2, 4, 8, 16, 32):
         for r in range(1, rho(n) + 1):
-            feasible, _, _ = stiefel_hopf_feasible(r, n, n, 64)
+            feasible, _, _ = stiefel_hopf_feasible(r, n, n)
             assert feasible
 
 
 def test_stiefel_rejects_nonpositive():
     with pytest.raises(ValueError):
-        stiefel_hopf_feasible(0, 1, 1, 64)
+        stiefel_hopf_feasible(0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
