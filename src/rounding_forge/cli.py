@@ -76,7 +76,8 @@ def poly_from_doc(doc, path: str, expect_vars: int | None = None) -> Poly:
     if not isinstance(doc, dict) or "vars" not in doc or "terms" not in doc:
         raise DocumentError(path, "expected an object with 'vars' and 'terms'")
     nv = doc["vars"]
-    if not isinstance(nv, int) or nv < 0:
+    # type(), not isinstance(): JSON true and false are bools, and bool is an int
+    if type(nv) is not int or nv < 0:
         raise DocumentError(f"{path}.vars", "expected a nonnegative integer")
     if expect_vars is not None and nv != expect_vars:
         raise DocumentError(f"{path}.vars", f"expected {expect_vars} variables, got {nv}")
@@ -88,7 +89,7 @@ def poly_from_doc(doc, path: str, expect_vars: int | None = None) -> Poly:
         if not isinstance(item, list) or len(item) != 2:
             raise DocumentError(tpath, "expected [exponents, coefficient]")
         exps, coeff = item
-        if not isinstance(exps, list) or len(exps) != nv or not all(isinstance(e, int) for e in exps):
+        if not isinstance(exps, list) or len(exps) != nv or not all(type(e) is int for e in exps):
             raise DocumentError(tpath, f"expected {nv} integer exponents")
         terms[tuple(exps)] = _parse_rat(coeff, tpath)
     try:
@@ -151,7 +152,7 @@ def _expect_kind(doc, kind: str) -> None:
 
 def _dim(doc, key: str, cap: int) -> int:
     v = doc.get(key)
-    if not isinstance(v, int) or v < 1:
+    if type(v) is not int or v < 1:
         raise DocumentError(f"$.{key}", "expected a positive integer")
     if v > cap:
         raise DocumentError(f"$.{key}", f"must be at most {cap}, got {v}")

@@ -234,7 +234,7 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     if not kernel:
         return False, None
     restricted = QuadForm.from_poly(rj.q - rj.p * rj.p).restricted(kernel)
-    trans, diag = _linalg.congruent_diagonalize([list(r) for r in restricted.matrix])
+    trans, diag = _linalg.congruent_diagonalize(restricted.matrix)
     if any(d < 0 for d in diag):
         raise CertificateError("q - p^2 is not positive semidefinite on ker A")
     if all(diag):
@@ -262,32 +262,30 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     Returns (pi, reduced) where pi is a full-rank k x m matrix whose kernel
     is ker A intersected with the radical of B - pA, and reduced is the
     validated jet on R^k with linear part Ap and quadratic part Bp such that
-    Ap o pi = A and Bp o pi = B - pA. The reduced jet is nondegenerate.
+    Ap o pi = A and Bp o pi = B - pA. Both are checked as matrix identities:
+    Ap pi = A, and pi^T (Bp)_i pi = (B - pA)_i for every form. The reduced
+    jet is nondegenerate.
     """
     degenerate, _ = is_degenerate(rj)
     if not degenerate:
         raise NotDegenerate("jet is nondegenerate, nothing to factor")
     norm = normalize_p(rj)
-    a, b = norm.jet.linear, norm.jet.quad
-    m = norm.source_dim
-    constraints = [list(row) for row in a.linear_matrix()]
-    for form in b.quadratic_forms():
-        constraints.extend(list(row) for row in form.matrix)
-    proj_rows, pivots = _linalg.rref(constraints)
-    if len(pivots) == m:
+    a = norm.jet.linear.linear_matrix()
+    forms = norm.jet.quad.quadratic_forms()
+    proj_rows, pivots = _linalg.rref([*a, *(row for f in forms for row in f.matrix)])
+    if len(pivots) == norm.source_dim:
         # the degeneracy witness lies in ker A and in the radical of B - pA
         raise CertificateError("ker A meets the radical of B - pA only in 0")
     proj = tuple(tuple(row) for row in proj_rows)
     # Restricting along the section x_i = y_j for i = pivots[j] (other x_i = 0)
     # selects the pivot columns of A and the pivot block of each form.
-    reduced_lin = PolyMap.from_linear_matrix([[row[i] for i in pivots] for row in a.linear_matrix()])
-    reduced_quad = PolyMap.from_quadratic_forms(
-        [QuadForm(tuple(tuple(f.matrix[i][j] for j in pivots) for i in pivots)) for f in b.quadratic_forms()]
-    )
-    reduced = RoundingJet(Jet2(reduced_lin, reduced_quad))
-    if reduced_lin.compose_linear(proj) != a:
+    red_a = [[row[i] for i in pivots] for row in a]
+    red_b = [tuple(tuple(f.matrix[i][j] for j in pivots) for i in pivots) for f in forms]
+    reduced = RoundingJet(jet_from_matrices(red_a, red_b))
+    cols = list(zip(*proj))
+    if [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in red_a] != a:
         raise CertificateError("projection does not recover A")
-    if reduced_quad.compose_linear(proj) != b:
+    if any(QuadForm(mat).restricted(cols) != f for mat, f in zip(red_b, forms)):
         raise CertificateError("projection does not recover B - pA")
     if is_degenerate(reduced)[0]:
         raise CertificateError("reduced jet is still degenerate")

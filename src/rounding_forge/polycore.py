@@ -191,7 +191,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    # ---- evaluation and substitution ------------------------------------
+    # ---- evaluation and homogenization ----------------------------------
 
     def __call__(self, point: Sequence) -> Fraction:
         vals = [as_rational(x) for x in point]
@@ -210,31 +210,6 @@ class Poly:
         if len(point) != self.num_vars:
             raise ValueError("point dimension mismatch")
         return _eval_float_terms(_float_terms(self), [float(v) for v in point])
-
-    def substitute(self, args: Sequence["Poly"]) -> "Poly":
-        """Evaluate at polynomial arguments, one per variable."""
-        if len(args) != self.num_vars:
-            raise ValueError("need one argument polynomial per variable")
-        if args:
-            space = args[0].num_vars
-            if any(a.num_vars != space for a in args):
-                raise ValueError("argument polynomials live in different spaces")
-        else:
-            space = 0
-        total = Poly.zero(space)
-        for e, c in self.terms.items():
-            term = Poly.constant(space, c)
-            for a, k in zip(args, e):
-                for _ in range(k):
-                    term = term * a
-            total = total + term
-        return total
-
-    def compose_linear(self, rows: Sequence[Sequence]) -> "Poly":
-        """Substitute x_i by the i-th linear form of the given matrix rows."""
-        if len(rows) != self.num_vars:
-            raise ValueError("need one row per variable")
-        return self.substitute([Poly.linear([as_rational(x) for x in r]) for r in rows])
 
     def homogenize(self, total: int) -> "Poly":
         """Pad with a trailing variable so every term reaches the given degree."""
@@ -593,15 +568,6 @@ class PolyMap:
         """Coordinate-wise product; the degree cap still applies."""
         return PolyMap(self.source_dim, [p * c for c in self.coords])
 
-    def compose_linear(self, rows: Sequence[Sequence]) -> "PolyMap":
-        """Precompose with the linear map given by the matrix rows."""
-        if len(rows) != self.source_dim:
-            raise ValueError("matrix target dimension must match the map source")
-        new_dim = len(rows[0]) if rows else 0
-        if any(len(r) != new_dim for r in rows):
-            raise ValueError("ragged matrix")
-        return PolyMap(new_dim, [c.compose_linear(rows) for c in self.coords])
-
     # ---- evaluation ---------------------------------------------------------
 
     def __call__(self, point: Sequence) -> tuple[Fraction, ...]:
@@ -637,7 +603,7 @@ def rank_linear(a: PolyMap) -> int:
 
 def form_signature(q: QuadForm) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) by Lagrange congruent diagonalization."""
-    _, diag = _linalg.congruent_diagonalize([list(r) for r in q.matrix])
+    _, diag = _linalg.congruent_diagonalize(q.matrix)
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return plus, minus, len(diag) - plus - minus

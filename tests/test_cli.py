@@ -707,6 +707,28 @@ def test_document_budgets_are_document_errors(tmp_path, capsys, monkeypatch, com
     assert (code, out, err) == (1, "", f"rounding-forge: error: $.{key}: must be at most {cap}, got {doc[key]}\n")
 
 
+BOOLEAN_MAP = {
+    "kind": "fracquad", "m": True, "n": True,
+    "F": [{"vars": True, "terms": [[[True], "1"]]}], "Q": {"vars": 1, "terms": [[[False], "1"]]},
+}
+
+
+@pytest.mark.parametrize("command, doc, path, message", [
+    ("check", dict(COMPLEX_JET, m=True), "$.m", "expected a positive integer"),
+    ("check", dict(COMPLEX_JET, n=True), "$.n", "expected a positive integer"),
+    ("hopf", dict(PAIRING_2_2, r=True), "$.r", "expected a positive integer"),
+    ("hopf", dict(PAIRING_2_2, s=True), "$.s", "expected a positive integer"),
+    ("verify", BOOLEAN_MAP, "$.m", "expected a positive integer"),
+    ("verify", dict(IDENTITY_MAP, F=[{"vars": True, "terms": []}, IDENTITY_MAP["F"][1]]),
+     "$.F[0].vars", "expected a nonnegative integer"),
+    ("verify", dict(IDENTITY_MAP, F=[{"vars": 2, "terms": [[[True, 0], "1"]]}, IDENTITY_MAP["F"][1]]),
+     "$.F[0].terms[0]", "expected 2 integer exponents"),
+])
+def test_json_booleans_are_not_sizes_or_exponents(tmp_path, capsys, command, doc, path, message):
+    code, out, err = run(capsys, command, write_doc(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (1, "", f"rounding-forge: error: {path}: {message}\n")
+
+
 def test_document_budget_admits_a_jet_at_its_limit():
     m = cli.MAX_JET_DIM
     doc = {"kind": "jet", "m": m, "n": m, "A": [[int(i == j) for j in range(m)] for i in range(m)],
@@ -988,5 +1010,111 @@ def test_fuzzed_argv_reports_or_fails_with_one_line(tmp_path, capsys, monkeypatc
     args = cli.build_parser().parse_args(argv)
     if args.command == "tables" and not args.json:
         assert out.endswith("\n") and out.strip()
+    else:
+        json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# whole-document fuzzing: arbitrary small JSON, and jet, fracquad and pairing
+# documents drawn whole, with booleans, floats and rational strings in every
+# slot, must give a report (exit 0 or 2) or exactly one error line (exit 1).
+# Every size is at most 4, well inside the document budgets, and rational
+# strings are short, so no example starts over-budget work.
+
+DOC_NONZERO = [1, -1, 2, "1", "-1", "1/2", "-3/4", "2/3", "1.5", "1e2"]
+DOC_SPARSE = st.sampled_from([0] * 10 + DOC_NONZERO)
+DOC_DENSE = st.sampled_from([0, 0] + DOC_NONZERO)
+DOC_JUNK = st.one_of(st.booleans(), st.floats(), st.none(), st.sampled_from(["", "x", "1/0", "1/-0", " 2"]),
+                     st.lists(st.integers(0, 1), max_size=2))
+DOC_SIZE_JUNK = st.one_of(st.integers(0, 4), st.booleans(), st.floats(0, 4), st.sampled_from(["2", "1/2", None]))
+DOC_EXPONENT_JUNK = st.one_of(st.integers(0, 3), st.booleans(), st.floats(0, 2), st.just("1"))
+
+
+@st.composite
+def whole_documents(draw, kind):
+    """A document of the given kind, or arbitrary JSON for kind "json". A
+    dirty document may put junk in any slot and declare sizes that disagree
+    with its contents; a clean one is well formed, with terms of degree <= 2."""
+    if kind == "json":
+        return draw(SMALL_JSON | st.fixed_dictionaries(
+            {"kind": st.sampled_from(["jet", "fracquad", "pairing", "spheremap"])},
+            optional={key: SMALL_JSON for key in ("m", "n", "r", "s", "A", "B", "F", "Q", "tensor")}))
+    dirty = draw(st.sampled_from([False, False, True]))
+
+    def slot(values):
+        return values | DOC_JUNK if dirty else values
+
+    def declared(true):
+        return draw(DOC_SIZE_JUNK) if dirty and draw(st.integers(0, 3)) == 0 else true
+
+    def size():
+        true = draw(st.integers(1, 4))
+        return true, declared(true)
+
+    if kind == "pairing":
+        (n, dn), (r, dr) = size(), size()
+        if not dirty and r <= cliff.rho(n) and draw(st.booleans()):
+            return cli.pairing_to_doc(cliff.normed_pairing(r, n))
+        s, ds = size()
+        tensor = [[[draw(slot(DOC_SPARSE)) for _ in range(n)] for _ in range(s)] for _ in range(r)]
+        return {"kind": "pairing", "r": dr, "s": ds, "n": dn, "tensor": tensor}
+    (m, dm), (n, dn) = size(), size()
+    if kind == "fracquad":
+        def term(constant=False):
+            if dirty:
+                return [[draw(DOC_EXPONENT_JUNK) for _ in range(m)], draw(slot(DOC_SPARSE))]
+            factors = [] if constant else draw(st.lists(st.integers(0, m - 1), max_size=2))
+            coeff = draw(st.sampled_from(DOC_NONZERO) if constant else DOC_SPARSE)
+            return [[factors.count(v) for v in range(m)], coeff]
+
+        def poly(terms):
+            return {"vars": declared(m), "terms": terms}
+
+        numer = [poly([term() for _ in range(draw(st.integers(0, 3)))]) for _ in range(n)]
+        denom = poly([term(constant=True)] + [term() for _ in range(draw(st.integers(0, 2)))])
+        return {"kind": "fracquad", "m": dm, "n": dn, "F": numer, "Q": denom}
+    # a flat quadratic part keeps many jets valid, and degenerate when m > rank A
+    b_entry = st.just(0) if draw(st.booleans()) else slot(DOC_SPARSE)
+    mats = []
+    for _ in range(n):
+        mat = [[draw(b_entry) for _ in range(m)] for _ in range(m)]
+        if not dirty or draw(st.booleans()):
+            mat = [[mat[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+        mats.append(mat)
+    linear = [[draw(slot(DOC_DENSE)) for _ in range(m)] for _ in range(n)]
+    return {"kind": "jet", "m": dm, "n": dn, "A": linear, "B": mats}
+
+
+# each command with the kind of document it reads and its extra arguments
+DOC_COMMANDS = {
+    "check": ("jet", []), "canon": ("jet", []), "degen": ("jet", []), "factor": ("jet", []),
+    "sphere": ("jet", []), "equiv": ("jet", []), "verify": ("fracquad", ["--trials", "4"]),
+    "hopf": ("pairing", []),
+}
+DOC_KINDS = ["json", "jet", "fracquad", "pairing"]
+DOC_NAMES = itertools.count()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(DOC_COMMANDS)), data=st.data())
+def test_fuzzed_whole_documents_report_or_fail_with_one_line(tmp_path, capsys, command, data):
+    own, extra = DOC_COMMANDS[command]
+    # mostly the command's own kind: the repeats weight the draw
+    kinds = st.sampled_from([own] * 8 + DOC_KINDS)
+    docs = [data.draw(kinds.flatmap(whole_documents))]
+    if command == "equiv":
+        docs.append(data.draw(st.just(docs[0]) | kinds.flatmap(whole_documents)))
+    # a fresh name per document: on some filesystems truncating a file costs
+    # more than the command it feeds
+    argv = [command, *(write_doc(tmp_path, f"doc{next(DOC_NAMES)}.json", doc) for doc in docs), *extra]
+    if command == "canon" and data.draw(st.booleans()):
+        argv += ["--verify", "--trials", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("rounding-forge: error: ")
+        assert err.count("\n") == 1
     else:
         json.loads(out)

@@ -329,9 +329,13 @@ def test_factor_recovers_normalized_jet_randomized():
             continue
         proj, reduced = factor_degenerate(rj)
         factored += 1
+        # dense products: A_red pi = A and pi^T (B_red)_i pi = (B - pA)_i
         norm = normalize_p(rj)
-        assert reduced.jet.linear.compose_linear(proj) == norm.jet.linear
-        assert reduced.jet.quad.compose_linear(proj) == norm.jet.quad
+        pi = [list(row) for row in proj]
+        assert matmul(reduced.jet.linear.linear_matrix(), pi) == norm.jet.linear.linear_matrix()
+        reduced_forms = reduced.jet.quad.quadratic_forms()
+        for red, form in zip(reduced_forms, norm.jet.quad.quadratic_forms(), strict=True):
+            assert matmul(matmul(transpose(pi), red.matrix), pi) == [list(row) for row in form.matrix]
         assert not is_degenerate(reduced)[0]
         # the projection has full row rank and strictly fewer rows than m
         from rounding_forge._linalg import exact_rank
@@ -370,6 +374,49 @@ def test_factor_selects_the_pivot_coordinates():
         factored.append(rj.source_dim)
         assert (reduced.jet.linear, reduced.jet.quad) == _pullback_by_matmul(rj)
     assert len(factored) >= 5 and factored[-1] == 16
+
+
+def _rref_with_a_bumped_entry(row, col):
+    """_linalg.rref with one projection entry raised by 1 and the true pivots."""
+    true_rref = jets._linalg.rref
+
+    def rref(rows):
+        proj, pivots = true_rref(rows)
+        proj[row][col] += 1
+        return proj, pivots
+
+    return rref
+
+
+def test_projection_that_misses_a_fails_its_certificate(monkeypatch):
+    # flat jet: pi = [[1, 0, 0], [0, 1, 0]], pivots [0, 1]; a 1 in column 2
+    # makes A_red pi pick up a nonzero third column that A does not have
+    rj = validate_jet(flat_degenerate_jet())
+    monkeypatch.setattr(jets._linalg, "rref", _rref_with_a_bumped_entry(0, 2))
+    with pytest.raises(CertificateError, match="projection does not recover A$"):
+        factor_degenerate(rj)
+
+
+def _twisted_jet():
+    """A = (x1, x2), B = x3 * J(x1, x2) = (-x2 x3, x1 x3) on R^4, p = 0,
+    q = x3^2: degenerate along x4, and the constraint rows span x1, x2, x3,
+    one more than rank A."""
+    half = F(1, 2)
+    b0 = [[0, 0, 0, 0], [0, 0, -half, 0], [0, -half, 0, 0], [0, 0, 0, 0]]
+    b1 = [[0, 0, half, 0], [0, 0, 0, 0], [half, 0, 0, 0], [0, 0, 0, 0]]
+    return jet_from_matrices([[1, 0, 0, 0], [0, 1, 0, 0]], [b0, b1])
+
+
+def test_projection_that_misses_b_minus_pa_fails_its_certificate(monkeypatch):
+    rj = validate_jet(_twisted_jet())
+    proj, reduced = factor_degenerate(rj)
+    assert proj == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert reduced.rank == 2 < reduced.source_dim == 3
+    # e3 is in the kernel of A_red, so raising pi[2][3] keeps A_red pi = A,
+    # but B_red pulls back along x3 + x4 instead of x3
+    monkeypatch.setattr(jets._linalg, "rref", _rref_with_a_bumped_entry(2, 3))
+    with pytest.raises(CertificateError, match="projection does not recover B - pA$"):
+        factor_degenerate(rj)
 
 
 def test_factor_without_a_common_kernel_fails_its_certificate(monkeypatch):

@@ -225,15 +225,6 @@ def test_homogeneous_parts_partition():
     assert p.homogeneous_part(2) == Poly(2, {(1, 1): 3, (0, 2): -1})
 
 
-def test_substitute_and_compose_linear_agree():
-    p = Poly(2, {(2, 0): 1, (1, 1): -3, (0, 1): 2})
-    rows = [[F(1), F(2), F(0)], [F(0), F(-1), F(1, 2)]]
-    args = [Poly.linear(r) for r in rows]
-    assert p.compose_linear(rows) == p.substitute(args)
-    pt = [F(1), F(-2), F(4)]
-    assert p.compose_linear(rows)(pt) == p([args[0](pt), args[1](pt)])
-
-
 def test_homogenize_appends_trailing_variable():
     p = Poly(2, {(0, 0): 1, (1, 0): -2, (0, 2): 3})
     h = p.homogenize(2)

@@ -3,12 +3,13 @@ raised as exceptions, never asserted, so `python -O` cannot strip them; a
 sphere map is built in exactly two places, the Hopf construction and the
 expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
-only the polynomial kernels in polycore build a Poly without validating
-its terms; only the line restriction builds a RationalCurve without
-checking it; only the line restriction, whose maps cap every term at
-degree 2, composes a polynomial with a line; denominators are cleared in
-one helper; the numeric oracle evaluates only polynomials it compiled
-once, never eval_float; and only the CLI's main writes an --out document."""
+one constructor builds a jet from matrices; only the polynomial kernels
+in polycore build a Poly without validating its terms; only the line
+restriction builds a RationalCurve without checking it; only the line
+restriction, whose maps cap every term at degree 2, composes a polynomial
+with a line; denominators are cleared in one helper; the numeric oracle
+evaluates only polynomials it compiled once, never eval_float; and only the
+CLI's main writes an --out document."""
 
 import ast
 from pathlib import Path
@@ -111,6 +112,21 @@ def test_builder_rule_sees_nested_and_qualified_calls():
         "    return QuadSphereMap.checked(f, g)\n"
     )
     assert _callers(tree, "QuadSphereMap") == ["", "C.m", "C.m"]
+
+
+def test_jets_are_built_from_matrices_in_one_place():
+    # jet documents, the reduced jet of a factorization and the bench all
+    # hand over matrices; one constructor turns them into polynomial maps
+    assert _package_callers("from_linear_matrix") == ["jets.jet_from_matrices"]
+    assert _package_callers("from_quadratic_forms") == ["jets.jet_from_matrices"]
+
+
+def test_matrix_constructor_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["jets"] += "\ndef reduced_linear(rows):\n    return PolyMap.from_linear_matrix(rows)\n"
+    sources["spheres"] += "\nclass Probe:\n    quad = polycore.PolyMap.from_quadratic_forms([])\n"
+    assert _module_callers(sources, "from_linear_matrix") == ["jets.jet_from_matrices", "jets.reduced_linear"]
+    assert _module_callers(sources, "from_quadratic_forms") == ["jets.jet_from_matrices", "spheres.Probe"]
 
 
 def test_trusted_construction_stays_in_polycore():
