@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,10 +56,20 @@ def _float_str(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# the exponent of a literal like "1e2", which Fraction expands as 10**exponent
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _parse_rat(value, path: str) -> Fraction:
     # JSON integers are exact; floats are not and stay rejected.
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DocumentError(path, f"expected a rational string, got {type(value).__name__}")
+    if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
+        # held to the int-to-str digit limit that the report path enforces
+        limit = sys.get_int_max_str_digits()
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        if limit and (len(digits) > len(str(limit)) or int(digits) > limit):
+            raise DocumentError(path, f"bad rational {value!r}: exponent exceeds the {limit}-digit limit")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -11,7 +11,7 @@ encoding so the checks stay cheap even at dimension 4096.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -242,42 +242,42 @@ class NormedPairing:
     """Bilinear f: R^left x R^right -> R^target with |f(x, y)| = |x| |y|.
 
     tensor[i][j][c] is the coefficient of x_i y_j in coordinate c; any nested
-    sequence of rationals is accepted and stored as Fraction tuples. The norm
-    identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, at
-    construction, and a tensor that fails it raises ValueError, so every
-    instance carries its proof and hopf_map and pairing_to_rounding reuse it.
+    sequence of rationals is accepted and stored as Fraction tuples. The
+    constructor builds the polynomial map f once and keeps it; the norm
+    identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on f, and a
+    tensor that fails it raises ValueError. So every instance carries its
+    proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
     """
 
     left_dim: int
     right_dim: int
     target_dim: int
     tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    f: PolyMap = field(init=False, compare=False)
 
     def __post_init__(self):
         tensor = tuple(
             tuple(tuple(as_rational(c) for c in row) for row in slab) for slab in self.tensor
         )
         object.__setattr__(self, "tensor", tensor)
-        f = self.as_polymap()
-        xx, yy = self._norm_squares()
-        if inner_poly(f, f) != xx * yy:
-            raise ValueError("tensor does not satisfy the norm identity")
-
-    def as_polymap(self) -> PolyMap:
         m = self.left_dim + self.right_dim
         coords = []
         for c in range(self.target_dim):
             terms = {}
             for i in range(self.left_dim):
                 for j in range(self.right_dim):
-                    coeff = self.tensor[i][j][c]
+                    coeff = tensor[i][j][c]
                     if coeff:
                         e = [0] * m
                         e[i] += 1
                         e[self.left_dim + j] += 1
                         terms[tuple(e)] = coeff
             coords.append(Poly(m, terms))
-        return PolyMap(m, coords)
+        f = PolyMap(m, coords)
+        object.__setattr__(self, "f", f)
+        xx, yy = self._norm_squares()
+        if inner_poly(f, f) != xx * yy:
+            raise ValueError("tensor does not satisfy the norm identity")
 
     def _norm_squares(self) -> tuple[Poly, Poly]:
         """|x|^2 and |y|^2 as polynomials on R^(left + right)."""
@@ -291,16 +291,7 @@ class NormedPairing:
         ys = [as_rational(v) for v in y]
         if len(xs) != self.left_dim or len(ys) != self.right_dim:
             raise ValueError("argument dimensions mismatch")
-        out = []
-        for c in range(self.target_dim):
-            out.append(
-                sum(
-                    self.tensor[i][j][c] * xs[i] * ys[j]
-                    for i in range(self.left_dim)
-                    for j in range(self.right_dim)
-                )
-            )
-        return tuple(out)
+        return self.f(xs + ys)
 
     @staticmethod
     def checked(left_dim: int, right_dim: int, target_dim: int, tensor) -> "NormedPairing":
@@ -386,7 +377,7 @@ def hopf_map(pairing: NormedPairing) -> QuadSphereMap:
     The pairing's proved |f|^2 = |x|^2 |y|^2 is the factorization
     hopf_construction needs, so <f, f> = (|x|^2 + |y|^2)^2 is not expanded.
     """
-    return hopf_construction(pairing.as_polymap(), *pairing._norm_squares())
+    return hopf_construction(pairing.f, *pairing._norm_squares())
 
 
 def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
@@ -398,4 +389,4 @@ def pairing_to_rounding(pairing: NormedPairing) -> FracQuadMap:
     reports False.
     """
     xx, _ = pairing._norm_squares()
-    return FracQuadMap(numer=pairing.as_polymap(), denom=xx)
+    return FracQuadMap(numer=pairing.f, denom=xx)

@@ -245,17 +245,6 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     )
 
 
-def normalize_p(rj: RoundingJet) -> RoundingJet:
-    """The equivalent jet with p = 0, obtained by B <- B - pA."""
-    jet = Jet2(linear=rj.jet.linear, quad=rj.jet.quad - rj.jet.linear.times_poly(rj.p))
-    out = RoundingJet(jet)
-    if not out.p.is_zero():
-        raise CertificateError("normalization failed to kill p")
-    if out.q != rj.q - rj.p * rj.p:
-        raise CertificateError("normalized q is not q - p^2")
-    return out
-
-
 def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...], RoundingJet]:
     """Factor a degenerate jet through a rational projection.
 
@@ -264,16 +253,16 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     validated jet on R^k with linear part Ap and quadratic part Bp such that
     Ap o pi = A and Bp o pi = B - pA. Both are checked as matrix identities:
     Ap pi = A, and pi^T (Bp)_i pi = (B - pA)_i for every form. The reduced
-    jet is nondegenerate.
+    jet is nondegenerate. B - pA is transform_jet(jet, 1, -p) and is not
+    validated again: rj's divisions already give it p = 0 and q - p^2.
     """
     degenerate, _ = is_degenerate(rj)
     if not degenerate:
         raise NotDegenerate("jet is nondegenerate, nothing to factor")
-    norm = normalize_p(rj)
-    a = norm.jet.linear.linear_matrix()
-    forms = norm.jet.quad.quadratic_forms()
+    a = rj.jet.linear.linear_matrix()
+    forms = (rj.jet.quad - rj.jet.linear.times_poly(rj.p)).quadratic_forms()
     proj_rows, pivots = _linalg.rref([*a, *(row for f in forms for row in f.matrix)])
-    if len(pivots) == norm.source_dim:
+    if len(pivots) == rj.source_dim:
         # the degeneracy witness lies in ker A and in the radical of B - pA
         raise CertificateError("ker A meets the radical of B - pA only in 0")
     proj = tuple(tuple(row) for row in proj_rows)

@@ -173,7 +173,7 @@ def test_criterion_8_pairings_and_hopf():
         for r in range(1, rho(n) + 1):
             pairing = normed_pairing(r, n)  # checked() asserts the identity
             m = r + n
-            f = [as_dict(c) for c in pairing.as_polymap().coords]
+            f = [as_dict(c) for c in pairing.f.coords]
             xx = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r)}
             yy = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r, m)}
             assert dict_inner(f, f) == dict_mul(xx, yy)

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -727,6 +728,53 @@ BOOLEAN_MAP = {
 def test_json_booleans_are_not_sizes_or_exponents(tmp_path, capsys, command, doc, path, message):
     code, out, err = run(capsys, command, write_doc(tmp_path, "doc.json", doc))
     assert (code, out, err) == (1, "", f"rounding-forge: error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("command, doc, path, message", [
+    ("check", dict(COMPLEX_JET, B=COMPLEX_JET["B"][:1]), "$.B", "expected 2 symmetric matrices"),
+    ("check", dict(COMPLEX_JET, B=[COMPLEX_JET["B"][0], [["0", "1"], ["2", "0"]]]), "$.B[1][1][0]",
+     "matrix is not symmetric"),
+    ("verify", dict(IDENTITY_MAP, F=IDENTITY_MAP["F"][:1]), "$.F", "expected 2 coordinate polynomials"),
+    ("verify", dict(IDENTITY_MAP, Q={"vars": 2, "terms": [[[0, 0], "1"], [[3, 0], "1"]]}), "$",
+     "denominator degree exceeds 2"),
+    ("hopf", dict(PAIRING_2_2, tensor=PAIRING_2_2["tensor"] * 2), "$.tensor", "expected 2 slabs"),
+])
+def test_malformed_documents_are_one_error_line(tmp_path, capsys, command, doc, path, message):
+    code, out, err = run(capsys, command, write_doc(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (1, "", f"rounding-forge: error: {path}: {message}\n")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-str digit limit")
+@pytest.mark.parametrize("exponent", ["1e1000000", "1e-1000000"])
+def test_exponent_past_the_digit_limit_is_one_error_line(tmp_path, capsys, monkeypatch, exponent):
+    # Fraction would expand 10**1000000 before anything else could object
+    monkeypatch.setattr(jets, "validate_jet", _no_work)
+    doc = dict(COMPLEX_JET, A=[[exponent, "0"], ["0", "1"]])
+    code, out, err = run(capsys, "check", write_doc(tmp_path, "jet.json", doc))
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (
+        1, "", f"rounding-forge: error: $.A[0][0]: bad rational '{exponent}': "
+               f"exponent exceeds the {limit}-digit limit\n",
+    )
+
+
+def test_exponents_within_the_digit_limit_still_parse():
+    limit = sys.get_int_max_str_digits()
+    assert cli._parse_rat("1e2", "$") == 100
+    assert cli._parse_rat(" 1_5E-0_1 ", "$") == Fraction(3, 2)
+    assert cli._parse_rat(f"1e-{limit}", "$") == Fraction(1, 10**limit)
+    assert cli._parse_rat("1e" + "0" * 40 + "2", "$") == 100
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "invalid float value: 'abc'"),
+    ("0", "must be a positive finite number, got 0"),
+    ("inf", "must be a positive finite number, got inf"),
+])
+def test_bad_tolerances_are_argument_errors(capsys, monkeypatch, raw, message):
+    monkeypatch.setattr(cli, "_load_json", _no_work)
+    code, out, err = run(capsys, "verify", "map.json", "--tol", raw)
+    assert (code, out, err) == (1, "", f"rounding-forge: error: arguments: argument --tol: {message}\n")
 
 
 def test_document_budget_admits_a_jet_at_its_limit():

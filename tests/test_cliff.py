@@ -193,7 +193,7 @@ def test_quaternion_pairing_matches_table():
 def test_pairing_norm_identity_oracle():
     for r, n in ((3, 4), (8, 8), (9, 16)):
         p = normed_pairing(r, n)
-        f = [as_dict(c) for c in p.as_polymap().coords]
+        f = [as_dict(c) for c in p.f.coords]
         m = r + n
         xx = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r)}
         yy = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r, m)}
@@ -202,11 +202,30 @@ def test_pairing_norm_identity_oracle():
 
 def test_pairing_evaluates_like_polymap():
     p = normed_pairing(3, 8)
-    pm = p.as_polymap()
+    pm = p.f
     rng = random.Random(9)
     x = [F(rng.randint(-2, 2)) for _ in range(3)]
     y = [F(rng.randint(-2, 2)) for _ in range(8)]
     assert p(tuple(x), tuple(y)) == pm(x + y)
+
+
+def test_pairing_evaluates_like_the_dense_tensor_sum():
+    # the kept map f against sum_ij tensor[i][j][c] x_i y_j, at rational points
+    rng = random.Random(17)
+    for r, n in ((1, 1), (3, 4), (9, 16)):
+        p = normed_pairing(r, n)
+        for _ in range(5):
+            x = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(r)]
+            y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            dense = tuple(
+                sum(p.tensor[i][j][c] * x[i] * y[j] for i in range(r) for j in range(n))
+                for c in range(n)
+            )
+            assert p(x, y) == dense
+        with pytest.raises(ValueError, match="argument dimensions mismatch"):
+            p(x + [F(1)], y)
+        with pytest.raises(ValueError, match="argument dimensions mismatch"):
+            p(x, y[:-1])
 
 
 def test_pairing_infeasible_sizes():
@@ -367,7 +386,7 @@ def _hopf_oracle(pairing):
     r, m = pairing.left_dim, pairing.left_dim + pairing.right_dim
     xx = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r)}
     yy = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r, m)}
-    f = [{e: 2 * c for e, c in as_dict(c).items()} for c in pairing.as_polymap().coords]
+    f = [{e: 2 * c for e, c in as_dict(c).items()} for c in pairing.f.coords]
     f.append(dict_add(xx, {e: -c for e, c in yy.items()}))
     return f, dict_add(xx, yy)
 

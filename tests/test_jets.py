@@ -45,7 +45,6 @@ from rounding_forge.jets import (
     is_degenerate,
     jet_from_matrices,
     jets_equivalent,
-    normalize_p,
     parallel_factor,
     transform_jet,
     validate_jet,
@@ -140,6 +139,21 @@ def test_validate_rejects_norm_term():
 def test_jet_from_matrices_symmetry_required():
     with pytest.raises(ValueError):
         jet_from_matrices([[1, 0], [0, 1]], [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+
+
+@pytest.mark.parametrize("linear, quad, message", [
+    (PolyMap.identity(2), PolyMap.zero(3, 2), "linear and quadratic parts have different sources"),
+    (PolyMap.identity(2), PolyMap.zero(2, 3), "linear and quadratic parts have different targets"),
+    (PolyMap(2, [Poly(2, {(1, 0): 1}), Poly(2, {(0, 0): 1})]), PolyMap.zero(2, 2),
+     "linear part is not homogeneous of degree 1"),
+    (PolyMap(2, [Poly(2, {(1, 0): 1}), Poly(2, {(2, 0): 1})]), PolyMap.zero(2, 2),
+     "linear part is not homogeneous of degree 1"),
+    (PolyMap.identity(2), PolyMap(2, [Poly(2, {(1, 1): 1}), Poly(2, {(0, 1): 1})]),
+     "quadratic part is not homogeneous of degree 2"),
+])
+def test_jet_rejects_mismatched_or_inhomogeneous_parts(linear, quad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Jet2(linear, quad)
 
 
 def test_jet_from_matrices_refuses_floats():
@@ -289,11 +303,18 @@ def test_degeneracy_witnesses_are_rational():
 # normalization and factorization
 
 
+def _p_normalized(rj):
+    """The equivalent jet (A, B - pA), validated from scratch."""
+    return RoundingJet(transform_jet(rj.jet, 1, -rj.p))
+
+
 def test_normalize_p_frozen_example():
+    # (A, B - pA) has p = 0 and q - p^2: factor_degenerate relies on this
+    # algebra instead of validating B - pA again
     rj = validate_jet(complex_square_jet())
-    norm = normalize_p(rj)
+    norm = _p_normalized(rj)
     assert norm.p.is_zero()
-    assert norm.q == Poly(2, {(0, 2): 1})
+    assert norm.q == rj.q - rj.p * rj.p == Poly(2, {(0, 2): 1})
     assert norm.jet.quad == PolyMap(2, [Poly(2, {(0, 2): -1}), Poly(2, {(1, 1): 1})])
 
 
@@ -301,7 +322,7 @@ def test_normalize_p_randomized():
     rng = random.Random(59)
     for _ in range(20):
         rj = validate_jet(random_valid_jet(rng))
-        norm = normalize_p(rj)
+        norm = _p_normalized(rj)
         assert norm.p.is_zero()
         assert norm.q == rj.q - rj.p * rj.p
         assert jets_equivalent(rj.jet, norm.jet) == (F(1), -rj.p)
@@ -330,7 +351,7 @@ def test_factor_recovers_normalized_jet_randomized():
         proj, reduced = factor_degenerate(rj)
         factored += 1
         # dense products: A_red pi = A and pi^T (B_red)_i pi = (B - pA)_i
-        norm = normalize_p(rj)
+        norm = _p_normalized(rj)
         pi = [list(row) for row in proj]
         assert matmul(reduced.jet.linear.linear_matrix(), pi) == norm.jet.linear.linear_matrix()
         reduced_forms = reduced.jet.quad.quadratic_forms()
@@ -348,7 +369,7 @@ def _pullback_by_matmul(rj):
     section of the pivot columns with dense matrix products."""
     from rounding_forge._linalg import rref
 
-    norm = normalize_p(rj)
+    norm = _p_normalized(rj)
     a, b = norm.jet.linear, norm.jet.quad
     constraints = [list(row) for row in a.linear_matrix()]
     for form in b.quadratic_forms():
@@ -627,27 +648,6 @@ def test_canonical_rounding_expands_nothing(monkeypatch):
     monkeypatch.setattr(jets, "inner_poly", boom)
     monkeypatch.setattr(jets, "poly_divmod", boom)
     assert canonical_rounding(rj) == expected
-
-
-def test_corrupted_revalidation_fails_the_normalization_certificates(monkeypatch):
-    rj = validate_jet(complex_square_jet())
-    real = jets.poly_divmod
-    x1 = Poly.variable(2, 0)
-
-    def shifted_p(num, den):
-        quot, rem = real(num, den)
-        return quot + x1, rem
-
-    def shifted_q(num, den):
-        quot, rem = real(num, den)
-        return (quot + 1 if num.degree() == 4 else quot), rem
-
-    monkeypatch.setattr(jets, "poly_divmod", shifted_q)
-    with pytest.raises(CertificateError, match=r"q - p\^2"):
-        normalize_p(rj)
-    monkeypatch.setattr(jets, "poly_divmod", shifted_p)
-    with pytest.raises(CertificateError, match="kill p"):
-        normalize_p(rj)
 
 
 def test_corrupted_degeneracy_verdict_fails_the_factor_certificate(monkeypatch):

@@ -3,6 +3,10 @@ raised as exceptions, never asserted, so `python -O` cannot strip them; a
 sphere map is built in exactly two places, the Hopf construction and the
 expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
+a RoundingJet is proved only by validation and for the reduced jet of a
+factorization; quartic inner products are expanded only by the four
+constructions that prove an identity with them, so Hopf maps, pairing
+roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms; only the line
 restriction builds a RationalCurve without checking it; only the line
@@ -99,6 +103,53 @@ def test_divisions_happen_only_where_they_prove_something():
     assert _package_callers("divide_exact") == [
         "jets.check_series_divisibility",
         "jets.check_series_divisibility",
+    ]
+
+
+def test_rounding_jets_are_proved_in_two_places():
+    # validation proves a jet once; the only other proof is the reduced jet
+    # of a factorization. B - pA is not validated again: rj's divisions give
+    # its p = 0 and q - p^2
+    assert _package_callers("RoundingJet") == ["jets.factor_degenerate", "jets.validate_jet"]
+
+
+def test_rounding_jet_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["jets"] += "\ndef normalized(rj):\n    return RoundingJet(transform_jet(rj.jet, 1, -rj.p))\n"
+    sources["spheres"] += "\nclass Probe:\n    rj = jets.RoundingJet(jet)\n"
+    assert _module_callers(sources, "RoundingJet") == [
+        "jets.factor_degenerate", "jets.normalized", "jets.validate_jet", "spheres.Probe",
+    ]
+
+
+def test_quartics_are_expanded_only_where_they_prove_something():
+    # a RoundingJet expands <A,A>, <A,B> and <B,B>; a NormedPairing its norm
+    # identity on the map it keeps; the expanding sphere check and the norm
+    # split expand theirs. hopf_map, pairing_to_rounding and the sphere lift
+    # reuse those proofs instead of expanding again
+    assert _package_callers("inner_poly") == [
+        "cliff.NormedPairing.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "spheres.QuadSphereMap.checked",
+        "spheres.split_norm",
+    ]
+
+
+def test_quartic_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["cliff"] += "\ndef hopf_gram(pairing):\n    return inner_poly(pairing.f, pairing.f)\n"
+    sources["spheres"] += "\nclass Probe:\n    g = polycore.inner_poly(f, f)\n"
+    assert _module_callers(sources, "inner_poly") == [
+        "cliff.NormedPairing.__post_init__",
+        "cliff.hopf_gram",
+        "jets.RoundingJet.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "jets.RoundingJet.__post_init__",
+        "spheres.Probe",
+        "spheres.QuadSphereMap.checked",
+        "spheres.split_norm",
     ]
 
 
