@@ -17,10 +17,6 @@ from typing import Iterable, Sequence
 Matrix = list[list[Fraction]]
 
 
-def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     zero, one = Fraction(0), Fraction(1)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -154,16 +150,11 @@ def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]
     When every remaining diagonal entry vanishes but some off-diagonal entry
     S[k][j] does not, the basis change e_k <- e_k + e_j creates the pivot
     2*S[k][j]; this is the u = x + y half of the classical hyperbolic split
-    and is enough for the elimination to proceed.
+    and is enough for the elimination to proceed. S must be square and
+    symmetric; both callers pass a QuadForm's matrix, which QuadForm checked.
     """
-    a = to_fraction_matrix(s)
+    a = [[Fraction(x) for x in row] for row in s]
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix not square")
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix not symmetric")
     p = identity(n)
 
     def add_col(dst: int, src: int, f: Fraction) -> None:

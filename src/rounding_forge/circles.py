@@ -35,22 +35,22 @@ def _trim(c: Sequence) -> tuple:
     return tuple(out)
 
 
-def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]], deg: int,
+def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]],
                      base: Sequence[int], direction: Sequence[int], scale: int) -> list[int]:
-    """The deg + 1 integer coefficients of t -> scale^deg * p((base + t * direction) / scale).
+    """The 3 integer coefficients of t -> scale^2 * p((base + t * direction) / scale).
 
     terms are p's integer terms as (factor indices, numerator), none of
-    degree above deg; a term of degree k carries the factor scale^(deg - k).
+    degree above 2; a term of degree k carries the factor scale^(2 - k).
     Every term has degree at most 2: PolyMap caps its coordinates at degree
     2 and FracQuadMap caps its denominator at degree 2, and restrict_to_line
     passes only a FracQuadMap's terms. Each term uses a closed form:
     c*x_i*x_j adds c*b_i*b_j, c*(b_i*d_j + d_i*b_j) and c*d_i*d_j.
     """
-    powers = [scale**k for k in range(deg + 1)]
-    acc = [0] * (deg + 1)
+    powers = (scale * scale, scale, 1)
+    acc = [0, 0, 0]
     for factors, c in terms:
         k = len(factors)
-        c *= powers[deg - k]
+        c *= powers[k]
         if k == 2:
             i, j = factors
             bi, bj, di, dj = base[i], base[j], direction[i], direction[j]
@@ -143,9 +143,8 @@ class RationalCurve:
         if len(denominator) > 3:
             raise ValueError("denominator degree exceeds 2")
         given = None if self.norm_numer is None else _trim([as_rational(c) for c in self.norm_numer])
-        numerators, num_scale = _linalg.cleared(numerators)
-        (denominator,), den_scale = _linalg.cleared([denominator])
-        _fill_curve(self, numerators, num_scale, denominator, den_scale)
+        (*numerators, denominator), scale = _linalg.cleared([*numerators, denominator])
+        _fill_curve(self, numerators, denominator, scale)
         if given is not None and given != self.norm_numer:
             raise ValueError("norm_numer disagrees with the numerators")
 
@@ -154,15 +153,15 @@ class RationalCurve:
         return len(self.numerators)
 
 
-def _fill_curve(curve: RationalCurve, numerators: Sequence[Sequence[int]], num_scale: int,
-                denominator: Sequence[int], den_scale: int) -> None:
-    """Set a curve's fields from trimmed integer coefficients: numerators over
-    num_scale, denominator over den_scale, and |numerators|^2 computed here."""
+def _fill_curve(curve: RationalCurve, numerators: Sequence[Sequence[int]],
+                denominator: Sequence[int], scale: int) -> None:
+    """Set a curve's fields from trimmed integer coefficients over one scale,
+    with |numerators|^2 computed here."""
     norm = _sum_of_squares(numerators)
     object.__setattr__(curve, "numerators",
-                       tuple([tuple([Fraction(x, num_scale) for x in num]) for num in numerators]))
-    object.__setattr__(curve, "denominator", tuple([Fraction(x, den_scale) for x in denominator]))
-    object.__setattr__(curve, "norm_numer", tuple([Fraction(x, num_scale * num_scale) for x in norm]))
+                       tuple([tuple([Fraction(x, scale) for x in num]) for num in numerators]))
+    object.__setattr__(curve, "denominator", tuple([Fraction(x, scale) for x in denominator]))
+    object.__setattr__(curve, "norm_numer", tuple([Fraction(x, scale * scale) for x in norm]))
     object.__setattr__(curve, "_integer", (numerators, denominator, norm))
 
 
@@ -174,7 +173,7 @@ def _trusted_curve(numerators: Sequence[Sequence[int]], denominator: Sequence[in
     within the degree caps, and the denominator is not zero.
     """
     curve = object.__new__(RationalCurve)
-    _fill_curve(curve, numerators, scale, denominator, scale)
+    _fill_curve(curve, numerators, denominator, scale)
     return curve
 
 
@@ -191,7 +190,7 @@ def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
         raise ValueError("line lives in the wrong source space")
     terms, den = fq._integer_form
     (base, direction), scale = _linalg.cleared([line.base, line.direction])
-    *numerators, denominator = [_trim(_integer_on_line(t, 2, base, direction, scale)) for t in terms]
+    *numerators, denominator = [_trim(_integer_on_line(t, base, direction, scale)) for t in terms]
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
     return _trusted_curve(numerators, denominator, den * scale * scale)
@@ -297,7 +296,11 @@ def circle_fit(points: Sequence[Sequence[float]]) -> CircleFit:
 
 @dataclass(frozen=True)
 class NumericReport:
-    """Outcome of the sampling oracle; violations index the offending trials."""
+    """Outcome of the sampling oracle; violations index the offending trials.
+
+    ok needs at least one fitted trial: a run that skipped every line has
+    checked nothing.
+    """
 
     trials: int
     seed: int
@@ -309,7 +312,7 @@ class NumericReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and len(self.skipped) < self.trials
 
 
 _GUARD = 1e-6  # reject parameters where |Q| < guard * (1 + |t|^2)

@@ -274,15 +274,7 @@ class Report:
     exit_status: int = 0
 
     def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-            "numeric": self.numeric,
-            "exit_status": self.exit_status,
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
 
 def _run_oracle(fq: jets.FracQuadMap, args) -> dict:

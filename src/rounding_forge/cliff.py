@@ -247,6 +247,8 @@ class NormedPairing:
     identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on f, and a
     tensor that fails it raises ValueError. So every instance carries its
     proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
+    A tensor that is not left_dim slabs of right_dim rows of target_dim
+    entries raises ValueError before anything is built.
     """
 
     left_dim: int
@@ -259,6 +261,9 @@ class NormedPairing:
         tensor = tuple(
             tuple(tuple(as_rational(c) for c in row) for row in slab) for slab in self.tensor
         )
+        r, s, n = self.left_dim, self.right_dim, self.target_dim
+        if len(tensor) != r or any(len(slab) != s or any(len(row) != n for row in slab) for slab in tensor):
+            raise ValueError(f"tensor shape must be {r} x {s} x {n}")
         object.__setattr__(self, "tensor", tensor)
         m = self.left_dim + self.right_dim
         coords = []

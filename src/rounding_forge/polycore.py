@@ -3,9 +3,10 @@ polynomials, quadratic forms, polynomial maps, and the four exact operations
 everything else is built on (inner products, exact division, linear rank,
 form signatures).
 
-Degrees are capped at 4 because the largest object anywhere in the toolkit is
-a squared norm of a quadratic map. The cap is enforced at construction so a
-degree blow-up fails loudly at its source.
+Degrees are capped at MAX_DEGREE = 8: a squared norm of a quadratic map has
+degree 4, and squared norms of order-4 series truncations reach 8. The cap is
+enforced at construction so a degree blow-up fails loudly at its source.
+Exponents must be ints.
 """
 
 from __future__ import annotations
@@ -86,7 +87,10 @@ class Poly:
             raise ValueError("num_vars must be nonnegative")
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            # type(), not isinstance(): bool is an int, and True is no exponent
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"exponents must be ints, got {exps!r}")
             if len(exps) != num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {num_vars} variables")
             if sum(exps) > MAX_DEGREE:
@@ -213,6 +217,8 @@ class Poly:
 
     def homogenize(self, total: int) -> "Poly":
         """Pad with a trailing variable so every term reaches the given degree."""
+        if type(total) is not int:
+            raise TypeError(f"degree must be an int, got {total!r}")
         if total < self.degree():
             raise ValueError("target degree below actual degree")
         if total > MAX_DEGREE and self.terms:

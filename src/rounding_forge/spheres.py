@@ -27,8 +27,6 @@ from .polycore import (
     Poly,
     PolyMap,
     QuadForm,
-    _eval_float_terms,
-    _float_terms,
     form_signature,
     inner_poly,
     poly_divmod,
@@ -169,21 +167,6 @@ def sphere_lift(rj: RoundingJet) -> QuadSphereMap:
     """
     numer, denom = homogenize(canonical_rounding(rj))
     return hopf_construction(numer, denom, rj.norm_a.homogenize(2))
-
-
-def sphere_points_check(sm: QuadSphereMap, samples: int = 100, seed: int = 0) -> float:
-    """Worst |  |f(u)|^2 - 1  | over random points with gram(u) = 1."""
-    rng = np.random.default_rng(seed)
-    gram = np.array([[float(x) for x in row] for row in sm.gram.matrix])
-    coords = [_float_terms(c) for c in sm.f.coords]
-    worst = 0.0
-    for _ in range(samples):
-        v = rng.normal(size=sm.source_dim)
-        v /= np.sqrt(v @ gram @ v)
-        x = [float(t) for t in v]
-        image = np.array([_eval_float_terms(terms, x) for terms in coords])
-        worst = max(worst, abs(float(image @ image) - 1.0))
-    return worst
 
 
 def evaluate_factored(sm: QuadSphereMap, x: Sequence[float]) -> np.ndarray:

@@ -6,12 +6,13 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import complex_square_jet, dict_inner, mixed_coeffs, mixed_polys, quaternion_jet
-from rounding_forge import jets
+from rounding_forge import circles, jets
 from rounding_forge.circles import (
     DenominatorVanishesIdentically,
     Line,
@@ -462,3 +463,67 @@ def test_circle_fit_rejects_samples_it_cannot_square(scale):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^samples must be finite$"):
             circle_fit(pts)
+
+
+# ---------------------------------------------------------------------------
+# error paths: each names its exception and message
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: Line((0, 0), (1,)), ValueError, "base and direction dimensions differ"),
+    (lambda: RationalCurve(numerators=((F(1),),), denominator=(F(0), F(0))),
+     DenominatorVanishesIdentically, "denominator is the zero polynomial"),
+    (lambda: RationalCurve(numerators=((0, 0, 0, 0, 0, 1),), denominator=(1,)),
+     ValueError, "numerator degree exceeds 4"),
+    (lambda: RationalCurve(numerators=((1,),), denominator=(1, 0, 0, 1)),
+     ValueError, "denominator degree exceeds 2"),
+    (lambda: restrict_to_line(mobius_map(), Line((0, 0, 0), (1, 0, 0))),
+     ValueError, "line lives in the wrong source space"),
+])
+def test_curves_and_lines_reject_malformed_input(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
+def test_hand_built_curve_clears_to_one_scale():
+    # the integer lists share the lcm of every denominator, as a restricted curve's do
+    curve = RationalCurve(numerators=((F(1, 2), F(1, 3)),), denominator=(F(1, 5), F(0), F(1)))
+    assert curve._integer == ([[15, 10]], [6, 0, 30], [225, 300, 100])
+    assert curve.norm_numer == (F(1, 4), F(1, 3), F(1, 9))
+
+
+def test_circle_fit_degrades_a_huge_radius_to_a_line(monkeypatch):
+    # |center| <= spread^2 / (2 * second singular value) for exact samples,
+    # so only round-off can push the radius past 1e9 * spread; a solver that
+    # returns such a center stands in for it
+    def far_center(design, rhs, rcond=None):
+        return np.array([0.0, 1e12, 0.0]), None, 3, None
+
+    monkeypatch.setattr(circles.np.linalg, "lstsq", far_center)
+    pts = [[math.cos(a), math.sin(a)] for a in range(8)]
+    fit = circle_fit(pts)
+    assert (fit.kind, fit.radius) == ("line", math.inf)
+    assert fit.center.tolist() == np.mean(pts, axis=0).tolist()
+    # the residual is measured to the line through the centroid
+    w = np.asarray(pts) - fit.center
+    b1 = fit.plane_basis[0]
+    assert fit.residual == pytest.approx(np.max(np.abs(w[:, 0] * b1[1] - w[:, 1] * b1[0])))
+
+
+def _tiny_denominator_map(scale):
+    """(x1^2, x2) * scale over 1e-7 * scale: a map that sends lines to parabolas."""
+    numer = [Poly(2, {(2, 0): scale}), Poly(2, {(0, 1): scale})]
+    return numer, Poly(2, {(0, 0): F(scale, 10**7)})
+
+
+def test_oracle_that_fitted_no_line_is_not_ok():
+    # |Q| = 1e-7 is below the guard 1e-6 * (1 + t^2) at every parameter
+    report = verify_rounding_numeric(_tiny_denominator_map(1), trials=6)
+    assert report.skipped == tuple(range(6)) and report.violations == ()
+    assert not report.ok
+    # the same map with the denominator 1 is sampled, and every line is a violation
+    report = verify_rounding_numeric(_tiny_denominator_map(10**7), trials=6)
+    assert report.skipped == () and report.violations == tuple(range(6))
+    assert not report.ok

@@ -614,6 +614,38 @@ def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
     assert err == "rounding-forge: error: $.Q: denominator is the zero polynomial\n"
 
 
+def _tiny_denominator_map(scale):
+    """(x1^2, x2) * scale over 1e-7 * scale: a map that sends lines to parabolas."""
+    return {
+        "kind": "fracquad",
+        "m": 2,
+        "n": 2,
+        "F": [{"vars": 2, "terms": [[[2, 0], str(scale)]]}, {"vars": 2, "terms": [[[0, 1], str(scale)]]}],
+        "Q": {"vars": 2, "terms": [[[0, 0], str(Fraction(scale, 10**7))]]},
+    }
+
+
+def test_verify_that_fitted_no_line_exits_two(tmp_path, capsys):
+    # |Q| = 1e-7 is below the oracle's guard 1e-6 * (1 + t^2) at every
+    # parameter, so every trial is skipped: a run that checked nothing is not ok
+    path = write_doc(tmp_path, "map.json", _tiny_denominator_map(1))
+    code, out, err = run(capsys, "verify", path, "--trials", "8")
+    report = json.loads(out)
+    assert (code, err) == (2, "")
+    assert report["verdicts"] == {"ok": False}
+    assert report["numeric"]["ok"] is False
+    assert report["numeric"]["skipped"] == list(range(8)) and report["numeric"]["violations"] == []
+    src = str(Path(rounding_forge.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "rounding_forge.cli", "verify", path, "--trials", "8"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, out, "")
+    # the same map over the denominator 1 is sampled, and every line is a violation
+    path = write_doc(tmp_path, "scaled.json", _tiny_denominator_map(10**7))
+    code, report = run_json(capsys, "verify", path, "--trials", "8")
+    assert code == 2
+    assert report["numeric"]["skipped"] == [] and report["numeric"]["violations"] == list(range(8))
+
+
 def _outsized_map(exponents, coeff):
     return {
         "kind": "fracquad",
@@ -738,6 +770,8 @@ def test_json_booleans_are_not_sizes_or_exponents(tmp_path, capsys, command, doc
     ("verify", dict(IDENTITY_MAP, Q={"vars": 2, "terms": [[[0, 0], "1"], [[3, 0], "1"]]}), "$",
      "denominator degree exceeds 2"),
     ("hopf", dict(PAIRING_2_2, tensor=PAIRING_2_2["tensor"] * 2), "$.tensor", "expected 2 slabs"),
+    ("verify", dict(IDENTITY_MAP, F=[{"vars": 2, "terms": [[[-1, 0], "1"]]}, IDENTITY_MAP["F"][1]]), "$.F[0]",
+     "bad exponent tuple (-1, 0) for 2 variables"),
 ])
 def test_malformed_documents_are_one_error_line(tmp_path, capsys, command, doc, path, message):
     code, out, err = run(capsys, command, write_doc(tmp_path, "doc.json", doc))
@@ -775,6 +809,22 @@ def test_bad_tolerances_are_argument_errors(capsys, monkeypatch, raw, message):
     monkeypatch.setattr(cli, "_load_json", _no_work)
     code, out, err = run(capsys, "verify", "map.json", "--tol", raw)
     assert (code, out, err) == (1, "", f"rounding-forge: error: arguments: argument --tol: {message}\n")
+
+
+def test_valid_tolerance_is_used_and_echoed(tmp_path, capsys):
+    path = write_doc(tmp_path, "map.json", IDENTITY_MAP)
+    code, report = run_json(capsys, "verify", path, "--tol", "1e-9", "--trials", "4")
+    assert code == 0
+    assert report["numeric"]["tol"] == "1.0000000000000001e-09"
+
+
+def test_out_to_a_directory_is_one_error_line(tmp_path, capsys):
+    path = write_doc(tmp_path, "jet.json", COMPLEX_JET)
+    code, out, err = run(capsys, "canon", path, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    # the reason after "cannot write: " is the platform's OSError text
+    assert err.startswith(f"rounding-forge: error: {tmp_path}: cannot write: ")
 
 
 def test_document_budget_admits_a_jet_at_its_limit():

@@ -256,6 +256,31 @@ def test_pairing_constructor_coerces_the_tensor():
     assert p == normed_pairing(1, 1)
 
 
+@pytest.mark.parametrize("tensor", [
+    [[["1", "5"]]],  # an extra entry the proved map x1*x2 would not see
+    [[["1"]], [["0"]]],  # an extra slab
+    [],  # too few slabs
+    [[]],  # too few rows
+    [[[]]],  # too few entries
+])
+def test_pairing_constructor_checks_the_tensor_shape(tensor):
+    with pytest.raises(ValueError) as err:
+        NormedPairing(1, 1, 1, tensor)
+    assert str(err.value) == "tensor shape must be 1 x 1 x 1"
+
+
+def test_pairing_document_of_an_accepted_tensor_reads_back():
+    p = NormedPairing(1, 2, 2, [[["1", "0"], ["0", "1"]]])
+    assert cli.pairing_from_obj(cli.pairing_to_doc(p)) == p
+
+
+def test_pairing_sizes_must_be_positive():
+    for r, n in ((0, 4), (1, 0)):
+        with pytest.raises(ValueError) as err:
+            normed_pairing(r, n)
+        assert str(err.value) == "sizes must be positive"
+
+
 def test_pairing_checked_rejects_broken_tensor():
     p = normed_pairing(2, 2)
     slabs = [list(list(row) for row in slab) for slab in p.tensor]

@@ -676,3 +676,35 @@ def test_certificates_survive_optimized_mode():
                           env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised under -O\n"
+
+
+# ---------------------------------------------------------------------------
+# error paths: each names its exception and message
+
+
+def _x(i, m=2):
+    return Poly.variable(m, i)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: FracQuadMap(numer=PolyMap.identity(2), denom=Poly.constant(3, 1)),
+     ValueError, "denominator lives in a different variable space"),
+    (lambda: FracQuadMap(numer=PolyMap.identity(2), denom=_x(0))([0, 5]),
+     ZeroDivisionError, "denominator vanishes at (0, 5)"),
+    (lambda: transform_jet(complex_square_jet(), 0, Poly.zero(2)), ValueError, "lam must be nonzero"),
+    (lambda: transform_jet(complex_square_jet(), 1, _x(0) * _x(1)),
+     ValueError, "ell must be a homogeneous linear polynomial on the source"),
+    (lambda: transform_jet(complex_square_jet(), 1, _x(0, 3)),
+     ValueError, "ell must be a homogeneous linear polynomial on the source"),
+    (lambda: parallel_factor(PolyMap.identity(2), PolyMap.zero(2, 3)), ValueError, "maps have different shapes"),
+    (lambda: parallel_factor(PolyMap.identity(2), PolyMap.identity(2)), ValueError, "C must be homogeneous quadratic"),
+    (lambda: check_series_divisibility(PolyMap.identity(2), 2).at_degree(4), KeyError, "4"),
+    (lambda: check_series_divisibility([], 2), ValueError, "phi has no coordinates"),
+    (lambda: check_series_divisibility([_x(0), _x(0, 3)], 2),
+     ValueError, "coordinates live in different variable counts"),
+])
+def test_jet_layer_rejects_malformed_input(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc
+    assert str(err.value) == message

@@ -703,3 +703,47 @@ def test_sparse_ldl_on_every_hopf_gram_up_to_16():
         gram = [list(row) for row in cliff.hopf_map(cliff.normed_pairing(r, n)).gram.matrix]
         got = _linalg.ldl(gram)
         assert got == ldl_dense_reference(gram) == _sympy_ldl(gram)
+
+
+# ---------------------------------------------------------------------------
+# error paths of the exact layer: each names its exception and message
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: Poly(-1), ValueError, "num_vars must be nonnegative"),
+    (lambda: Poly(2, {(1,): 1}), ValueError, "bad exponent tuple (1,) for 2 variables"),
+    (lambda: Poly(1, {(-1,): 1}), ValueError, "bad exponent tuple (-1,) for 1 variables"),
+    (lambda: Poly.variable(2, 2), ValueError, "variable index out of range"),
+    (lambda: Poly(2, {(1, 0): 1})([1]), ValueError, "point dimension mismatch"),
+    (lambda: Poly(1, {(2,): 1}).homogenize(1), ValueError, "target degree below actual degree"),
+    (lambda: setattr(Poly(1), "num_vars", 2), AttributeError, "Poly is immutable"),
+    (lambda: QuadForm(((F(1), F(0)),)), ValueError, "matrix not square"),
+    (lambda: QuadForm.identity_form(2)([1]), ValueError, "point dimension mismatch"),
+    (lambda: QuadForm.identity_form(2).restricted([[1, 0, 0]]), ValueError, "inner dimensions differ"),
+    (lambda: PolyMap(2, [Poly(1)]), ValueError, "coordinate has wrong number of variables"),
+    (lambda: setattr(PolyMap.identity(1), "coords", ()), AttributeError, "PolyMap is immutable"),
+    (lambda: PolyMap.from_quadratic_forms([]), ValueError, "need at least one form"),
+    (lambda: PolyMap(1, [Poly(1, {(2,): 1})]).linear_matrix(), ValueError, "map is not homogeneous linear"),
+    (lambda: PolyMap.identity(2) + PolyMap.identity(3), ValueError, "maps have different shapes"),
+    (lambda: PolyMap.identity(2) - PolyMap.zero(2, 1), ValueError, "maps have different shapes"),
+])
+def test_exact_layer_rejects_malformed_input(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Poly(1, {(2.7,): 1}), "exponents must be ints, got (2.7,)"),
+    (lambda: Poly(2, {(True, 1): 3}), "exponents must be ints, got (True, 1)"),
+    (lambda: Poly(1, {(F(1),): 1}), "exponents must be ints, got (Fraction(1, 1),)"),
+    (lambda: Poly(1, {(1,): 1}).homogenize(2.5), "degree must be an int, got 2.5"),
+    (lambda: Poly(1, {(1,): 1}).homogenize(True), "degree must be an int, got True"),
+])
+def test_exponents_and_homogenize_degrees_must_be_ints(call, message):
+    # int() would read 2.7 as 2 and True as 1, and homogenize(2.5) would
+    # build a trusted Poly with the exponent 1.5
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message

@@ -12,8 +12,10 @@ in polycore build a Poly without validating its terms; only the line
 restriction builds a RationalCurve without checking it; only the line
 restriction, whose maps cap every term at degree 2, composes a polynomial
 with a line; denominators are cleared in one helper; the numeric oracle
-evaluates only polynomials it compiled once, never eval_float; and only the
-CLI's main writes an --out document."""
+evaluates only polynomials it compiled once, never eval_float; only the
+CLI's main writes an --out document; congruent diagonalization, which
+trusts its matrix to be square and symmetric, is called only on a
+QuadForm's matrix; and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -216,10 +218,10 @@ def test_only_the_line_restriction_composes_with_a_line():
 
 def test_line_composition_rule_catches_a_foreign_call():
     sources = _package_sources()
-    sources["circles"] += "\ndef cubic_on_line(terms, b, d):\n    return _integer_on_line(terms, 3, b, d, 1)\n"
-    sources["spheres"] += "\nclass Probe:\n    at = circles._integer_on_line([], 2, [0], [1], 1)\n"
+    sources["circles"] += "\ndef on_line(terms, b, d):\n    return _integer_on_line(terms, b, d, 1)\n"
+    sources["spheres"] += "\nclass Probe:\n    at = circles._integer_on_line([], [0], [1], 1)\n"
     assert _module_callers(sources, "_integer_on_line") == [
-        "circles.cubic_on_line", "circles.restrict_to_line", "spheres.Probe",
+        "circles.on_line", "circles.restrict_to_line", "spheres.Probe",
     ]
 
 
@@ -267,3 +269,56 @@ def test_out_rule_catches_a_write_from_a_handler():
     assert head in sources["cli"]
     sources["cli"] = sources["cli"].replace(head, head + "    _write_doc(args.out, {})\n")
     assert _module_callers(sources, "_write_doc") == ["cli.cmd_sphere", "cli.main"]
+
+
+def test_congruent_diagonalization_runs_only_on_checked_forms():
+    # congruent_diagonalize does not check that its matrix is square and
+    # symmetric; both callers pass a QuadForm's matrix, which QuadForm checked
+    assert _package_callers("congruent_diagonalize") == ["jets.is_degenerate", "polycore.form_signature"]
+
+
+def test_congruence_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["spheres"] += "\ndef diagonal(rows):\n    return _linalg.congruent_diagonalize(rows)\n"
+    sources["_linalg"] += "\nclass Probe:\n    d = congruent_diagonalize([[1]])\n"
+    assert _module_callers(sources, "congruent_diagonalize") == [
+        "_linalg.Probe", "jets.is_degenerate", "polycore.form_signature", "spheres.diagonal",
+    ]
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports but never reads; __future__ features do not count."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    found = {stem: _unused_imports(ast.parse(text, filename=stem))
+             for stem, text in _package_sources().items() if stem != "__init__"}
+    assert len(found) >= 7
+    assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def test_unused_import_rule_catches_a_foreign_case():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "import xml.dom\n"
+        "from .polycore import Poly, _float_terms as ft\n"
+        "def f(p: Poly):\n"
+        "    return np.zeros(1)\n"
+    )
+    assert _unused_imports(tree) == ["os", "xml", "ft"]
+    # the float sampler's imports, left behind in spheres without it
+    sources = _package_sources()
+    head = "    QuadForm,\n    form_signature,\n"
+    assert head in sources["spheres"]
+    sources["spheres"] = sources["spheres"].replace(head, "    QuadForm,\n    _float_terms,\n    form_signature,\n")
+    assert _unused_imports(ast.parse(sources["spheres"])) == ["_float_terms"]

@@ -29,7 +29,6 @@ from rounding_forge.spheres import (
     homogenize,
     split_norm,
     sphere_lift,
-    sphere_points_check,
 )
 
 F = Fraction
@@ -122,7 +121,10 @@ def test_sphere_lift_quaternion_gram_is_identity():
     assert sm.gram.matrix == QuadForm.identity_form(8).matrix
     assert sm.lower == tuple(tuple(F(int(i == j)) for j in range(8)) for i in range(8))
     assert sm.diag == (F(1),) * 8
-    assert sphere_points_check(sm, samples=50, seed=3) < 1e-12
+    # with gram = |u|^2, <f, f> = gram^2 puts f(u) on the unit sphere when |u| = 1
+    f = [as_dict(c) for c in sm.f.coords]
+    gram_poly = as_dict(sm.gram.to_poly())
+    assert dict_inner(f, f) == dict_mul(gram_poly, gram_poly)
 
 
 def test_sphere_lift_rejects_degenerate():
@@ -325,3 +327,30 @@ def test_factored_route_checks_dimension():
     sm = sphere_lift(validate_jet(complex_square_jet()))
     with pytest.raises(ValueError):
         evaluate_factored(sm, [0.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# error paths: each names its exception and message
+
+
+def _thin_circle_map(delta):
+    """f = (u^2 - delta^2 v^2, 2 delta u v) with <f, f> = (u^2 + delta^2 v^2)^2."""
+    f = PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -delta * delta}), Poly(2, {(1, 1): 2 * delta})])
+    return QuadSphereMap.checked(f, QuadForm(((F(1), F(0)), (F(0), delta * delta))))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: QuadSphereMap.checked(PolyMap.zero(3, 1), QuadForm.identity_form(2)),
+     ValueError, "gram form lives in a different space"),
+    # |x1^2 - x2^2|^2 = (x1^2 - x2^2) * (x1^2 - x2^2), and x1^2 - x2^2 is indefinite
+    (lambda: split_norm(PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1})]), Poly(2, {(2, 0): 1, (0, 2): -1})),
+     ValueError, "norm factors are not semidefinite of a common sign"),
+    # the chart point 0 embeds as (0, 1), where the gram form is delta^2 = 1e-10
+    (lambda: evaluate_factored(_thin_circle_map(F(1, 10**5)), [0.0]),
+     PoleProximity, "gram value 1e-10 at the embedded point is too small"),
+])
+def test_sphere_layer_rejects_malformed_input(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc
+    assert str(err.value) == message
