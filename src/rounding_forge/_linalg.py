@@ -31,8 +31,8 @@ def common_denominator(fracs: Iterable[Fraction]) -> int:
 def cleared(lists: Sequence[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
     """Integer lists scaled by the lcm L of all their denominators, and L.
 
-    Entries are Fractions or ints; this is the one place the package clears
-    denominators.
+    Entries are Fractions or ints; the package clears matrices and vectors
+    here, and a Poly keeps its own cleared form (see polycore).
     """
     scale = common_denominator(x for row in lists for x in row)
     return [[x.numerator * (scale // x.denominator) for x in row] for row in lists], scale

@@ -365,12 +365,6 @@ class SeriesReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def at_degree(self, d: int) -> SeriesDegreeCheck:
-        for c in self.checks:
-            if c.degree == d:
-                return c
-        raise KeyError(d)
-
 
 def check_series_divisibility(phi: PolyMap | Sequence[Poly], order: int) -> SeriesReport:
     """Degreewise divisibility check for a polynomial truncation.

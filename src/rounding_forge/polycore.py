@@ -3,6 +3,9 @@ polynomials, quadratic forms, polynomial maps, and the four exact operations
 everything else is built on (inner products, exact division, linear rank,
 form signatures).
 
+A Poly stores integer numerators over one reduced denominator, keyed by packed
+exponents; the kernels use only that form, and `terms` is built from it on first read.
+
 Degrees are capped at MAX_DEGREE = 8: a squared norm of a quadratic map has
 degree 4, and squared norms of order-4 series truncations reach 8. The cap is
 enforced at construction so a degree blow-up fails loudly at its source.
@@ -11,11 +14,10 @@ Exponents must be ints.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 from . import _linalg
 
@@ -28,7 +30,8 @@ Exponents = tuple[int, ...]
 # Bits per variable in a packed exponent key: the field holds the sum of two
 # capped exponents, so adding two keys never carries into the next variable.
 # Above the variable fields sits the total degree, and x_m is the highest
-# variable field, so integer order on keys is the grlex order of _grlex_key.
+# variable field, so integer order on keys is graded lexicographic order with
+# x1 < x2 < ...: total degree first, then the later variables' exponents.
 _FIELD_BITS = (2 * MAX_DEGREE).bit_length()
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
@@ -50,21 +53,29 @@ def as_rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    # Graded lexicographic with x1 < x2 < ... : compare total degree, then
-    # exponents of the later variables first.
-    return (sum(exps), tuple(reversed(exps)))
+def _pack(exps: Exponents) -> int:
+    key = sum(exps)
+    for k in reversed(exps):
+        key = (key << _FIELD_BITS) | k
+    return key
 
 
-def _trusted_poly(num_vars: int, terms: dict[Exponents, Fraction]) -> "Poly":
-    """A Poly over terms that are already valid, built without re-checking.
+def _unpack(key: int, num_vars: int) -> Exponents:
+    return tuple([(key >> (_FIELD_BITS * i)) & _FIELD_MASK for i in range(num_vars)])
 
-    Only kernel output inside this module comes here: int exponent tuples of
-    length num_vars, nonzero Fraction coefficients, degree within the cap.
-    """
+
+def _int_poly(num_vars: int, ints: dict[int, int], den: int) -> "Poly":
+    """The Poly of numerators ints over den > 0, reduced by their common factor.
+
+    Only this module's kernels build one, from packed keys of num_vars fields,
+    nonzero numerators and degree within the cap."""
+    g = gcd(den, *ints.values())
+    if g != 1:
+        ints = {k: c // g for k, c in ints.items()}
+        den //= g
     poly = object.__new__(Poly)
-    object.__setattr__(poly, "num_vars", num_vars)
-    object.__setattr__(poly, "terms", terms)
+    for name, value in zip(Poly.__slots__, (num_vars, ints, den, None)):
+        object.__setattr__(poly, name, value)
     return poly
 
 
@@ -73,14 +84,15 @@ def _degree_cap_error(degree: int) -> ValueError:
 
 
 class Poly:
-    """Polynomial with Fraction coefficients in variables x1..xm.
+    """Polynomial with rational coefficients in variables x1..xm.
 
-    Terms are kept in a dict from exponent tuple to nonzero coefficient, so
-    structural equality is dict equality. Instances are immutable by
-    convention; no method mutates self.
+    Stored as packed exponent keys with integer numerators over one reduced
+    positive denominator, so structural equality is equality of that form.
+    `terms` maps each exponent tuple to its nonzero Fraction coefficient, in
+    stored order. Instances are immutable; no method mutates self.
     """
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "_ints", "_den", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponents, object] | None = None):
         if num_vars < 0:
@@ -98,11 +110,21 @@ class Poly:
             c = as_rational(coeff)
             if c != 0:
                 clean[exps] = c
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
+        # the lcm of reduced denominators leaves the numerators no common factor with it
+        den = lcm(*[c.denominator for c in clean.values()])
+        ints = {_pack(e): c.numerator * (den // c.denominator) for e, c in clean.items()}
+        for name, value in zip(Poly.__slots__, (num_vars, ints, den, clean)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        if self._terms is None:
+            terms = {_unpack(k, self.num_vars): Fraction(c, self._den) for k, c in self._ints.items()}
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
 
     # ---- constructors -------------------------------------------------
 
@@ -131,26 +153,28 @@ class Poly:
     # ---- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._ints) >> (_FIELD_BITS * self.num_vars) if self._ints else -1
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return _trusted_poly(self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        top = _FIELD_BITS * self.num_vars
+        return _int_poly(self.num_vars, {k: c for k, c in self._ints.items() if k >> top == d}, self._den)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self.terms)
+        top = _FIELD_BITS * self.num_vars
+        return all(k >> top == d for k in self._ints)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
+        return Fraction(self._ints.get(0, 0), self._den)
 
     def leading(self) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        k = max(self._ints)
+        return _unpack(k, self.num_vars), Fraction(self._ints[k], self._den)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -158,36 +182,38 @@ class Poly:
         if self.num_vars != other.num_vars:
             raise ValueError("polynomials live in different variable spaces")
 
-    def _combine(self, other, op):
-        """self op other, termwise, for op in (operator.add, operator.sub)."""
+    def _combine(self, other, sign: int):
+        """self + sign * other, termwise, for sign 1 or -1."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.num_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_space(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = op(out.get(e, 0), c)
-        return _trusted_poly(self.num_vars, {e: c for e, c in out.items() if c})
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        out = {k: c * sa for k, c in self._ints.items()}
+        for k, c in other._ints.items():
+            out[k] = out.get(k, 0) + c * sb
+        return _int_poly(self.num_vars, {k: c for k, c in out.items() if c}, den)
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted_poly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return _int_poly(self.num_vars, {k: -c for k, c in self._ints.items()}, self._den)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return _trusted_poly(self.num_vars, {e: c * v for e, v in self.terms.items()} if c else {})
+            ints = {k: c * other.numerator for k, c in self._ints.items()} if other else {}
+            return _int_poly(self.num_vars, ints, self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_space(other)
@@ -221,9 +247,13 @@ class Poly:
             raise TypeError(f"degree must be an int, got {total!r}")
         if total < self.degree():
             raise ValueError("target degree below actual degree")
-        if total > MAX_DEGREE and self.terms:
+        if total > MAX_DEGREE and self._ints:
             raise _degree_cap_error(total)
-        return _trusted_poly(self.num_vars + 1, {e + (total - sum(e),): c for e, c in self.terms.items()})
+        # the old degree field becomes the new variable's field, under the new degree
+        top = _FIELD_BITS * self.num_vars
+        head, low = total << (top + _FIELD_BITS), (1 << top) - 1
+        ints = {head | ((total - (k >> top)) << top) | (k & low): c for k, c in self._ints.items()}
+        return _int_poly(self.num_vars + 1, ints, self._den)
 
     # ---- dunderware ------------------------------------------------------
 
@@ -232,22 +262,22 @@ class Poly:
             other = Poly.constant(self.num_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        return self.num_vars == other.num_vars and self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, self._den, frozenset(self._ints.items())))
 
     def __repr__(self):
         return f"Poly({self.num_vars}, {self})"
 
     def __str__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        for k in sorted(self._ints, reverse=True):
+            c = Fraction(self._ints[k], self._den)
             mono = "*".join(
-                f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(e) if k
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(_unpack(k, self.num_vars)) if e
             )
             if not mono:
                 bits.append(f"{c}")
@@ -269,7 +299,8 @@ def _float_terms(p: Poly) -> _FloatTerms:
     p.terms order and with only the nonzero exponents, for
     _eval_float_terms. A coefficient outside float range raises
     OverflowError."""
-    return [(float(c), [(v, k) for v, k in enumerate(e) if k]) for e, c in p.terms.items()]
+    # int / int rounds correctly, as float() of the Fraction does
+    return [(c / p._den, [(v, k) for v, k in enumerate(_unpack(e, p.num_vars)) if k]) for e, c in p._ints.items()]
 
 
 def _eval_float_terms(terms: _FloatTerms, x: Sequence[float]) -> float:
@@ -283,20 +314,8 @@ def _eval_float_terms(terms: _FloatTerms, x: Sequence[float]) -> float:
     return total
 
 
-def _integer_terms(polys: Sequence[Poly], key: Callable[[Exponents], object]) -> tuple[list[list[tuple]], int]:
-    """Terms as (key(exponents), integer numerator) over one shared denominator."""
-    numerators, den = _linalg.cleared([p.terms.values() for p in polys])
-    return [[(key(e), c) for e, c in zip(p.terms, row)] for p, row in zip(polys, numerators)], den
-
-
-def _packed_terms(polys: Sequence[Poly], shifts: Sequence[int]) -> tuple[list[list[tuple[int, int]]], int]:
-    """Terms as (packed exponents, integer numerator) over one shared denominator."""
-    top = _FIELD_BITS * len(shifts)
-    return _integer_terms(polys, lambda e: sum([k << s for k, s in zip(e, shifts)]) + (sum(e) << top))
-
-
-def _factors(e: Exponents) -> tuple[int, ...]:
-    return tuple([i for i, k in enumerate(e) for _ in range(k)])
+def _factors(key: int, num_vars: int) -> tuple[int, ...]:
+    return tuple([i for i in range(num_vars) for _ in range((key >> (_FIELD_BITS * i)) & _FIELD_MASK)])
 
 
 def _factored_terms(polys: Sequence[Poly]) -> tuple[list[list[tuple[tuple[int, ...], int]]], int]:
@@ -305,39 +324,33 @@ def _factored_terms(polys: Sequence[Poly]) -> tuple[list[list[tuple[tuple[int, .
     The factor indices list one variable index per factor of the monomial,
     so x1^2*x3 has (0, 0, 2) and a constant has ().
     """
-    return _integer_terms(polys, _factors)
-
-
-def _unpack(key: int, shifts: Sequence[int]) -> Exponents:
-    return tuple([(key >> s) & _FIELD_MASK for s in shifts])
+    den = lcm(*[p._den for p in polys])
+    return [[(_factors(k, p.num_vars), c * (den // p._den)) for k, c in p._ints.items()]
+            for p in polys], den
 
 
 def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     """The polynomial sum of a * b over the pairs.
 
-    Each side is cleared to integer numerators over one denominator, so the
-    multiply-adds run on ints and only the output terms pay for a gcd. An
-    exponent tuple is packed into one int, a field per variable, so a
-    monomial product is one integer addition.
+    The multiply-adds run on the stored integer numerators, each pair scaled
+    to the lcm of the pairs' denominators, and a monomial product is one
+    addition of packed keys. The sum is reduced once, at the end.
     """
-    shifts = [_FIELD_BITS * i for i in range(num_vars)]
-    lefts, den_a = _packed_terms([a for a, _ in pairs], shifts)
-    rights, den_b = _packed_terms([b for _, b in pairs], shifts)
+    den = lcm(*[a._den * b._den for a, b in pairs])
     acc: dict[int, int] = {}
-    for left, right in zip(lefts, rights):
-        for k1, c1 in left:
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        right = b._ints.items()
+        for k1, c1 in a._ints.items():
+            c1 *= scale
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
-    den = den_a * den_b
+    out = {k: c for k, c in acc.items() if c}
     top = _FIELD_BITS * num_vars
-    out = {}
-    for k, c in acc.items():
-        if c:
-            if k >> top > MAX_DEGREE:
-                raise _degree_cap_error(k >> top)
-            out[_unpack(k, shifts)] = Fraction(c, den)
-    return _trusted_poly(num_vars, out)
+    if out and max(out) >> top > MAX_DEGREE:
+        raise _degree_cap_error(next(k >> top for k in out if k >> top > MAX_DEGREE))
+    return _int_poly(num_vars, out, den)
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -347,24 +360,21 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     its own Groebner basis, so the remainder vanishes exactly when g divides
     f as a polynomial.
 
-    The division is fraction-free (Knuth, TAOCP vol. 2, 4.6.1): f and g are
-    cleared to integer numerators, and the working polynomial is scaled, as
-    a whole, only when g's integer leading coefficient does not divide the
-    working leading coefficient. Each quotient and remainder term records
-    the scale it was found at and becomes one Fraction at the end.
+    The division is fraction-free (Knuth, TAOCP vol. 2, 4.6.1) on the stored
+    integer numerators: the working polynomial is scaled, as a whole, only
+    when g's integer leading coefficient does not divide the working leading
+    coefficient. Each quotient and remainder term records the scale it was
+    found at, and is brought to the final scale at the end.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_same_space(g)
-    shifts = [_FIELD_BITS * i for i in range(f.num_vars)]
-    (f_terms,), f_den = _packed_terms([f], shifts)
-    (g_terms,), g_den = _packed_terms([g], shifts)
-    glead, gcoeff = max(g_terms)
-    g_rest = [(k, c) for k, c in g_terms if k != glead]
+    glead, gcoeff = max(g._ints.items())
+    g_rest = [(k, c) for k, c in g._ints.items() if k != glead]
     # A top bit in every variable field: (key | high) - glead borrows from no
     # neighbour, and the top bits all survive exactly when glead divides key.
-    high = sum([1 << (s + _FIELD_BITS - 1) for s in shifts])
-    work = dict(f_terms)
+    high = sum([1 << (_FIELD_BITS * (i + 1) - 1) for i in range(f.num_vars)])
+    work = dict(f._ints)
     scale = 1
     quot: list[tuple[int, int, int]] = []
     rem: list[tuple[int, int, int]] = []
@@ -390,10 +400,10 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
                 work[k] = v
             else:
                 work.pop(k, None)
-    # f = F/f_den and g = G/g_den, so q = Q * g_den/f_den and r = R/f_den
-    q = {_unpack(k, shifts): Fraction(c * g_den, s * f_den) for k, c, s in quot}
-    r = {_unpack(k, shifts): Fraction(c, s * f_den) for k, c, s in rem}
-    return _trusted_poly(f.num_vars, q), _trusted_poly(f.num_vars, r)
+    # f = F/f_den and g = G/g_den, so q = Q * g_den/f_den and r = R/f_den; c found at scale s stands for c/s
+    q = {k: c * (scale // s) * g._den for k, c, s in quot}
+    r = {k: c * (scale // s) for k, c, s in rem}
+    return _int_poly(f.num_vars, q, scale * f._den), _int_poly(f.num_vars, r, scale * f._den)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
@@ -429,34 +439,30 @@ class QuadForm:
             raise ValueError("not a homogeneous quadratic")
         n = p.num_vars
         m = [[Fraction(0)] * n for _ in range(n)]
-        for e, c in p.terms.items():
-            i, j = _factors(e)
+        for k, c in p._ints.items():
+            i, j = _factors(k, n)
             if i == j:
-                m[i][i] = c
+                m[i][i] = Fraction(c, p._den)
             else:
-                m[i][j] = m[j][i] = c / 2
+                m[i][j] = m[j][i] = Fraction(c, 2 * p._den)
         return QuadForm(tuple(tuple(row) for row in m))
 
     @staticmethod
     def zero(n: int) -> "QuadForm":
         return QuadForm(tuple((Fraction(0),) * n for _ in range(n)))
 
-    @staticmethod
-    def identity_form(n: int) -> "QuadForm":
-        return QuadForm(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
     def to_poly(self) -> Poly:
         n = self.dim
-        terms: dict[Exponents, Fraction] = {}
+        s, den = _linalg.cleared(self.matrix)
+        unit = [1 << (_FIELD_BITS * i) for i in range(n)]
+        quadratic = 2 << (_FIELD_BITS * n)
+        ints = {}
         for i in range(n):
             for j in range(i, n):
-                c = self.matrix[i][j] if i == j else 2 * self.matrix[i][j]
+                c = s[i][j] if i == j else 2 * s[i][j]
                 if c:
-                    e = [0] * n
-                    e[i] += 1
-                    e[j] += 1
-                    terms[tuple(e)] = c
-        return _trusted_poly(n, terms)
+                    ints[quadratic + unit[i] + unit[j]] = c
+        return _int_poly(n, ints, den)
 
     def __call__(self, point: Sequence) -> Fraction:
         v = [as_rational(x) for x in point]

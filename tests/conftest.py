@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rounding_forge import cliff
 from rounding_forge.jets import Jet2, transform_jet
-from rounding_forge.polycore import Poly, PolyMap
+from rounding_forge.polycore import Poly, PolyMap, QuadForm
 
 # ---------------------------------------------------------------------------
 # independent expansion oracle: polynomials as plain {exponents: Fraction}
@@ -47,6 +47,22 @@ def as_dict(p: Poly) -> dict:
     return dict(p.terms)
 
 
+def grlex_key(exps: tuple) -> tuple:
+    # graded lexicographic with x1 < x2 < ...: total degree, then the later
+    # variables' exponents first
+    return (sum(exps), tuple(reversed(exps)))
+
+
+def poly_str_reference(p: Poly) -> str:
+    """Terms in descending grlex order, written from the Fraction terms."""
+    bits = []
+    for e in sorted(p.terms, key=grlex_key, reverse=True):
+        c = p.terms[e]
+        mono = "*".join(f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k)
+        bits.append(f"{c}" if not mono else mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
 # reference float evaluation: one direct loop over the terms, converting
 # each coefficient and coordinate where it is used; the compiled evaluator
 # must match it bit for bit
@@ -63,6 +79,10 @@ def eval_float_reference(p: Poly, point) -> float:
                 term *= float(v) ** k
         total += term
     return total
+
+
+def identity_form(n: int) -> QuadForm:
+    return QuadForm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 # dense matrix products on lists of rationals, for checking factorizations

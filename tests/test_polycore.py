@@ -18,10 +18,13 @@ from conftest import (
     dict_inner,
     dict_mul,
     eval_float_reference,
+    grlex_key,
+    identity_form,
     ldl_dense_reference,
     matmul,
     mixed_coeffs,
     mixed_polys,
+    poly_str_reference,
     transpose,
 )
 from rounding_forge import _linalg, cliff
@@ -141,6 +144,30 @@ def test_product_matches_dict_oracle(a, b):
 def test_product_kernel_matches_dict_oracle(a, b):
     assert as_dict(a * b) == dict_mul(as_dict(a), as_dict(b))
     assert as_dict(a * Poly.zero(3)) == {}
+
+
+@settings(max_examples=80, derandomize=True)
+@given(mixed_polys(3, 4), mixed_polys(3, 4))
+def test_kernel_terms_keep_the_dict_oracle_order(a, b):
+    # the numeric oracle sums floats in term order, so the pinned
+    # max_residual bytes depend on this order, not only on the values
+    negated = {e: -c for e, c in as_dict(b).items()}
+    assert list((a * b).terms) == list(dict_mul(as_dict(a), as_dict(b)))
+    assert list((a + b).terms) == list(dict_add(as_dict(a), as_dict(b)))
+    assert list((a - b).terms) == list(dict_add(as_dict(a), negated))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(mixed_polys(3, 4), mixed_polys(2, 8))
+def test_leading_degree_and_str_follow_grlex(a, b):
+    for p in (a, b, a * a):
+        if p.is_zero():
+            assert p.degree() == -1 and str(p) == "0"
+            continue
+        top = max(p.terms, key=grlex_key)
+        assert p.leading() == (top, p.terms[top])
+        assert p.degree() == sum(top) == max(sum(e) for e in p.terms)
+        assert str(p) == poly_str_reference(p)
 
 
 @settings(max_examples=80, derandomize=True)
@@ -357,6 +384,7 @@ def test_poly_divmod_scales_only_for_a_non_dividing_leading_coefficient():
 def _assert_valid_kernel_output(p: Poly, num_vars: int) -> None:
     assert p.num_vars == num_vars
     assert p == Poly(num_vars, dict(p.terms))
+    assert hash(p) == hash(Poly(num_vars, dict(p.terms)))
     assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
     assert all(len(e) == num_vars and all(type(k) is int and k >= 0 for k in e) for e in p.terms)
 
@@ -718,8 +746,8 @@ def test_sparse_ldl_on_every_hopf_gram_up_to_16():
     (lambda: Poly(1, {(2,): 1}).homogenize(1), ValueError, "target degree below actual degree"),
     (lambda: setattr(Poly(1), "num_vars", 2), AttributeError, "Poly is immutable"),
     (lambda: QuadForm(((F(1), F(0)),)), ValueError, "matrix not square"),
-    (lambda: QuadForm.identity_form(2)([1]), ValueError, "point dimension mismatch"),
-    (lambda: QuadForm.identity_form(2).restricted([[1, 0, 0]]), ValueError, "inner dimensions differ"),
+    (lambda: identity_form(2)([1]), ValueError, "point dimension mismatch"),
+    (lambda: identity_form(2).restricted([[1, 0, 0]]), ValueError, "inner dimensions differ"),
     (lambda: PolyMap(2, [Poly(1)]), ValueError, "coordinate has wrong number of variables"),
     (lambda: setattr(PolyMap.identity(1), "coords", ()), AttributeError, "PolyMap is immutable"),
     (lambda: PolyMap.from_quadratic_forms([]), ValueError, "need at least one form"),

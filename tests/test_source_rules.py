@@ -8,14 +8,16 @@ factorization; quartic inner products are expanded only by the four
 constructions that prove an identity with them, so Hopf maps, pairing
 roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
-in polycore build a Poly without validating its terms; only the line
-restriction builds a RationalCurve without checking it; only the line
-restriction, whose maps cap every term at degree 2, composes a polynomial
-with a line; denominators are cleared in one helper; the numeric oracle
-evaluates only polynomials it compiled once, never eval_float; only the
-CLI's main writes an --out document; congruent diagonalization, which
-trusts its matrix to be square and symmetric, is called only on a
-QuadForm's matrix; and no module imports a name it never uses."""
+in polycore build a Poly without validating its terms, and only polycore
+reads a Poly's integer form; only the line restriction builds a
+RationalCurve without checking it; only the line restriction, whose maps
+cap every term at degree 2, composes a polynomial with a line; matrices
+are cleared in one helper, and only _linalg and polycore take an lcm; the
+numeric oracle evaluates only polynomials it compiled once, never
+eval_float; only the CLI's main writes an --out document; congruent
+diagonalization, which trusts its matrix to be square and symmetric, is
+called only on a QuadForm's matrix; and no module imports a name it never
+uses."""
 
 import ast
 from pathlib import Path
@@ -53,40 +55,58 @@ def test_rule_catches_both_forms():
     assert _asserting_nodes(tree) == [1, 2, 3]
 
 
-def _callers(tree: ast.AST, callee: str, scope: tuple[str, ...] = ()) -> list[str]:
-    """Dotted names of the functions and classes that call callee(...),
-    once per call site."""
+def _sites(tree: ast.AST, match, scope: tuple[str, ...] = ()) -> list[str]:
+    """Dotted names of the functions and classes holding a node that
+    match(node) accepts, once per node."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (node.name,)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == callee:
-                found.append(".".join(scope))
-        found.extend(_callers(node, callee, inner))
+        elif match(node):
+            found.append(".".join(scope))
+        found.extend(_sites(node, match, inner))
     return found
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _callers(tree: ast.AST, callee: str) -> list[str]:
+    """Dotted names of the functions and classes that call callee(...),
+    once per call site."""
+    return _sites(tree, lambda node: _called_name(node) == callee)
 
 
 def _package_sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
 
 
-def _module_callers(sources: dict[str, str], callee: str) -> list[str]:
+def _module_sites(sources: dict[str, str], match) -> list[str]:
     found = []
     for stem, text in sources.items():
-        found.extend(f"{stem}.{name}" for name in _callers(ast.parse(text, filename=stem), callee))
+        found.extend(f"{stem}.{name}" for name in _sites(ast.parse(text, filename=stem), match))
     return sorted(found)
+
+
+def _module_callers(sources: dict[str, str], callee: str) -> list[str]:
+    return _module_sites(sources, lambda node: _called_name(node) == callee)
 
 
 def _package_callers(callee: str) -> list[str]:
     return _module_callers(_package_sources(), callee)
 
 
+def _foreign_sites(sources: dict[str, str], match, homes: tuple[str, ...]) -> list[str]:
+    return [name for name in _module_sites(sources, match) if name.split(".")[0] not in homes]
+
+
 def _foreign_callers(sources: dict[str, str], callee: str, home: str) -> list[str]:
-    return [name for name in _module_callers(sources, callee) if not name.startswith(home + ".")]
+    return _foreign_sites(sources, lambda node: _called_name(node) == callee, (home,))
 
 
 def test_sphere_maps_come_from_one_construction():
@@ -185,15 +205,54 @@ def test_matrix_constructor_rule_catches_a_foreign_call():
 def test_trusted_construction_stays_in_polycore():
     # kernel output skips Poly's validation, so only the kernels may build it
     sources = _package_sources()
-    assert len(_module_callers(sources, "_trusted_poly")) >= 8
-    assert _foreign_callers(sources, "_trusted_poly", "polycore") == []
+    assert len(_module_callers(sources, "_int_poly")) >= 8
+    assert _foreign_callers(sources, "_int_poly", "polycore") == []
 
 
 def test_trusted_rule_catches_a_call_from_another_module():
     sources = _package_sources()
-    sources["jets"] += "\ndef smuggle(n):\n    return polycore._trusted_poly(n, {})\n"
-    sources["spheres"] += "\nfrom .polycore import _trusted_poly\nZERO = _trusted_poly(0, {})\n"
-    assert _foreign_callers(sources, "_trusted_poly", "polycore") == ["jets.smuggle", "spheres."]
+    sources["jets"] += "\ndef smuggle(n):\n    return polycore._int_poly(n, {}, 1)\n"
+    sources["spheres"] += "\nfrom .polycore import _int_poly\nZERO = _int_poly(0, {}, 1)\n"
+    assert _foreign_callers(sources, "_int_poly", "polycore") == ["jets.smuggle", "spheres."]
+
+
+def _reads_integer_form(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in ("_ints", "_den")
+
+
+def test_integer_form_is_read_only_in_polycore():
+    # the packed keys and the shared denominator are polycore's format; other
+    # modules read Poly through its methods, terms, or _factored_terms
+    sources = _package_sources()
+    assert len(_module_sites(sources, _reads_integer_form)) >= 20
+    assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == []
+
+
+def test_integer_form_rule_catches_a_foreign_read():
+    sources = _package_sources()
+    sources["jets"] += "\ndef size(p):\n    return len(p._ints)\n"
+    sources["cli"] += "\nclass Probe:\n    den = poly._den\n"
+    assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == ["cli.Probe", "jets.size"]
+
+
+def _uses_lcm(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(alias.name == "lcm" for alias in node.names)
+    return _called_name(node) == "lcm"
+
+
+def test_lcm_is_taken_only_where_denominators_are_cleared():
+    # _linalg clears matrices and vectors, polycore keeps each Poly cleared
+    sources = _package_sources()
+    assert {name.split(".")[0] for name in _module_sites(sources, _uses_lcm)} == {"_linalg", "polycore"}
+    assert _foreign_sites(sources, _uses_lcm, ("_linalg", "polycore")) == []
+
+
+def test_lcm_rule_catches_a_foreign_use():
+    sources = _package_sources()
+    sources["circles"] += "\nfrom math import gcd, lcm\n"
+    sources["spheres"] += "\ndef scale(xs):\n    return math.lcm(*xs)\n"
+    assert _foreign_sites(sources, _uses_lcm, ("_linalg", "polycore")) == ["circles.", "spheres.scale"]
 
 
 def test_trusted_curves_come_only_from_the_line_restriction():

@@ -14,11 +14,19 @@ from conftest import (
     dict_inner,
     dict_mul,
     flat_degenerate_jet,
+    identity_form,
     quaternion_jet,
     random_valid_jet,
 )
 from rounding_forge import jets, spheres
-from rounding_forge.jets import NotDivisible, canonical_rounding, is_degenerate, validate_jet
+from rounding_forge.jets import (
+    FracQuadMap,
+    NotDivisible,
+    canonical_rounding,
+    fracquad_jet,
+    is_degenerate,
+    validate_jet,
+)
 from rounding_forge.polycore import Poly, PolyMap, QuadForm, form_signature
 from rounding_forge.spheres import (
     Degenerate,
@@ -118,7 +126,7 @@ def test_sphere_lift_norm_identity_via_oracle():
 
 def test_sphere_lift_quaternion_gram_is_identity():
     sm = sphere_lift(validate_jet(quaternion_jet()))
-    assert sm.gram.matrix == QuadForm.identity_form(8).matrix
+    assert sm.gram.matrix == identity_form(8).matrix
     assert sm.lower == tuple(tuple(F(int(i == j)) for j in range(8)) for i in range(8))
     assert sm.diag == (F(1),) * 8
     # with gram = |u|^2, <f, f> = gram^2 puts f(u) on the unit sphere when |u| = 1
@@ -152,7 +160,7 @@ def test_sphere_lift_matches_degeneracy_verdict_randomized():
 def test_checked_rejects_wrong_norm():
     f = PolyMap(2, [Poly(2, {(2, 0): 1})])
     with pytest.raises(ValueError):
-        QuadSphereMap.checked(f, QuadForm.identity_form(2))
+        QuadSphereMap.checked(f, identity_form(2))
 
 
 def test_checked_rejects_indefinite_gram():
@@ -160,7 +168,7 @@ def test_checked_rejects_indefinite_gram():
     # indefinite gram form must not slip through as Degenerate is checked
     # after the norm identity
     f = PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1}), Poly(2, {(1, 1): 2})])
-    good = QuadForm.identity_form(2)
+    good = identity_form(2)
     sm = QuadSphereMap.checked(f, good)
     assert sm.diag == (F(1), F(1))
     bad = QuadForm.from_poly(Poly(2, {(2, 0): 1, (0, 2): -1}))
@@ -173,7 +181,7 @@ def test_checked_reports_the_signature_of_a_negative_gram():
     # any gram, so its Degenerate carries the full signature, not the rank
     f = PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1}), Poly(2, {(1, 1): 2})])
     with pytest.raises(Degenerate) as exc:
-        QuadSphereMap.checked(f, -QuadForm.identity_form(2))
+        QuadSphereMap.checked(f, -identity_form(2))
     assert exc.value.signature == (0, 2, 0)
 
 
@@ -291,6 +299,29 @@ def test_checked_zero_map_is_degenerate():
 
 
 # ---------------------------------------------------------------------------
+def _at_t_one(p: Poly) -> Poly:
+    # p is homogeneous, so the exponents of x alone tell its terms apart
+    return Poly(p.num_vars - 1, {e[:-1]: c for e, c in p.terms.items()})
+
+
+def test_lift_reads_back_to_its_jet_exactly():
+    # at t = 1 the lift (2N^h, D^h - <A,A>^h) over G = D^h + <A,A>^h gives
+    # N = f[:-1] / 2 and D = (G + f[-1]) / 2, and N / D is the canonical map,
+    # whose 2-jet is the jet itself: numerator A + (B - 2pA) over 1 - 2p + q
+    rng = random.Random(11)
+    jets = [complex_square_jet(), quaternion_jet()]
+    while len(jets) < 62:
+        jet = random_valid_jet(rng)
+        if not is_degenerate(validate_jet(jet))[0]:
+            jets.append(jet)
+    for jet in jets:
+        sm = sphere_lift(validate_jet(jet))
+        f = [_at_t_one(c) for c in sm.f.coords]
+        numer = PolyMap(jet.source_dim, [F(1, 2) * c for c in f[:-1]])
+        denom = F(1, 2) * (_at_t_one(sm.gram.to_poly()) + f[-1])
+        assert fracquad_jet(FracQuadMap(numer=numer, denom=denom)) == jet
+
+
 # evaluation routes
 
 
@@ -340,7 +371,7 @@ def _thin_circle_map(delta):
 
 
 @pytest.mark.parametrize("call, exc, message", [
-    (lambda: QuadSphereMap.checked(PolyMap.zero(3, 1), QuadForm.identity_form(2)),
+    (lambda: QuadSphereMap.checked(PolyMap.zero(3, 1), identity_form(2)),
      ValueError, "gram form lives in a different space"),
     # |x1^2 - x2^2|^2 = (x1^2 - x2^2) * (x1^2 - x2^2), and x1^2 - x2^2 is indefinite
     (lambda: split_norm(PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1})]), Poly(2, {(2, 0): 1, (0, 2): -1})),
