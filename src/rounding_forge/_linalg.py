@@ -1,11 +1,12 @@
 """Exact linear algebra: rank, RREF, nullspaces, LDL^T and congruence.
 
-Rank, RREF, nullspaces and LDL^T clear their input to integers once (with
-`cleared`) and eliminate fraction-free, in the manner of Bareiss: every
-intermediate entry is a minor of the cleared matrix, so the only divisions
-are exact, and each Fraction of the result is formed once at the end.
-Congruent diagonalization works on Fractions. Everything here is
-deterministic; pivots are chosen by position, never by size.
+Rank, RREF, nullspaces, LDL^T and congruent diagonalization clear their
+input to integers once (with `cleared`) and eliminate fraction-free, in the
+manner of Bareiss: every intermediate entry is a minor of the cleared
+matrix, so the only divisions are exact, and each Fraction of the result is
+formed once. LDL^T and congruent diagonalization share one symmetric
+elimination. Everything here is deterministic; pivots are chosen by
+position, never by size.
 """
 
 from __future__ import annotations
@@ -144,72 +145,47 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]
     return basis
 
 
-def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
-    """Rational P with P^T S P diagonal, by Lagrange's method.
+def _symmetric_bareiss(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[Fraction]]:
+    """(order, lower, diag) with S[order[i]][order[j]] = (L D L^T)[i][j]:
+    symmetric Bareiss on A = c * S with Lagrange's pivot rules.
 
-    When every remaining diagonal entry vanishes but some off-diagonal entry
-    S[k][j] does not, the basis change e_k <- e_k + e_j creates the pivot
-    2*S[k][j]; this is the u = x + y half of the classical hyperbolic split
-    and is enough for the elimination to proceed. S must be square and
-    symmetric; both callers pass a QuadForm's matrix, which QuadForm checked.
-    """
-    a = [[Fraction(x) for x in row] for row in s]
-    n = len(a)
-    p = identity(n)
-
-    def add_col(dst: int, src: int, f: Fraction) -> None:
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-        for j in range(n):
-            a[dst][j] += f * a[src][j]
-        for i in range(n):
-            p[i][dst] += f * p[i][src]
-
-    def swap(i: int, j: int) -> None:
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                swap(k, j)
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue
-                add_col(k, j, Fraction(1))
-        d = a[k][k]
-        for i in range(k + 1, n):
-            if a[k][i] != 0:
-                add_col(i, k, -a[k][i] / d)
-    return p, [a[i][i] for i in range(n)]
-
-
-def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
-    """Exact LDL^T of a positive definite symmetric matrix, by symmetric Bareiss.
-
-    S is cleared once to A = c * S and eliminated without division, which
-    leaves Delta_k, the k-th leading principal minor of A, as the k-th pivot:
-    D_k = Delta_k / (c * Delta_(k-1)), and L[i][k] = a_ik / Delta_k for the
-    entry a_ik of the pivot column. Raises ValueError at the first pivot that
-    is not positive, i.e. when the input is not positive definite. Only the
-    lower triangle is updated, and a row with a zero in the pivot column is
-    left alone while the pivot repeats, so an identity gram costs O(n^2)
-    comparisons.
+    The k-th pivot is a minor Delta_k of A, so D_k = Delta_k / (c * Delta_(k-1))
+    and L[i][k] = a_ik / Delta_k. A zero pivot swaps with the first later
+    nonzero diagonal entry; failing that, e_k <- e_k + e_j for the first
+    nonzero a_kj makes the pivot 2 * a_kj, after which order and lower no
+    longer describe S (only an indefinite S gets there); failing that, the
+    row is zero and D_k = 0. Both changes are unimodular, so divisions stay
+    exact and D is the diagonal of Lagrange's method. Only the lower
+    triangle is updated, so the block is made symmetric before a swap or an
+    addition; a row with a zero in the pivot column is left alone while the
+    pivot repeats, so an identity costs O(n^2) comparisons.
     """
     a, scale = cleared(s)
     n = len(a)
+    order = list(range(n))
     lower = identity(n)
     diag: list[Fraction] = []
     prev = 1
     for k in range(n):
+        if not a[k][k]:
+            for i in range(k, n):
+                a[i][i + 1:] = [a[j][i] for j in range(i + 1, n)]
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                order[k], order[j] = order[j], order[k]
+                lower[k][:k], lower[j][:k] = lower[j][:k], lower[k][:k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    diag.append(Fraction(0))
+                    continue
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a[k:]:
+                    row[k] += row[j]
         p = a[k][k]
-        if p <= 0:
-            raise ValueError("matrix is not positive definite")
         diag.append(Fraction(p, scale * prev))
         for i in range(k + 1, n):
             row = a[i]
@@ -220,4 +196,23 @@ def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
             elif p != prev:
                 row[k + 1:i + 1] = [p * x // prev for x in row[k + 1:i + 1]]
         prev = p
+    return order, lower, diag
+
+
+def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[Fraction]]:
+    """(order, lower, diag) as above. S must be square and symmetric; both
+    callers pass a QuadForm's matrix, which QuadForm checked."""
+    return _symmetric_bareiss(s)
+
+
+def ldl(s: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
+    """Exact LDL^T of a positive definite symmetric matrix.
+
+    Raises ValueError unless every pivot is positive, which by Sylvester's
+    law of inertia is exactly when S is positive definite; then no pivot
+    was swapped.
+    """
+    _, lower, diag = _symmetric_bareiss(s)
+    if not all(d > 0 for d in diag):
+        raise ValueError("matrix is not positive definite")
     return lower, diag

@@ -234,14 +234,18 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     if not kernel:
         return False, None
     restricted = QuadForm.from_poly(rj.q - rj.p * rj.p).restricted(kernel)
-    trans, diag = _linalg.congruent_diagonalize(restricted.matrix)
+    order, lower, diag = _linalg.congruent_diagonalize(restricted.matrix)
     if any(d < 0 for d in diag):
         raise CertificateError("q - p^2 is not positive semidefinite on ker A")
     if all(diag):
         return False, None
-    zero = diag.index(0)  # column `zero` of trans holds the witness in kernel coordinates
+    zero = diag.index(0)
+    # L^T v = e_zero by back-substitution; kernel[order[k]] weighted by v[k] is the witness
+    v = [Fraction(0)] * zero + [Fraction(1)]
+    for k in reversed(range(zero)):
+        v[k] = -sum(lower[r][k] * v[r] for r in range(k + 1, zero + 1))
     return True, tuple(
-        sum(row[zero] * kernel[j][i] for j, row in enumerate(trans)) for i in range(rj.source_dim)
+        sum(c * kernel[j][i] for j, c in zip(order, v)) for i in range(rj.source_dim)
     )
 
 

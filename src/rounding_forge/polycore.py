@@ -614,8 +614,8 @@ def rank_linear(a: PolyMap) -> int:
 
 
 def form_signature(q: QuadForm) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) by Lagrange congruent diagonalization."""
-    _, diag = _linalg.congruent_diagonalize(q.matrix)
+    """Inertia (n_plus, n_minus, n_zero): the signs of the congruent diagonal."""
+    _, _, diag = _linalg.congruent_diagonalize(q.matrix)
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return plus, minus, len(diag) - plus - minus

@@ -1,7 +1,8 @@
 """Shared fixtures: the named example jets, random valid-jet generators built
 from normed pairings, and small independent oracles (plain-dict polynomial
-expansion, hand-coded quaternion arithmetic) used to cross-check the package
-without touching its own arithmetic."""
+expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
+congruent diagonalization) used to cross-check the package without touching
+its own arithmetic."""
 
 from __future__ import annotations
 
@@ -116,6 +117,58 @@ def ldl_dense_reference(s):
             off = a[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
             lower[i][j] = off / d
     return lower, diag
+
+
+# reference congruent diagonalization: Lagrange's method in Fractions with a
+# full basis-change matrix, the route the package took before its
+# fraction-free symmetric elimination
+
+
+def lagrange_reference(s):
+    """(P, diag) with P^T S P = diag(diag), checked before returning.
+
+    A zero pivot swaps with the first later nonzero diagonal entry; if there
+    is none, e_k <- e_k + e_j for the first nonzero S[k][j]; otherwise the
+    row is zero and skipped.
+    """
+    a = [[Fraction(x) for x in row] for row in s]
+    n = len(a)
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, f):
+        for i in range(n):
+            a[i][dst] += f * a[i][src]
+        for j in range(n):
+            a[dst][j] += f * a[src][j]
+        for i in range(n):
+            p[i][dst] += f * p[i][src]
+
+    def swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                swap(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    continue
+                add_col(k, j, Fraction(1))
+        d = a[k][k]
+        for i in range(k + 1, n):
+            if a[k][i] != 0:
+                add_col(i, k, -a[k][i] / d)
+    diag = [a[i][i] for i in range(n)]
+    pt_s_p = matmul(matmul(transpose(p), [[Fraction(x) for x in row] for row in s]), p)
+    if pt_s_p != [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]:
+        raise AssertionError("P^T S P is not diagonal")
+    return p, diag
 
 
 # Hypothesis inputs for the integer-numerator kernels: nonzero numerators of

@@ -24,7 +24,9 @@ from conftest import (
     dict_inner,
     dict_mul,
     flat_degenerate_jet,
+    lagrange_reference,
     matmul,
+    mixed_coeffs,
     quat_inv,
     quat_mul,
     quaternion_jet,
@@ -278,7 +280,7 @@ def test_division_witnesses_are_not_constructor_arguments():
 
 def test_indefinite_deficiency_fails_the_semidefinite_certificate(monkeypatch):
     rj = validate_jet(flat_degenerate_jet())
-    monkeypatch.setattr(jets._linalg, "congruent_diagonalize", lambda s: ([[F(1)]], [F(-1)]))
+    monkeypatch.setattr(jets._linalg, "congruent_diagonalize", lambda s: ([0], [[F(1)]], [F(-1)]))
     with pytest.raises(CertificateError, match=r"q - p\^2 is not positive semidefinite on ker A"):
         is_degenerate(rj)
 
@@ -638,6 +640,49 @@ def test_series_requires_origin_and_rank():
 # exact certificates are raised, so python -O cannot strip them
 
 
+@st.composite
+def _gram_on_kernel(draw):
+    """M for the jet A = (x0, x1), B = (x_i * l_s) for i in {0, 1} and the
+    rows l_s of M on x2..x(k+1): p = 0, q = sum of l_s^2, and q - p^2 on
+    ker A is M^T M, positive semidefinite, with some columns of M forced to
+    be multiples of earlier ones."""
+    k = draw(st.integers(1, 8))
+    t = draw(st.integers(1, k))
+    entries = st.one_of(st.just(F(0)), mixed_coeffs)
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=t, max_size=t))
+    for c in range(1, k):
+        if draw(st.booleans()):
+            src, f = draw(st.integers(0, c - 1)), draw(entries)
+            for row in rows:
+                row[c] = f * row[src]
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_gram_on_kernel())
+def test_degeneracy_witness_is_lagranges_first_zero_column(rows):
+    k, m = len(rows[0]), len(rows[0]) + 2
+    linear = [[int(i == j) for j in range(m)] for i in range(2)] + [[0] * m] * (2 * len(rows))
+    quads = [[[0] * m] * m] * 2
+    for i in range(2):
+        for row in rows:
+            half = [[F(0)] * m for _ in range(m)]
+            for j, c in enumerate(row):
+                half[i][j + 2] = half[j + 2][i] = c / 2
+            quads.append(half)
+    rj = validate_jet(jet_from_matrices(linear, quads))
+    trans, diag = lagrange_reference(
+        [[sum(row[a] * row[b] for row in rows) for b in range(k)] for a in range(k)])
+    if 0 not in diag:
+        assert is_degenerate(rj) == (False, None)
+        return
+    zero = diag.index(0)
+    degenerate, witness = is_degenerate(rj)
+    assert degenerate
+    assert witness == (0, 0, *(row[zero] for row in trans))
+    assert all(isinstance(x, Fraction) for x in witness)
+
+
 def test_canonical_rounding_expands_nothing(monkeypatch):
     # |N|^2 = D<A,A> follows from the divisions the RoundingJet proved
     rj = validate_jet(complex_square_jet())
@@ -666,7 +711,7 @@ def test_certificates_survive_optimized_mode():
         "from fractions import Fraction\n"
         "rj = jets.validate_jet(jets.jet_from_matrices(\n"
         "    [[1, 0, 0], [0, 1, 0]], [[[0] * 3] * 3] * 2))\n"
-        "jets._linalg.congruent_diagonalize = lambda s: ([[Fraction(1)]], [Fraction(-1)])\n"
+        "jets._linalg.congruent_diagonalize = lambda s: ([0], [[Fraction(1)]], [Fraction(-1)])\n"
         "try:\n"
         "    jets.is_degenerate(rj)\n"
         "except CertificateError:\n"

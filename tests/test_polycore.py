@@ -20,6 +20,7 @@ from conftest import (
     eval_float_reference,
     grlex_key,
     identity_form,
+    lagrange_reference,
     ldl_dense_reference,
     matmul,
     mixed_coeffs,
@@ -596,11 +597,73 @@ def test_congruent_diagonalize_identity():
         n = rng.randint(1, 5)
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         s = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        p, diag = _linalg.congruent_diagonalize(s)
-        pt_s_p = matmul(matmul(transpose(p), s), p)
+        order, lower, diag = _linalg.congruent_diagonalize(s)
+        _, expected = lagrange_reference(s)  # checks P^T S P = diag itself
+        assert diag == expected
+        if all(d >= 0 for d in diag):
+            # no e_k <- e_k + e_j ran, so S permuted by order is L D L^T
+            d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            assert matmul(matmul(lower, d), transpose(lower)) == [[s[i][j] for j in order] for i in order]
+
+
+def _symmetric_dense(n):
+    return st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda half: [[half[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _symmetric(draw):
+    """Symmetric n x n, n <= 8, over mixed and large-prime denominators:
+    dense, with zero rows, with a zero diagonal (which forces the step
+    e_k <- e_k + e_j), or indefinite blocks (hyperbolic planes, negative
+    definite and dense blocks) on a permuted diagonal."""
+    kind = draw(st.sampled_from(["dense", "zero rows", "zero diagonal", "blocks"]))
+    if kind == "blocks":
+        blocks = []
+        kinds = draw(st.lists(st.sampled_from(["hyperbolic", "negative", "dense"]), min_size=1, max_size=4))
+        for block in kinds:
+            if block == "hyperbolic":
+                c = draw(mixed_coeffs)
+                blocks.append([[F(0), c], [c, F(0)]])
+            elif block == "negative":
+                blocks.append([[-x for x in row] for row in draw(_factored("dense"))])
+            else:
+                blocks.append(draw(_symmetric_dense(draw(st.integers(1, 3)))))
+        total = sum(len(b) for b in blocks)
+        full = [[F(0)] * total for _ in range(total)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                full[at + i][at:at + len(b)] = row
+            at += len(b)
+        perm = draw(st.permutations(range(min(total, 8))))
+        return [[full[i][j] for j in perm] for i in perm]
+    n = draw(st.integers(1, 8))
+    s = draw(_symmetric_dense(n))
+    if kind == "zero rows":
+        for z in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            for t in range(n):
+                s[z][t] = s[t][z] = F(0)
+    elif kind == "zero diagonal":
         for i in range(n):
-            for j in range(n):
-                assert pt_s_p[i][j] == (diag[i] if i == j else 0)
+            s[i][i] = F(0)
+    return s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_symmetric())
+def test_congruent_diagonal_matches_lagrange(s):
+    order, lower, diag = _linalg.congruent_diagonalize(s)
+    assert diag == lagrange_reference(s)[1]
+    assert sorted(order) == list(range(len(s)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_symmetric())
+def test_form_signature_matches_lagrange(s):
+    _, diag = lagrange_reference(s)
+    plus, minus = sum(d > 0 for d in diag), sum(d < 0 for d in diag)
+    assert form_signature(QuadForm(s)) == (plus, minus, len(s) - plus - minus)
 
 
 def test_signature_hyperbolic_plane():

@@ -16,8 +16,9 @@ are cleared in one helper, and only _linalg and polycore take an lcm; the
 numeric oracle evaluates only polynomials it compiled once, never
 eval_float; only the CLI's main writes an --out document; congruent
 diagonalization, which trusts its matrix to be square and symmetric, is
-called only on a QuadForm's matrix; and no module imports a name it never
-uses."""
+called only on a QuadForm's matrix; the one symmetric elimination is called
+only by LDL^T and congruent diagonalization; and no module imports a name
+it never uses."""
 
 import ast
 from pathlib import Path
@@ -342,6 +343,21 @@ def test_congruence_rule_catches_a_foreign_call():
     sources["_linalg"] += "\nclass Probe:\n    d = congruent_diagonalize([[1]])\n"
     assert _module_callers(sources, "congruent_diagonalize") == [
         "_linalg.Probe", "jets.is_degenerate", "polycore.form_signature", "spheres.diagonal",
+    ]
+
+
+def test_symmetric_elimination_has_two_callers():
+    # LDL^T and congruent diagonalization share one elimination; everything
+    # else reaches it through them
+    assert _package_callers("_symmetric_bareiss") == ["_linalg.congruent_diagonalize", "_linalg.ldl"]
+
+
+def test_elimination_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["jets"] += "\ndef pivots(rows):\n    return _linalg._symmetric_bareiss(rows)[2]\n"
+    sources["_linalg"] += "\nclass Probe:\n    d = _symmetric_bareiss([[1]])\n"
+    assert _module_callers(sources, "_symmetric_bareiss") == [
+        "_linalg.Probe", "_linalg.congruent_diagonalize", "_linalg.ldl", "jets.pivots",
     ]
 
 
