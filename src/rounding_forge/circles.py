@@ -11,8 +11,10 @@ redundancy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -116,64 +118,62 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalCurve:
     """Image of a line under a fractional map, as univariate data.
 
     numerators holds one coefficient tuple per target coordinate, denominator
     the shared quadratic, and norm_numer the restricted squared norm of the
-    numerator. The constructor recomputes norm_numer from the numerators, so
-    an inconsistent hand-built curve is rejected immediately.
+    numerator; all three are Fraction views, built on first read, of the one
+    stored form: trimmed integer numerators and denominator over one positive
+    scale, reduced by their common factor, so equal curves store equal forms.
+    A given norm_numer is checked against the numerators, so an inconsistent
+    hand-built curve is rejected immediately.
     """
 
-    numerators: tuple[Coeffs, ...]
-    denominator: Coeffs
-    norm_numer: Coeffs = None  # type: ignore[assignment]
-    # (numerators, denominator, norm_numer) as integer coefficient lists, each
-    # a constant multiple of the Fraction field, for the exact circle rank
-    _integer: tuple = field(init=False, repr=False, compare=False)
+    _int_numerators: tuple[tuple[int, ...], ...]
+    _int_denominator: tuple[int, ...]
+    _scale: int
 
-    def __post_init__(self):
-        numerators = [_trim([as_rational(c) for c in num]) for num in self.numerators]
-        denominator = _trim([as_rational(c) for c in self.denominator])
+    def __init__(self, numerators, denominator, norm_numer=None):
+        numerators = [_trim([as_rational(c) for c in num]) for num in numerators]
+        denominator = _trim([as_rational(c) for c in denominator])
         if not denominator:
             raise DenominatorVanishesIdentically("denominator is the zero polynomial")
         if any(len(num) > 5 for num in numerators):
             raise ValueError("numerator degree exceeds 4")
         if len(denominator) > 3:
             raise ValueError("denominator degree exceeds 2")
-        given = None if self.norm_numer is None else _trim([as_rational(c) for c in self.norm_numer])
+        given = None if norm_numer is None else _trim([as_rational(c) for c in norm_numer])
         (*numerators, denominator), scale = _linalg.cleared([*numerators, denominator])
-        _fill_curve(self, numerators, denominator, scale)
+        _store_curve(self, numerators, denominator, scale)
         if given is not None and given != self.norm_numer:
             raise ValueError("norm_numer disagrees with the numerators")
 
     @property
     def target_dim(self) -> int:
-        return len(self.numerators)
+        return len(self._int_numerators)
+
+    @cached_property
+    def numerators(self) -> tuple[Coeffs, ...]:
+        return tuple([tuple([Fraction(x, self._scale) for x in num]) for num in self._int_numerators])
+
+    @cached_property
+    def denominator(self) -> Coeffs:
+        return tuple([Fraction(x, self._scale) for x in self._int_denominator])
+
+    @cached_property
+    def norm_numer(self) -> Coeffs:
+        return tuple([Fraction(x, self._scale ** 2) for x in _sum_of_squares(self._int_numerators)])
 
 
-def _fill_curve(curve: RationalCurve, numerators: Sequence[Sequence[int]],
-                denominator: Sequence[int], scale: int) -> None:
-    """Set a curve's fields from trimmed integer coefficients over one scale,
-    with |numerators|^2 computed here."""
-    norm = _sum_of_squares(numerators)
-    object.__setattr__(curve, "numerators",
-                       tuple([tuple([Fraction(x, scale) for x in num]) for num in numerators]))
-    object.__setattr__(curve, "denominator", tuple([Fraction(x, scale) for x in denominator]))
-    object.__setattr__(curve, "norm_numer", tuple([Fraction(x, scale * scale) for x in norm]))
-    object.__setattr__(curve, "_integer", (numerators, denominator, norm))
-
-
-def _trusted_curve(numerators: Sequence[Sequence[int]], denominator: Sequence[int], scale: int) -> RationalCurve:
-    """A RationalCurve over integer coefficients that share the denominator
-    scale, built without re-checking.
-
-    Only restrict_to_line comes here: the coefficient lists are trimmed,
-    within the degree caps, and the denominator is not zero.
-    """
-    curve = object.__new__(RationalCurve)
-    _fill_curve(curve, numerators, denominator, scale)
+def _store_curve(curve: RationalCurve, numerators: Sequence, denominator: Sequence, scale: int) -> RationalCurve:
+    """Store trimmed integer lists over scale > 0 in curve, reduced by their common
+    factor, unchecked: only RationalCurve's constructor and restrict_to_line come here."""
+    g = gcd(scale, *denominator, *(x for num in numerators for x in num))
+    object.__setattr__(curve, "_int_numerators", tuple([tuple([x // g for x in num]) for num in numerators]))
+    object.__setattr__(curve, "_int_denominator", tuple([x // g for x in denominator]))
+    object.__setattr__(curve, "_scale", scale // g)
     return curve
 
 
@@ -193,7 +193,7 @@ def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
     *numerators, denominator = [_trim(_integer_on_line(t, base, direction, scale)) for t in terms]
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
-    return _trusted_curve(numerators, denominator, den * scale * scale)
+    return _store_curve(object.__new__(RationalCurve), numerators, denominator, den * scale * scale)
 
 
 def circle_rank_exact(curve: RationalCurve) -> tuple[int, bool]:
@@ -206,9 +206,9 @@ def circle_rank_exact(curve: RationalCurve) -> tuple[int, bool]:
     The columns come from the curve's integer coefficients; each is a
     nonzero multiple of the rational column, which leaves the rank alone.
     """
-    numerators, d, norm = curve._integer
+    numerators, d = curve._int_numerators, curve._int_denominator
     columns = [_int_mul(d, num) for num in numerators]
-    columns.append(norm)
+    columns.append(_sum_of_squares(numerators))
     columns.append(_sum_of_squares([d]))
     nrows = max(len(c) for c in columns)
     matrix = [[col[r] if r < len(col) else 0 for col in columns] for r in range(nrows)]

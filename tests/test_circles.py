@@ -1,6 +1,7 @@
 """Line restriction, the exact rank-based circle test, least-squares circle
 fitting, and the randomized sampling oracle."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -131,7 +132,9 @@ def test_restrict_to_line_matches_exact_evaluation(case):
     numerators = [_uni_dict(num) for num in curve.numerators]
     assert dict_inner(numerators, numerators) == _uni_dict(curve.norm_numer)
     # and the public constructor accepts the curve and rebuilds it unchanged
-    assert RationalCurve(curve.numerators, curve.denominator, curve.norm_numer) == curve
+    rebuilt = RationalCurve(curve.numerators, curve.denominator, curve.norm_numer)
+    assert rebuilt == curve
+    assert hash(rebuilt) == hash(curve)
 
 
 def test_integer_form_is_built_lazily_and_once(monkeypatch):
@@ -488,10 +491,47 @@ def test_curves_and_lines_reject_malformed_input(call, exc, message):
 
 
 def test_hand_built_curve_clears_to_one_scale():
-    # the integer lists share the lcm of every denominator, as a restricted curve's do
+    # the integer lists share the lcm of every denominator, which has no
+    # factor in common with all of them
     curve = RationalCurve(numerators=((F(1, 2), F(1, 3)),), denominator=(F(1, 5), F(0), F(1)))
-    assert curve._integer == ([[15, 10]], [6, 0, 30], [225, 300, 100])
+    assert (curve._int_numerators, curve._int_denominator, curve._scale) == (((15, 10),), (6, 0, 30), 30)
     assert curve.norm_numer == (F(1, 4), F(1, 3), F(1, 9))
+
+
+def test_restricted_curve_reduces_its_scale():
+    # den * L^2 = 4 here, and every coefficient of 2t^2 / 4t^2 shares the factor 2
+    fq = pairing_to_rounding(normed_pairing(2, 2))
+    curve = restrict_to_line(fq, Line(base=(0, 0, 0, 0), direction=(1, 0, F(1, 2), 0)))
+    assert (curve._int_numerators, curve._int_denominator, curve._scale) == (((0, 0, 1), ()), (0, 0, 2), 2)
+    rebuilt = RationalCurve(curve.numerators, curve.denominator, curve.norm_numer)
+    assert rebuilt == curve
+    assert hash(rebuilt) == hash(curve)
+    assert curve.numerators == ((F(0), F(0), F(1, 2)), ())
+    assert curve.norm_numer == (F(0), F(0), F(0), F(0), F(1, 4))
+
+
+def test_circle_rank_builds_no_fraction_view():
+    fq = canonical_rounding(validate_jet(quaternion_jet()))
+    curve = restrict_to_line(fq, Line(base=(F(1, 3),) + (0,) * 6, direction=(1, F(-2, 5)) + (1,) * 5))
+    circle_rank_exact(curve)
+    views = {"numerators", "denominator", "norm_numer"}
+    assert not views & set(vars(curve))
+    # each view is built on its first read and kept
+    for coeffs in (*curve.numerators, curve.denominator, curve.norm_numer):
+        assert all(type(c) is Fraction for c in coeffs)
+    assert views <= set(vars(curve))
+
+
+@pytest.mark.parametrize("name", ["numerators", "denominator", "norm_numer", "_int_numerators", "_scale"])
+def test_curve_fields_stay_frozen(name):
+    curve = restrict_to_line(mobius_map(), Line(base=(0, 0), direction=(0, 1)))
+    for _ in range(2):  # before and after the views are built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(curve, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(curve, name)
+        curve.numerators, curve.denominator, curve.norm_numer
+    assert curve.denominator == (F(1), F(0), F(1))
 
 
 def test_circle_fit_degrades_a_huge_radius_to_a_line(monkeypatch):

@@ -29,7 +29,9 @@ from rounding_forge.cliff import (
     rho,
     stiefel_hopf_feasible,
 )
-from rounding_forge.polycore import CertificateError, Poly
+from rounding_forge.jets import Jet2, factor_degenerate, is_degenerate, validate_jet
+from rounding_forge.polycore import CertificateError, Poly, PolyMap
+from rounding_forge.spheres import sphere_lift
 
 F = Fraction
 
@@ -428,6 +430,34 @@ def test_hopf_map_of_every_feasible_pairing_oracle():
             m = r + n
             assert sm.lower == tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m))
             assert sm.diag == (F(1),) * m
+
+
+def _pairing_jet(pairing):
+    """The closed-form jet of a pairing: A = f(e1, y), B = f(x, y) - 2 x1 f(e1, y)."""
+    r, n = pairing.left_dim, pairing.right_dim
+    a = PolyMap.from_linear_matrix(
+        [[0] * r + [pairing.tensor[0][j][c] for j in range(n)] for c in range(pairing.target_dim)])
+    x1 = Poly.variable(r + n, 0)
+    return Jet2(a, PolyMap(r + n, [fc - 2 * x1 * ac for fc, ac in zip(pairing.f.coords, a.coords)]))
+
+
+def test_pairing_jet_factors_and_lifts_to_the_hopf_map():
+    # the bridge from a pairing to a rounding: the closed-form jet validates
+    # with rank n and is degenerate, and the sphere lift of its reduced jet
+    # has the source, target and gram of the pairing's Hopf map
+    sizes = [(r, n) for n in range(1, 17) for r in range(1, rho(n) + 1) if (r, n) != (1, 1)]
+    assert len(sizes) == 40
+    for r, n in sizes:
+        pairing = normed_pairing(r, n)
+        rj = validate_jet(_pairing_jet(pairing))
+        assert rj.rank == n
+        degenerate, witness = is_degenerate(rj)
+        assert degenerate
+        assert rj.jet.linear(witness) == (0,) * n
+        _, reduced = factor_degenerate(rj)
+        lift, hopf = sphere_lift(reduced), hopf_map(pairing)
+        assert (lift.source_dim, lift.target_dim) == (hopf.source_dim, hopf.target_dim), (r, n)
+        assert lift.gram == hopf.gram, (r, n)
 
 
 def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):

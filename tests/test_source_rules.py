@@ -9,14 +9,15 @@ constructions that prove an identity with them, so Hopf maps, pairing
 roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms, and only polycore
-reads a Poly's integer form; only the line restriction builds a
-RationalCurve without checking it; only the line restriction, whose maps
-cap every term at degree 2, composes a polynomial with a line; matrices
-are cleared in one helper, and only _linalg and polycore take an lcm; the
-numeric oracle evaluates only polynomials it compiled once, never
-eval_float; only the CLI's main writes an --out document; congruent
-diagonalization, which trusts its matrix to be square and symmetric, is
-called only on a QuadForm's matrix; the one symmetric elimination is called
+reads a Poly's integer form; a RationalCurve's integer form is stored only
+by its constructor, after the checks, and by the line restriction, and read
+only in circles; only the line restriction, whose maps cap every term at
+degree 2, composes a polynomial with a line; matrices are cleared in one
+helper, and only _linalg and polycore take an lcm; the numeric oracle
+evaluates only polynomials it compiled once, never eval_float; only the
+CLI's main writes an --out document; congruent diagonalization, which
+trusts its matrix to be square and symmetric, is called only on a
+QuadForm's matrix; the one symmetric elimination is called
 only by LDL^T and congruent diagonalization; and no module imports a name
 it never uses."""
 
@@ -256,18 +257,38 @@ def test_lcm_rule_catches_a_foreign_use():
     assert _foreign_sites(sources, _uses_lcm, ("_linalg", "polycore")) == ["circles.", "spheres.scale"]
 
 
-def test_trusted_curves_come_only_from_the_line_restriction():
-    # a trusted curve skips coercion, the degree caps and the norm check
-    assert _package_callers("_trusted_curve") == ["circles.restrict_to_line"]
+def test_curves_are_stored_only_by_their_constructor_and_the_line_restriction():
+    # the builder skips coercion, the degree caps and the norm check: the
+    # constructor runs them first, and the line restriction needs none of them
+    assert _package_callers("_store_curve") == ["circles.RationalCurve.__init__", "circles.restrict_to_line"]
 
 
-def test_trusted_curve_rule_catches_a_foreign_call():
+def test_curve_store_rule_catches_a_foreign_call():
     sources = _package_sources()
-    sources["circles"] += "\ndef shortcut(num):\n    return _trusted_curve([num], (1,), 1)\n"
-    sources["cli"] += "\ndef emit_line(c):\n    return circles._trusted_curve([], (1,), c)\n"
-    assert _module_callers(sources, "_trusted_curve") == [
-        "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
+    sources["circles"] += "\ndef shortcut(num):\n    return _store_curve(object.__new__(RationalCurve), [num], (1,), 1)\n"
+    sources["cli"] += "\ndef emit_line(c):\n    return circles._store_curve(c, [], (1,), 1)\n"
+    assert _module_callers(sources, "_store_curve") == [
+        "circles.RationalCurve.__init__", "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
     ]
+
+
+def _reads_curve_form(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in ("_int_numerators", "_int_denominator", "_scale")
+
+
+def test_curve_form_is_read_only_in_circles():
+    # the integer coefficients over one scale are circles' format; other
+    # modules read a RationalCurve through its Fraction views
+    sources = _package_sources()
+    assert len(_module_sites(sources, _reads_curve_form)) >= 6
+    assert _foreign_sites(sources, _reads_curve_form, ("circles",)) == []
+
+
+def test_curve_form_rule_catches_a_foreign_read():
+    sources = _package_sources()
+    sources["cli"] += "\ndef degree(curve):\n    return len(curve._int_denominator) - 1\n"
+    sources["spheres"] += "\nclass Probe:\n    scale = curve._scale\n"
+    assert _foreign_sites(sources, _reads_curve_form, ("circles",)) == ["cli.degree", "spheres.Probe"]
 
 
 def test_only_the_line_restriction_composes_with_a_line():

@@ -314,6 +314,12 @@ def test_lift_reads_back_to_its_jet_exactly():
         jet = random_valid_jet(rng)
         if not is_degenerate(validate_jet(jet))[0]:
             jets.append(jet)
+    # and the shapes of the sphere-lift workload: m in 4..8, n in {4, 8}
+    rng = random.Random(5)
+    while len(jets) < 86:
+        jet = random_valid_jet(rng, rng.randint(4, 8), rng.choice((4, 8)))
+        if not is_degenerate(validate_jet(jet))[0]:
+            jets.append(jet)
     for jet in jets:
         sm = sphere_lift(validate_jet(jet))
         f = [_at_t_one(c) for c in sm.f.coords]
