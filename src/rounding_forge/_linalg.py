@@ -33,7 +33,7 @@ def cleared(lists: Sequence[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
     """Integer lists scaled by the lcm L of all their denominators, and L.
 
     Entries are Fractions or ints; the package clears matrices and vectors
-    here, and a Poly keeps its own cleared form (see polycore).
+    here, and a Poly or a QuadForm keeps its own cleared form (see polycore).
     """
     scale = common_denominator(x for row in lists for x in row)
     return [[x.numerator * (scale // x.denominator) for x in row] for row in lists], scale
@@ -201,7 +201,7 @@ def _symmetric_bareiss(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[F
 
 def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[Fraction]]:
     """(order, lower, diag) as above. S must be square and symmetric; both
-    callers pass a QuadForm's matrix, which QuadForm checked."""
+    callers pass a QuadForm's matrix, square and symmetric by construction."""
     return _symmetric_bareiss(s)
 
 

@@ -150,10 +150,6 @@ class RationalCurve:
         if given is not None and given != self.norm_numer:
             raise ValueError("norm_numer disagrees with the numerators")
 
-    @property
-    def target_dim(self) -> int:
-        return len(self._int_numerators)
-
     @cached_property
     def numerators(self) -> tuple[Coeffs, ...]:
         return tuple([tuple([Fraction(x, self._scale) for x in num]) for num in self._int_numerators])
@@ -268,8 +264,8 @@ def circle_fit(points: Sequence[Sequence[float]]) -> CircleFit:
         raise ValueError("samples must be finite")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if vt.shape[0] < 2:
-        vt = np.vstack([vt, np.zeros_like(vt[0])])
-        svals = np.append(svals, 0.0)
+        vt = np.vstack([vt, np.zeros((2 - vt.shape[0], vt.shape[1]))])
+        svals = np.append(svals, np.zeros(2 - svals.shape[0]))
     basis = vt[:2]
     scale = float(svals[0])
 

@@ -3,8 +3,8 @@ polynomials, quadratic forms, polynomial maps, and the four exact operations
 everything else is built on (inner products, exact division, linear rank,
 form signatures).
 
-A Poly stores integer numerators over one reduced denominator, keyed by packed
-exponents; the kernels use only that form, and `terms` is built from it on first read.
+A Poly stores integer numerators keyed by packed exponents, a QuadForm integer rows, each over
+one reduced denominator; the kernels use only that form, and `terms` and `matrix` are built on first read.
 
 Degrees are capped at MAX_DEGREE = 8: a squared norm of a quadratic map has
 degree 4, and squared norms of order-4 series truncations reach 8. The cap is
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -314,6 +315,12 @@ def _eval_float_terms(terms: _FloatTerms, x: Sequence[float]) -> float:
     return total
 
 
+def _unit_keys(num_vars: int) -> list[int]:
+    """The packed keys of x1, ..., x_m; x_i * x_j has key unit[i] + unit[j]."""
+    top = 1 << (_FIELD_BITS * num_vars)
+    return [top + (1 << (_FIELD_BITS * i)) for i in range(num_vars)]
+
+
 def _factors(key: int, num_vars: int) -> tuple[int, ...]:
     return tuple([i for i in range(num_vars) for _ in range((key >> (_FIELD_BITS * i)) & _FIELD_MASK)])
 
@@ -412,82 +419,77 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     return q if r.is_zero() else None
 
 
-@dataclass(frozen=True)
+def _store_form(form: "QuadForm", rows: Sequence[Sequence[int]], den: int) -> "QuadForm":
+    """Store symmetric integer rows over den > 0 in form, reduced by their gcd; unchecked."""
+    g = gcd(den, *[x for row in rows for x in row])
+    object.__setattr__(form, "_ints", tuple([tuple([x // g for x in row]) for row in rows]))
+    object.__setattr__(form, "_den", den // g)
+    return form
+
+
+@dataclass(frozen=True, init=False)
 class QuadForm:
-    """Homogeneous quadratic form given by its symmetric rational matrix."""
+    """Homogeneous quadratic form of a symmetric rational matrix, stored as reduced integer
+    rows over one denominator that `==` and `hash` compare; `matrix` is a Fraction view."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    _ints: tuple[tuple[int, ...], ...]
+    _den: int
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        rows = tuple(tuple(as_rational(x) for x in row) for row in self.matrix)
+    def __init__(self, matrix):
+        n = len(matrix)
+        rows, den = _linalg.cleared([[as_rational(x) for x in row] for row in matrix])
         if any(len(row) != n for row in rows):
             raise ValueError("matrix not square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix not symmetric")
-        object.__setattr__(self, "matrix", rows)
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix not symmetric")
+        _store_form(self, rows, den)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([tuple([Fraction(x, self._den) for x in row]) for row in self._ints])
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._ints)
 
     @staticmethod
     def from_poly(p: Poly) -> "QuadForm":
         if not p.is_homogeneous(2):
             raise ValueError("not a homogeneous quadratic")
         n = p.num_vars
-        m = [[Fraction(0)] * n for _ in range(n)]
+        # over 2 * den: c * x_i^2 gives S_ii = 2c, and c * x_i * x_j gives S_ij = S_ji = c
+        rows = [[0] * n for _ in range(n)]
         for k, c in p._ints.items():
             i, j = _factors(k, n)
-            if i == j:
-                m[i][i] = Fraction(c, p._den)
-            else:
-                m[i][j] = m[j][i] = Fraction(c, 2 * p._den)
-        return QuadForm(tuple(tuple(row) for row in m))
-
-    @staticmethod
-    def zero(n: int) -> "QuadForm":
-        return QuadForm(tuple((Fraction(0),) * n for _ in range(n)))
+            rows[i][j] = rows[j][i] = 2 * c if i == j else c
+        return _store_form(object.__new__(QuadForm), rows, 2 * p._den)
 
     def to_poly(self) -> Poly:
-        n = self.dim
-        s, den = _linalg.cleared(self.matrix)
-        unit = [1 << (_FIELD_BITS * i) for i in range(n)]
-        quadratic = 2 << (_FIELD_BITS * n)
-        ints = {}
-        for i in range(n):
-            for j in range(i, n):
-                c = s[i][j] if i == j else 2 * s[i][j]
-                if c:
-                    ints[quadratic + unit[i] + unit[j]] = c
-        return _int_poly(n, ints, den)
+        s, n, unit = self._ints, self.dim, _unit_keys(self.dim)
+        ints = {unit[i] + unit[j]: s[i][j] if i == j else 2 * s[i][j]
+                for i in range(n) for j in range(i, n) if s[i][j]}
+        return _int_poly(n, ints, self._den)
 
     def __call__(self, point: Sequence) -> Fraction:
-        v = [as_rational(x) for x in point]
-        if len(v) != self.dim:
-            raise ValueError("point dimension mismatch")
-        return sum(v[i] * sum(self.matrix[i][j] * v[j] for j in range(self.dim)) for i in range(self.dim))
+        return self.to_poly()(point)
 
     def __neg__(self) -> "QuadForm":
-        return QuadForm(tuple(tuple(-x for x in row) for row in self.matrix))
+        return _store_form(object.__new__(QuadForm), [[-x for x in row] for row in self._ints], self._den)
 
     def restricted(self, basis: Sequence[Sequence]) -> "QuadForm":
         """Pull the form back along the subspace spanned by the given vectors.
 
         The Gram matrix K S K^T of the basis rows K is computed on integers:
-        S = S' / s and K = K' / k are cleared once, and each entry is one
-        Fraction (K' S' K'^T)_ij / (s k^2).
+        K = K' / k is cleared once, S = S' / s is stored that way, and the
+        result is K' S' K'^T over s k^2.
         """
         rows, k_den = _linalg.cleared([[as_rational(x) for x in v] for v in basis])
         if any(len(v) != self.dim for v in rows):
             raise ValueError("inner dimensions differ")
-        s, s_den = _linalg.cleared(self.matrix)
-        den = s_den * k_den * k_den
         # S is symmetric, so its rows are its columns
-        ks = [[sum([x * y for x, y in zip(v, col)]) for col in s] for v in rows]
-        return QuadForm(tuple(tuple(Fraction(sum([x * y for x, y in zip(u, w)]), den) for w in rows) for u in ks))
+        ks = [[sum([x * y for x, y in zip(v, col)]) for col in self._ints] for v in rows]
+        gram = [[sum([x * y for x, y in zip(u, w)]) for w in rows] for u in ks]
+        return _store_form(object.__new__(QuadForm), gram, self._den * k_den * k_den)
 
 
 class PolyMap:
@@ -518,8 +520,12 @@ class PolyMap:
     @staticmethod
     def from_linear_matrix(rows: Sequence[Sequence]) -> "PolyMap":
         """Map x -> Mx for an n x m coefficient matrix."""
-        m = len(rows[0]) if rows else 0
-        return PolyMap(m, [Poly.linear([as_rational(x) for x in row]) for row in rows])
+        ints, den = _linalg.cleared([[as_rational(x) for x in row] for row in rows])
+        m = len(ints[0]) if ints else 0
+        if any(len(row) != m for row in ints):
+            raise ValueError("coordinate has wrong number of variables")
+        unit = _unit_keys(m)
+        return PolyMap(m, [_int_poly(m, {k: c for k, c in zip(unit, row) if c}, den) for row in ints])
 
     @staticmethod
     def from_quadratic_forms(forms: Sequence[QuadForm]) -> "PolyMap":
@@ -547,13 +553,8 @@ class PolyMap:
         """Coefficient matrix of a homogeneous linear map, rows = coordinates."""
         if not self.is_linear():
             raise ValueError("map is not homogeneous linear")
-        rows = []
-        for c in self.coords:
-            row = [Fraction(0)] * self.source_dim
-            for e, coeff in c.terms.items():
-                row[e.index(1)] = coeff
-            rows.append(row)
-        return rows
+        keys, zero = _unit_keys(self.source_dim), Fraction(0)
+        return [[Fraction(c._ints[k], c._den) if k in c._ints else zero for k in keys] for c in self.coords]
 
     def quadratic_forms(self) -> list[QuadForm]:
         return [QuadForm.from_poly(c) for c in self.coords]

@@ -435,6 +435,15 @@ def test_numeric_oracle_deterministic():
     assert a == b
 
 
+def test_numeric_oracle_fits_a_map_with_no_coordinates():
+    # every image is the one point of R^0, which the exact route also accepts
+    fq = FracQuadMap(PolyMap(2, []), 1 + Poly.variable(2, 0))
+    assert circle_rank_exact(restrict_to_line(fq, Line(base=(0, 0), direction=(1, 2)))) == (1, True)
+    report = verify_rounding_numeric(fq, trials=10, seed=3)
+    assert report.ok
+    assert (report.max_residual, report.violations, report.skipped) == (0.0, (), ())
+
+
 def test_numeric_oracle_rejects_bad_input():
     with pytest.raises(TypeError):
         verify_rounding_numeric(([1, 2], 3))

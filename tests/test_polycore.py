@@ -30,6 +30,7 @@ from conftest import (
 )
 from rounding_forge import _linalg, cliff
 from rounding_forge.circles import Line
+from rounding_forge.jets import jet_from_matrices
 from rounding_forge.polycore import (
     MAX_DEGREE,
     Poly,
@@ -437,6 +438,66 @@ def test_quadform_restricted_matches_substitution():
     for s, t in [(F(1), F(0)), (F(2), F(-3)), (F(1, 2), F(5))]:
         point = [s * basis[0][i] + t * basis[1][i] for i in range(3)]
         assert r([s, t]) == q(point)
+
+
+def _quadratic_oracle(s, linear, num_vars):
+    """sum_ij s_ij l_i l_j by dict expansion, for linear dicts l_i in num_vars variables."""
+    total: dict = {}
+    for i, li in enumerate(linear):
+        for j, lj in enumerate(linear):
+            total = dict_add(total, dict_mul({(0,) * num_vars: s[i][j]}, dict_mul(li, lj)))
+    return total
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=0, max_size=n + 1),
+    st.integers(2, 60))))
+def test_quadform_stores_one_form(drawn):
+    half, basis, k = drawn
+    n, r = len(half), len(basis)
+    s = [[half[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    form = QuadForm(s)
+    # the kernels agree with the dict oracle and build no Fraction view
+    variables = [{tuple(int(j == i) for j in range(n)): F(1)} for i in range(n)]
+    poly = form.to_poly()
+    assert as_dict(poly) == _quadratic_oracle(s, variables, n)
+    assert QuadForm.from_poly(poly) == form
+    assert as_dict((-form).to_poly()) == {e: -c for e, c in as_dict(poly).items()}
+    restricted = form.restricted(basis)
+    # x_i = sum_j basis[j][i] y_j
+    pulled_back = [{tuple(int(t == j) for t in range(r)): v[i] for j, v in enumerate(basis) if v[i]}
+                   for i in range(n)]
+    assert as_dict(restricted.to_poly()) == _quadratic_oracle(s, pulled_back, r)
+    for built in (form, QuadForm.from_poly(poly), -form, restricted):
+        assert "matrix" not in vars(built)
+    # the same matrix written over other denominators stores the same form
+    common = k * _linalg.common_denominator([x for row in s for x in row])
+    for written in ([[f"{x.numerator * k}/{x.denominator * k}" for x in row] for row in s],
+                    [[f"{x * common}/{common}" for x in row] for row in s]):
+        other = QuadForm(written)
+        assert other == form and hash(other) == hash(form)
+    assert form.matrix == tuple(tuple(row) for row in s)
+    assert all(type(x) is Fraction for row in form.matrix for x in row)
+    # jets built from matrices keep their exceptions
+    a = [[F(i == j) for j in range(n)] for i in range(n)]
+    cases = [
+        (a, [s] * (n - 1) + [[row[:-1] for row in s]], "matrix not square"),
+        (a, [s] * (n - 1) + [[row + [F(0)] for row in s]], "matrix not square"),
+    ]
+    if n > 1:
+        skew = [list(row) for row in s]
+        skew[0][1] += 1
+        cases += [
+            ([*a[:-1], a[-1] + [F(1)]], [s] * n, "coordinate has wrong number of variables"),
+            ([*a[:-1], a[-1][:-1]], [s] * n, "coordinate has wrong number of variables"),
+            (a, [s] * (n - 1) + [skew], "matrix not symmetric"),
+        ]
+    for rows, forms, message in cases:
+        with pytest.raises(ValueError) as err:
+            jet_from_matrices(rows, forms)
+        assert str(err.value) == message
 
 
 def test_inner_poly_frozen_example_and_bilinearity():

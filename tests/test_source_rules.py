@@ -8,8 +8,10 @@ factorization; quartic inner products are expanded only by the four
 constructions that prove an identity with them, so Hopf maps, pairing
 roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
-in polycore build a Poly without validating its terms, and only polycore
-reads a Poly's integer form; a RationalCurve's integer form is stored only
+in polycore build a Poly without validating its terms; a QuadForm's integer
+form is stored only by its constructor, after the checks, and by its
+kernels; only polycore reads the integer form of a Poly or a QuadForm; a
+RationalCurve's integer form is stored only
 by its constructor, after the checks, and by the line restriction, and read
 only in circles; only the line restriction, whose maps cap every term at
 degree 2, composes a polynomial with a line; matrices are cleared in one
@@ -223,8 +225,9 @@ def _reads_integer_form(node: ast.AST) -> bool:
 
 
 def test_integer_form_is_read_only_in_polycore():
-    # the packed keys and the shared denominator are polycore's format; other
-    # modules read Poly through its methods, terms, or _factored_terms
+    # a Poly's packed keys and a QuadForm's integer rows, each over one
+    # denominator, are polycore's format; other modules read Poly through its
+    # methods, terms, or _factored_terms, and QuadForm through its matrix
     sources = _package_sources()
     assert len(_module_sites(sources, _reads_integer_form)) >= 20
     assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == []
@@ -234,7 +237,8 @@ def test_integer_form_rule_catches_a_foreign_read():
     sources = _package_sources()
     sources["jets"] += "\ndef size(p):\n    return len(p._ints)\n"
     sources["cli"] += "\nclass Probe:\n    den = poly._den\n"
-    assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == ["cli.Probe", "jets.size"]
+    sources["spheres"] += "\ndef gram_rows(sm):\n    return sm.gram._ints\n"
+    assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == ["cli.Probe", "jets.size", "spheres.gram_rows"]
 
 
 def _uses_lcm(node: ast.AST) -> bool:
@@ -255,6 +259,26 @@ def test_lcm_rule_catches_a_foreign_use():
     sources["circles"] += "\nfrom math import gcd, lcm\n"
     sources["spheres"] += "\ndef scale(xs):\n    return math.lcm(*xs)\n"
     assert _foreign_sites(sources, _uses_lcm, ("_linalg", "polycore")) == ["circles.", "spheres.scale"]
+
+
+def test_forms_are_stored_only_by_their_constructor_and_kernels():
+    # the builder skips coercion and the square and symmetry checks: the
+    # constructor runs them first, and each kernel builds a symmetric matrix
+    assert _package_callers("_store_form") == [
+        "polycore.QuadForm.__init__", "polycore.QuadForm.__neg__",
+        "polycore.QuadForm.from_poly", "polycore.QuadForm.restricted",
+    ]
+
+
+def test_form_store_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["polycore"] += "\ndef zero_form(n):\n    return _store_form(object.__new__(QuadForm), [[0] * n] * n, 1)\n"
+    sources["spheres"] += "\nclass Probe:\n    gram = polycore._store_form(form, [[1]], 1)\n"
+    assert _module_callers(sources, "_store_form") == [
+        "polycore.QuadForm.__init__", "polycore.QuadForm.__neg__",
+        "polycore.QuadForm.from_poly", "polycore.QuadForm.restricted",
+        "polycore.zero_form", "spheres.Probe",
+    ]
 
 
 def test_curves_are_stored_only_by_their_constructor_and_the_line_restriction():
@@ -354,7 +378,7 @@ def test_out_rule_catches_a_write_from_a_handler():
 
 def test_congruent_diagonalization_runs_only_on_checked_forms():
     # congruent_diagonalize does not check that its matrix is square and
-    # symmetric; both callers pass a QuadForm's matrix, which QuadForm checked
+    # symmetric; both callers pass a QuadForm's matrix, which is symmetric by construction
     assert _package_callers("congruent_diagonalize") == ["jets.is_degenerate", "polycore.form_signature"]
 
 

@@ -294,7 +294,7 @@ def test_sphere_lift_inherits_the_canonical_certificate(monkeypatch):
 
 def test_checked_zero_map_is_degenerate():
     with pytest.raises(Degenerate) as exc:
-        QuadSphereMap.checked(PolyMap.zero(2, 1), QuadForm.zero(2))
+        QuadSphereMap.checked(PolyMap.zero(2, 1), QuadForm(((0, 0), (0, 0))))
     assert exc.value.signature == (0, 0, 2)
 
 
