@@ -149,7 +149,8 @@ class Poly:
     def linear(coeffs: Sequence) -> "Poly":
         """Homogeneous linear polynomial with the given coefficient vector."""
         n = len(coeffs)
-        return Poly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+        ints, den = _linalg.cleared([[as_rational(c) for c in coeffs]])
+        return _int_poly(n, {k: c for k, c in zip(_unit_keys(n), ints[0]) if c}, den)
 
     # ---- queries -------------------------------------------------------
 
@@ -471,7 +472,10 @@ class QuadForm:
         return _int_poly(n, ints, self._den)
 
     def __call__(self, point: Sequence) -> Fraction:
-        return self.to_poly()(point)
+        v = [as_rational(x) for x in point]
+        if len(v) != self.dim:
+            raise ValueError("point dimension mismatch")
+        return sum(v[i] * sum(self.matrix[i][j] * v[j] for j in range(self.dim)) for i in range(self.dim))
 
     def __neg__(self) -> "QuadForm":
         return _store_form(object.__new__(QuadForm), [[-x for x in row] for row in self._ints], self._den)
@@ -520,12 +524,8 @@ class PolyMap:
     @staticmethod
     def from_linear_matrix(rows: Sequence[Sequence]) -> "PolyMap":
         """Map x -> Mx for an n x m coefficient matrix."""
-        ints, den = _linalg.cleared([[as_rational(x) for x in row] for row in rows])
-        m = len(ints[0]) if ints else 0
-        if any(len(row) != m for row in ints):
-            raise ValueError("coordinate has wrong number of variables")
-        unit = _unit_keys(m)
-        return PolyMap(m, [_int_poly(m, {k: c for k, c in zip(unit, row) if c}, den) for row in ints])
+        m = len(rows[0]) if rows else 0
+        return PolyMap(m, [Poly.linear(row) for row in rows])
 
     @staticmethod
     def from_quadratic_forms(forms: Sequence[QuadForm]) -> "PolyMap":

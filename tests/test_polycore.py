@@ -104,6 +104,8 @@ def test_products_reject_mismatched_spaces():
 def test_linear_and_variable_constructors():
     assert Poly.linear([2, 0, -1]) == 2 * Poly.variable(3, 0) - Poly.variable(3, 2)
     assert Poly.linear([0, 0]).is_zero()
+    # terms are stored in variable order, which the float oracle sums in
+    assert list(Poly.linear([F(3, 4), 0, "-1/6"]).terms.items()) == [((1, 0, 0), F(3, 4)), ((0, 0, 1), F(-1, 6))]
 
 
 # ---------------------------------------------------------------------------
