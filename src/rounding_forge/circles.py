@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _linalg
 from .jets import FracQuadMap
-from .polycore import Poly, _eval_float_terms, _float_terms, as_rational
+from .polycore import Poly, _FloatForm, _eval_float_rows, as_rational
 
 Coeffs = tuple[Fraction, ...]  # univariate polynomial, index = power of t
 
@@ -37,35 +37,30 @@ def _trim(c: Sequence) -> tuple:
     return tuple(out)
 
 
-def _integer_on_line(terms: Sequence[tuple[tuple[int, ...], int]],
-                     base: Sequence[int], direction: Sequence[int], scale: int) -> list[int]:
+def _integer_on_line(form: tuple[int, Sequence, Sequence], base: Sequence[int],
+                     direction: Sequence[int], scale: int) -> list[int]:
     """The 3 integer coefficients of t -> scale^2 * p((base + t * direction) / scale).
 
-    terms are p's integer terms as (factor indices, numerator), none of
-    degree above 2; a term of degree k carries the factor scale^(2 - k).
+    form is p's integer terms split by degree (see polycore._quadratic_terms):
+    the constant c0, the linear terms (i, c) and the quadratic terms (i, j, c).
     Every term has degree at most 2: PolyMap caps its coordinates at degree
     2 and FracQuadMap caps its denominator at degree 2, and restrict_to_line
-    passes only a FracQuadMap's terms. Each term uses a closed form:
+    passes only a FracQuadMap's terms. Each degree has a closed form:
+    c0 adds scale^2*c0, c*x_i adds scale*c*b_i and scale*c*d_i, and
     c*x_i*x_j adds c*b_i*b_j, c*(b_i*d_j + d_i*b_j) and c*d_i*d_j.
     """
-    powers = (scale * scale, scale, 1)
-    acc = [0, 0, 0]
-    for factors, c in terms:
-        k = len(factors)
-        c *= powers[k]
-        if k == 2:
-            i, j = factors
-            bi, bj, di, dj = base[i], base[j], direction[i], direction[j]
-            acc[0] += c * bi * bj
-            acc[1] += c * (bi * dj + di * bj)
-            acc[2] += c * di * dj
-        elif k == 1:
-            i = factors[0]
-            acc[0] += c * base[i]
-            acc[1] += c * direction[i]
-        else:
-            acc[0] += c
-    return acc
+    const, linear, quad = form
+    at_base = at_direction = 0
+    for i, c in linear:
+        at_base += c * base[i]
+        at_direction += c * direction[i]
+    acc0, acc1, acc2 = (const * scale + at_base) * scale, at_direction * scale, 0
+    for i, j, c in quad:
+        bi, bj, di, dj = base[i], base[j], direction[i], direction[j]
+        acc0 += c * bi * bj
+        acc1 += c * (bi * dj + di * bj)
+        acc2 += c * di * dj
+    return [acc0, acc1, acc2]
 
 
 @dataclass(frozen=True)
@@ -177,16 +172,16 @@ def restrict_to_line(fq: FracQuadMap, line: Line) -> RationalCurve:
     """Restrict numerator, denominator, and numerator norm to a rational line.
 
     The map's integer form (numerators and denominator over one shared
-    denominator) is built once per map; the line is scaled to integers, and
-    every coefficient is found in ints. Composing with the line is a ring
-    homomorphism, so the norm restriction is the sum of the squared
-    restricted numerators, not a restriction of the much larger
+    denominator, split by degree) is built once per map; the line is scaled
+    to integers, and every coefficient is found in ints. Composing with the
+    line is a ring homomorphism, so the norm restriction is the sum of the
+    squared restricted numerators, not a restriction of the much larger
     multivariate norm polynomial."""
     if line.dim != fq.source_dim:
         raise ValueError("line lives in the wrong source space")
-    terms, den = fq._integer_form
+    forms, den = fq._integer_form
     (base, direction), scale = _linalg.cleared([line.base, line.direction])
-    *numerators, denominator = [_trim(_integer_on_line(t, base, direction, scale)) for t in terms]
+    *numerators, denominator = [_trim(_integer_on_line(f, base, direction, scale)) for f in forms]
     if not denominator:
         raise DenominatorVanishesIdentically(f"denominator vanishes along {line}")
     return _store_curve(object.__new__(RationalCurve), numerators, denominator, den * scale * scale)
@@ -327,9 +322,9 @@ def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
     return numerators, denominator
 
 
-def _compiled(p: Poly, name: str):
+def _compiled(form: _FloatForm, p: Poly, name: str) -> list[tuple]:
     try:
-        return _float_terms(p)
+        return form.add(p)
     except OverflowError:
         raise ValueError(f"{name} has a coefficient outside float range") from None
 
@@ -343,15 +338,18 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     where not enough parameters clear the denominator guard are skipped, not
     counted as violations.
 
-    Every coordinate is compiled to float terms once, before the first
-    trial, and evaluated with Poly.eval_float's exact operations. A
+    Q and every F[i] are compiled into one float form before the first
+    trial; each sampled point builds one power table, from which Q and then
+    each F[i] are evaluated with Poly.eval_float's exact operations. A
     coefficient outside float range raises ValueError naming its
-    coordinate, F[i] or Q.
+    coordinate, Q or F[i].
     """
     numerators, denominator = _as_numeric_pair(fmap)
     m = denominator.num_vars
-    den_terms = _compiled(denominator, "Q")
-    num_terms = [_compiled(p, f"F[{i}]") for i, p in enumerate(numerators)]
+    form = _FloatForm()
+    den_rows = _compiled(form, denominator, "Q")
+    num_rows = [_compiled(form, p, f"F[{i}]") for i, p in enumerate(numerators)]
+    powers = form.powers
     rng = random.Random(seed)
     violations: list[int] = []
     skipped: list[int] = []
@@ -368,10 +366,11 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
         for _ in range(60 * _POINTS_PER_LINE):
             t = rng.uniform(-2.0, 2.0)
             x = [b + t * d for b, d in zip(base, direction)]
-            qv = _eval_float_terms(den_terms, x)
+            pw = powers(x)
+            qv = _eval_float_rows(den_rows, pw)
             if abs(qv) < _GUARD * (1.0 + t * t):
                 continue
-            pts.append([_eval_float_terms(terms, x) / qv for terms in num_terms])
+            pts.append([_eval_float_rows(rows, pw) / qv for rows in num_rows])
             if len(pts) >= _POINTS_PER_LINE:
                 break
         if len(pts) < _POINTS_PER_LINE:

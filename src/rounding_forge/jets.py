@@ -28,7 +28,8 @@ from .polycore import (
     Poly,
     PolyMap,
     QuadForm,
-    _factored_terms,
+    _eval_floats,
+    _quadratic_terms,
     as_rational,
     divide_exact,
     inner_poly,
@@ -151,14 +152,14 @@ class FracQuadMap:
         return self.numer.target_dim
 
     @cached_property
-    def _integer_form(self) -> tuple[list[list[tuple[tuple[int, ...], int]]], int]:
+    def _integer_form(self) -> tuple[list[tuple[int, list, list]], int]:
         """The numerators and then the denominator as integer terms over one
-        shared denominator (see polycore._factored_terms).
+        shared denominator, split by degree (see polycore._quadratic_terms).
 
         Built on the map's first restriction to a line and kept with the map;
         most maps are never restricted, so the constructor does not build it.
         """
-        return _factored_terms([*self.numer.coords, self.denom])
+        return _quadratic_terms([*self.numer.coords, self.denom])
 
     @property
     def is_germ(self) -> bool:
@@ -172,8 +173,8 @@ class FracQuadMap:
         return tuple(c / d for c in self.numer(point))
 
     def eval_float(self, point: Sequence[float]) -> list[float]:
-        d = self.denom.eval_float(point)
-        return [c / d for c in self.numer.eval_float(point)]
+        d, *values = _eval_floats([self.denom, *self.numer.coords], point)
+        return [c / d for c in values]
 
 
 def jet_from_matrices(linear_rows: Sequence[Sequence], quad_matrices: Sequence[Sequence[Sequence]]) -> Jet2:
@@ -230,7 +231,7 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     raises CertificateError. The witness x0 is the rational kernel vector of
     the first zero pivot: A(x0) = 0 and (q - p^2)(x0) = 0.
     """
-    kernel = _linalg.nullspace(rj.jet.linear.linear_matrix(), rj.source_dim)
+    kernel = _linalg.nullspace(rj.jet.linear._linear_ints()[0], rj.source_dim)
     if not kernel:
         return False, None
     restricted = QuadForm.from_poly(rj.q - rj.p * rj.p).restricted(kernel)
@@ -263,7 +264,8 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     degenerate, _ = is_degenerate(rj)
     if not degenerate:
         raise NotDegenerate("jet is nondegenerate, nothing to factor")
-    a = rj.jet.linear.linear_matrix()
+    # A = a / den: scaling A's rows leaves the row space and so the RREF alone
+    a, den = rj.jet.linear._linear_ints()
     forms = (rj.jet.quad - rj.jet.linear.times_poly(rj.p)).quadratic_forms()
     proj_rows, pivots = _linalg.rref([*a, *(row for f in forms for row in f.matrix)])
     if len(pivots) == rj.source_dim:
@@ -274,7 +276,7 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     # selects the pivot columns of A and the pivot block of each form.
     red_a = [[row[i] for i in pivots] for row in a]
     red_b = [tuple(tuple(f.matrix[i][j] for j in pivots) for i in pivots) for f in forms]
-    reduced = RoundingJet(jet_from_matrices(red_a, red_b))
+    reduced = RoundingJet(jet_from_matrices([[Fraction(x, den) for x in row] for row in red_a], red_b))
     cols = list(zip(*proj))
     if [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in red_a] != a:
         raise CertificateError("projection does not recover A")

@@ -239,9 +239,7 @@ class Poly:
         return total
 
     def eval_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.num_vars:
-            raise ValueError("point dimension mismatch")
-        return _eval_float_terms(_float_terms(self), [float(v) for v in point])
+        return _eval_floats([self], point)[0]
 
     def homogenize(self, total: int) -> "Poly":
         """Pad with a trailing variable so every term reaches the given degree."""
@@ -293,27 +291,65 @@ class Poly:
         return out.replace("+ -", "- ")
 
 
-_FloatTerms = list[tuple[float, list[tuple[int, int]]]]
+class _FloatForm:
+    """Polys compiled once for float evaluation at many points.
+
+    `slots` numbers the powers (v, k), x[v] ** k, that the compiled terms
+    use; `powers(x)` is the table pw of those powers at a point x, in slot
+    order, with a trailing 1.0. `add(p)` turns p into rows (c, i, j, ...),
+    one per term in stored order: the float coefficient c, then the slots of
+    the term's nonzero exponents in variable order, padded with -1, the 1.0
+    slot, up to the widest term of p (at least two). _eval_float_rows
+    multiplies c by each slot and adds the terms from 0.0; multiplying by
+    1.0 is exact, so the operations are those of a direct loop over the
+    terms."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self):
+        self.slots: dict[tuple[int, int], int] = {}
+
+    def add(self, p: Poly) -> list[tuple]:
+        """p's rows; a coefficient outside float range raises OverflowError."""
+        # int / int rounds correctly, as float() of the Fraction does
+        terms = [(c / p._den, [(v, k) for v, k in enumerate(_unpack(e, p.num_vars)) if k])
+                 for e, c in p._ints.items()]
+        width = max([2, *[len(factors) for _, factors in terms]])
+        rows = []
+        for c, factors in terms:
+            slots = [self.slots.setdefault(factor, len(self.slots)) for factor in factors]
+            rows.append((c, *slots, *[-1] * (width - len(slots))))
+        return rows
+
+    def powers(self, x: Sequence[float]) -> list[float]:
+        pw = [x[v] ** k for v, k in self.slots]
+        pw.append(1.0)
+        return pw
 
 
-def _float_terms(p: Poly) -> _FloatTerms:
-    """p's terms as (float coefficient, [(variable, exponent), ...]), in
-    p.terms order and with only the nonzero exponents, for
-    _eval_float_terms. A coefficient outside float range raises
-    OverflowError."""
-    # int / int rounds correctly, as float() of the Fraction does
-    return [(c / p._den, [(v, k) for v, k in enumerate(_unpack(e, p.num_vars)) if k]) for e, c in p._ints.items()]
-
-
-def _eval_float_terms(terms: _FloatTerms, x: Sequence[float]) -> float:
-    """Evaluate _float_terms output at a point of floats: each term is its
-    coefficient times x[v] ** k in variable order, summed in term order."""
+def _eval_float_rows(rows: Sequence[tuple], pw: Sequence[float]) -> float:
+    """The value of _FloatForm.add rows on the power table pw of a point."""
     total = 0.0
-    for term, factors in terms:
-        for v, k in factors:
-            term *= x[v] ** k
-        total += term
+    if rows and len(rows[0]) == 3:
+        for c, i, j in rows:
+            total += c * pw[i] * pw[j]
+        return total
+    for c, *slots in rows:
+        for i in slots:
+            c *= pw[i]
+        total += c
     return total
+
+
+def _eval_floats(polys: Sequence[Poly], point: Sequence[float]) -> list[float]:
+    """The values of polys, which share their variables, at a point of floats,
+    from one compiled form and one power table."""
+    if polys and len(point) != polys[0].num_vars:
+        raise ValueError("point dimension mismatch")
+    form = _FloatForm()
+    rows = [form.add(p) for p in polys]
+    pw = form.powers([float(v) for v in point])
+    return [_eval_float_rows(r, pw) for r in rows]
 
 
 def _unit_keys(num_vars: int) -> list[int]:
@@ -326,15 +362,30 @@ def _factors(key: int, num_vars: int) -> tuple[int, ...]:
     return tuple([i for i in range(num_vars) for _ in range((key >> (_FIELD_BITS * i)) & _FIELD_MASK)])
 
 
-def _factored_terms(polys: Sequence[Poly]) -> tuple[list[list[tuple[tuple[int, ...], int]]], int]:
-    """Terms as (factor indices, integer numerator) over one shared denominator.
+def _quadratic_terms(polys: Sequence[Poly]) -> tuple[list[tuple[int, list, list]], int]:
+    """Polys of degree at most 2 as integer numerators over one shared
+    denominator, split by degree.
 
-    The factor indices list one variable index per factor of the monomial,
-    so x1^2*x3 has (0, 0, 2) and a constant has ().
+    Each Poly becomes (constant, linear, quadratic): its constant numerator,
+    (i, c) for each term c*x_i and (i, j, c), i <= j, for each c*x_i*x_j.
     """
     den = lcm(*[p._den for p in polys])
-    return [[(_factors(k, p.num_vars), c * (den // p._den)) for k, c in p._ints.items()]
-            for p in polys], den
+    out = []
+    for p in polys:
+        scale = den // p._den
+        const, linear, quad = 0, [], []
+        for k, c in p._ints.items():
+            c *= scale
+            factors = _factors(k, p.num_vars)
+            if not factors:
+                const = c
+            elif len(factors) == 1:
+                linear.append((factors[0], c))
+            else:
+                i, j = factors  # a wider term fails to unpack
+                quad.append((i, j, c))
+        out.append((const, linear, quad))
+    return out, den
 
 
 def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
@@ -551,10 +602,17 @@ class PolyMap:
 
     def linear_matrix(self) -> list[list[Fraction]]:
         """Coefficient matrix of a homogeneous linear map, rows = coordinates."""
+        rows, den = self._linear_ints()
+        return [[Fraction(x, den) for x in row] for row in rows]
+
+    def _linear_ints(self) -> tuple[list[list[int]], int]:
+        """The coefficient matrix of a homogeneous linear map as integer rows
+        over one shared denominator, as _linalg.cleared gives it."""
         if not self.is_linear():
             raise ValueError("map is not homogeneous linear")
-        keys, zero = _unit_keys(self.source_dim), Fraction(0)
-        return [[Fraction(c._ints[k], c._den) if k in c._ints else zero for k in keys] for c in self.coords]
+        keys = _unit_keys(self.source_dim)
+        den = lcm(*[c._den for c in self.coords])
+        return [[c._ints.get(k, 0) * (den // c._den) for k in keys] for c in self.coords], den
 
     def quadratic_forms(self) -> list[QuadForm]:
         return [QuadForm.from_poly(c) for c in self.coords]
@@ -587,7 +645,7 @@ class PolyMap:
         return tuple(c(point) for c in self.coords)
 
     def eval_float(self, point: Sequence[float]) -> list[float]:
-        return [c.eval_float(point) for c in self.coords]
+        return _eval_floats(self.coords, point)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -611,7 +669,7 @@ def inner_poly(u: PolyMap, v: PolyMap) -> Poly:
 
 def rank_linear(a: PolyMap) -> int:
     """Exact rank of a homogeneous linear map over the rationals."""
-    return _linalg.exact_rank(a.linear_matrix())
+    return _linalg.exact_rank(a._linear_ints()[0])
 
 
 def form_signature(q: QuadForm) -> tuple[int, int, int]:

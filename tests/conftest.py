@@ -1,8 +1,8 @@
 """Shared fixtures: the named example jets, random valid-jet generators built
 from normed pairings, and small independent oracles (plain-dict polynomial
 expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
-congruent diagonalization) used to cross-check the package without touching
-its own arithmetic."""
+congruent diagonalization, the per-term sampling oracle) used to
+cross-check the package without touching its own arithmetic."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rounding_forge import cliff
+from rounding_forge import circles, cliff
+from rounding_forge.circles import NumericReport
 from rounding_forge.jets import Jet2, transform_jet
 from rounding_forge.polycore import Poly, PolyMap, QuadForm
 
@@ -80,6 +81,69 @@ def eval_float_reference(p: Poly, point) -> float:
                 term *= float(v) ** k
         total += term
     return total
+
+
+# reference sampling oracle: the per-term loop the package's oracle ran
+# before it compiled its maps into one power table per point. Each
+# coordinate is converted once to float terms; at every sampled point each
+# term multiplies its coefficient by x[v] ** k, variable by variable, and
+# the terms are added in stored order. The package's reports must match it
+# field for field, max_residual to the bit.
+
+
+def _reference_float_terms(p: Poly, name: str) -> list:
+    try:
+        return [(float(c), [(v, k) for v, k in enumerate(e) if k]) for e, c in p.terms.items()]
+    except OverflowError:
+        raise ValueError(f"{name} has a coefficient outside float range") from None
+
+
+def _reference_eval(terms: list, x: list) -> float:
+    total = 0.0
+    for term, factors in terms:
+        for v, k in factors:
+            term *= x[v] ** k
+        total += term
+    return total
+
+
+def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
+    numerators, denominator = circles._as_numeric_pair(fmap)
+    m = denominator.num_vars
+    den_terms = _reference_float_terms(denominator, "Q")
+    num_terms = [_reference_float_terms(p, f"F[{i}]") for i, p in enumerate(numerators)]
+    points_per_line = circles._POINTS_PER_LINE
+    rng = random.Random(seed)
+    violations: list = []
+    skipped: list = []
+    max_residual = 0.0
+    for trial in range(trials):
+        if trial % 2 == 0:
+            base = [0.0] * m
+        else:
+            base = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        while not any(abs(d) > 1e-3 for d in direction):
+            direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        pts = []
+        for _ in range(60 * points_per_line):
+            t = rng.uniform(-2.0, 2.0)
+            x = [b + t * d for b, d in zip(base, direction)]
+            qv = _reference_eval(den_terms, x)
+            if abs(qv) < circles._GUARD * (1.0 + t * t):
+                continue
+            pts.append([_reference_eval(terms, x) / qv for terms in num_terms])
+            if len(pts) >= points_per_line:
+                break
+        if len(pts) < points_per_line:
+            skipped.append(trial)
+            continue
+        fit = circles.circle_fit(pts)
+        max_residual = max(max_residual, fit.residual)
+        if fit.residual > tol:
+            violations.append(trial)
+    return NumericReport(trials=trials, seed=seed, tol=tol, points_per_line=points_per_line,
+                         max_residual=max_residual, violations=tuple(violations), skipped=tuple(skipped))
 
 
 def identity_form(n: int) -> QuadForm:

@@ -12,7 +12,15 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import complex_square_jet, dict_inner, mixed_coeffs, mixed_polys, quaternion_jet
+from conftest import (
+    complex_square_jet,
+    dict_inner,
+    mixed_coeffs,
+    mixed_polys,
+    numeric_oracle_reference,
+    quaternion_jet,
+    random_valid_jet,
+)
 from rounding_forge import circles, jets
 from rounding_forge.circles import (
     DenominatorVanishesIdentically,
@@ -139,13 +147,13 @@ def test_restrict_to_line_matches_exact_evaluation(case):
 
 def test_integer_form_is_built_lazily_and_once(monkeypatch):
     built = []
-    factored_terms = jets._factored_terms
+    quadratic_terms = jets._quadratic_terms
 
     def counting(polys):
         built.append(len(polys))
-        return factored_terms(polys)
+        return quadratic_terms(polys)
 
-    monkeypatch.setattr(jets, "_factored_terms", counting)
+    monkeypatch.setattr(jets, "_quadratic_terms", counting)
     rj = validate_jet(quaternion_jet())
     fq = canonical_rounding(rj)
     sphere_lift(rj)
@@ -465,6 +473,61 @@ def test_numeric_oracle_names_a_coordinate_outside_float_range():
         verify_rounding_numeric(([fq.numer.coords[0], huge], fq.denom))
     with pytest.raises(ValueError, match="^Q has a coefficient outside float range$"):
         verify_rounding_numeric((list(fq.numer.coords), fq.denom + huge))
+
+
+def _wide_polys(m: int):
+    """Polys of degree up to 4 that always hold a term of three distinct factors,
+    and of four when m allows: rows wider than (c, i, j)."""
+    wide = {tuple(int(v < 3) for v in range(m)): F(-2, 3)}
+    if m >= 4:
+        wide[tuple(int(v < 4) for v in range(m))] = F(5, 7)
+    return mixed_polys(m, 4).map(lambda p: p + Poly(m, wide))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A map for the sampling oracle, with its trials, seed and tolerance.
+
+    The maps are canonical roundings of random valid jets (m 2..8), plain
+    quadratic maps that violate the rounding property, and raw pairs of
+    degree 3 and 4; a denominator scaled towards the guard skips some or all
+    lines, coordinates may be zero or constant, and a negated map divides
+    zero coordinates by a negative Q, which samples -0.0.
+    """
+    kind = draw(st.sampled_from(["canonical", "quadratic", "wide"]))
+    if kind == "canonical":
+        m = draw(st.integers(2, 8))
+        fq = canonical_rounding(validate_jet(random_valid_jet(random.Random(draw(st.integers(0, 10**6))), m=m)))
+        numerators, denominator = list(fq.numer.coords), fq.denom
+    elif kind == "quadratic":
+        m = draw(st.integers(1, 5))
+        numerators = draw(st.lists(mixed_polys(m, 2), min_size=1, max_size=4))
+        denominator = draw(mixed_polys(m, 2)) + 1
+    else:
+        m = draw(st.integers(3, 5))
+        numerators = draw(st.lists(_wide_polys(m), min_size=1, max_size=3))
+        denominator = draw(st.one_of(mixed_polys(m, 2), _wide_polys(m))) + 1
+    denominator = denominator * draw(st.sampled_from([F(1), F(1), F(1, 10**6), F(1, 10**8), F(0)]))
+    extra = draw(st.lists(st.sampled_from([F(0), F(1), F(-5, 2)]), max_size=2))
+    numerators += [Poly.constant(m, c) for c in extra]
+    if draw(st.booleans()):
+        numerators, denominator = [-p for p in numerators], -denominator
+    if kind != "wide" and draw(st.booleans()):
+        fmap = FracQuadMap(PolyMap(m, numerators), denominator)
+    else:
+        fmap = (numerators, denominator)
+    trials = draw(st.integers(1, 8))
+    return fmap, trials, draw(st.integers(0, 10**6)), draw(st.sampled_from([1e-7, 1e-3]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(oracle_cases())
+def test_numeric_oracle_matches_the_per_term_reference(case):
+    fmap, trials, seed, tol = case
+    got = verify_rounding_numeric(fmap, trials=trials, seed=seed, tol=tol)
+    want = numeric_oracle_reference(fmap, trials=trials, seed=seed, tol=tol)
+    assert got.max_residual.hex() == want.max_residual.hex()
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 @pytest.mark.parametrize("scale", [math.inf, math.nan, 1e307])

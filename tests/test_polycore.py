@@ -40,8 +40,8 @@ from rounding_forge.polycore import (
     divide_exact,
     form_signature,
     inner_poly,
-    _eval_float_terms,
-    _float_terms,
+    _FloatForm,
+    _eval_float_rows,
     poly_divmod,
     rank_linear,
 )
@@ -226,13 +226,28 @@ def test_compiled_float_evaluation_matches_the_reference_bit_for_bit(case):
     p, point = case
     want = eval_float_reference(p, point).hex()
     assert p.eval_float(point).hex() == want
-    assert _eval_float_terms(_float_terms(p), [float(v) for v in point]).hex() == want
+    form = _FloatForm()
+    rows = form.add(p)
+    assert _eval_float_rows(rows, form.powers([float(v) for v in point])).hex() == want
+    if p.degree() <= 2:
+        # a map compiles its coordinates into one form with one power table
+        coords = [p, p + 1, -p]
+        got = PolyMap(p.num_vars, coords).eval_float(point)
+        assert [x.hex() for x in got] == [eval_float_reference(q, point).hex() for q in coords]
 
 
 def test_float_terms_keep_term_order_and_nonzero_exponents():
     p = Poly(3, {(0, 2, 1): F(1, 3), (0, 0, 0): -2, (1, 0, 0): F(5, 2)})
-    assert _float_terms(p) == [(1 / 3, [(1, 2), (2, 1)]), (-2.0, []), (2.5, [(0, 1)])]
-    assert _float_terms(Poly.zero(2)) == []
+    form = _FloatForm()
+    # rows in term order, slots in variable order, padded with the trailing 1.0 slot
+    assert form.add(p) == [(1 / 3, 0, 1), (-2.0, -1, -1), (2.5, 2, -1)]
+    assert list(form.slots) == [(1, 2), (2, 1), (0, 1)]
+    # a second Poly reuses the slots it shares; a wider term widens only its own rows
+    q = Poly(3, {(1, 0, 0): 1, (1, 1, 1): 4})
+    assert form.add(q) == [(1.0, 2, -1, -1), (4.0, 2, 3, 1)]
+    assert list(form.slots) == [(1, 2), (2, 1), (0, 1), (1, 1)]
+    assert form.powers([2.0, 3.0, 5.0]) == [9.0, 5.0, 2.0, 3.0, 1.0]
+    assert form.add(Poly.zero(3)) == []
     assert Poly.zero(2).eval_float([-0.0, 1.0]).hex() == (0.0).hex()
     with pytest.raises(ValueError, match="point dimension mismatch"):
         p.eval_float([1.0, 2.0])

@@ -16,8 +16,9 @@ by its constructor, after the checks, and by the line restriction, and read
 only in circles; only the line restriction, whose maps cap every term at
 degree 2, composes a polynomial with a line; matrices are cleared in one
 helper, and only _linalg and polycore take an lcm; the numeric oracle
-evaluates only polynomials it compiled once, never eval_float; only the
-CLI's main writes an --out document; congruent diagonalization, which
+evaluates only polynomials it compiled once, never eval_float, and one
+float evaluator remains, which adds term by term, never with sum or fsum;
+only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
 QuadForm's matrix; the one symmetric elimination is called
 only by LDL^T and congruent diagonalization; and no module imports a name
@@ -227,7 +228,7 @@ def _reads_integer_form(node: ast.AST) -> bool:
 def test_integer_form_is_read_only_in_polycore():
     # a Poly's packed keys and a QuadForm's integer rows, each over one
     # denominator, are polycore's format; other modules read Poly through its
-    # methods, terms, or _factored_terms, and QuadForm through its matrix
+    # methods, terms, or _quadratic_terms, and QuadForm through its matrix
     sources = _package_sources()
     assert len(_module_sites(sources, _reads_integer_form)) >= 20
     assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == []
@@ -344,12 +345,20 @@ def test_clearing_rule_catches_a_foreign_call():
 
 
 def test_numeric_oracle_stays_on_compiled_evaluation():
-    # eval_float converts every coefficient on every call; circles compiles
-    # each coordinate once per oracle run instead
+    # eval_float compiles its Polys on every call; circles compiles Q and
+    # every F[i] into one form once per oracle run instead, and evaluates
+    # them from one power table per sampled point
     sources = _package_sources()
     assert _module_callers({"circles": sources["circles"]}, "eval_float") == []
-    assert _module_callers({"circles": sources["circles"]}, "_eval_float_terms") == [
+    assert _module_callers({"circles": sources["circles"]}, "_eval_float_rows") == [
         "circles.verify_rounding_numeric", "circles.verify_rounding_numeric",
+    ]
+    # one float evaluator: every eval_float reaches the same rows
+    assert _package_callers("_eval_float_rows") == [
+        "circles.verify_rounding_numeric", "circles.verify_rounding_numeric", "polycore._eval_floats",
+    ]
+    assert _package_callers("_eval_floats") == [
+        "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float", "polycore.PolyMap.eval_float",
     ]
 
 
@@ -360,6 +369,40 @@ def test_compiled_evaluation_rule_catches_an_eval_float_call():
     assert _module_callers({"circles": sources["circles"]}, "eval_float") == [
         "circles.Probe", "circles.sample",
     ]
+
+
+# the float evaluator: its compile, its power table, its rows and the
+# functions that drive it
+_FLOAT_EVALUATOR = (
+    "circles.verify_rounding_numeric", "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float",
+    "polycore.PolyMap.eval_float", "polycore._FloatForm", "polycore._eval_float_rows", "polycore._eval_floats",
+)
+
+
+def _float_evaluator_sums(sources: dict[str, str]) -> list[str]:
+    sites = _module_sites(sources, lambda node: _called_name(node) in ("sum", "fsum"))
+    return [name for name in sites if any(name == f or name.startswith(f + ".") for f in _FLOAT_EVALUATOR)]
+
+
+def test_float_evaluator_adds_term_by_term():
+    # Python 3.12 made sum() of floats compensated and fsum rounds once, so
+    # either would move report bytes between Python versions; the evaluator
+    # adds each term to a running total from 0.0, in stored order
+    assert _float_evaluator_sums(_package_sources()) == []
+
+
+def test_float_sum_rule_catches_a_sum_in_the_evaluator():
+    sources = _package_sources()
+    head = "def _eval_float_rows(rows: Sequence[tuple], pw: Sequence[float]) -> float:\n"
+    assert head in sources["polycore"]
+    sources["polycore"] = sources["polycore"].replace(
+        head, head + "    return sum([c * pw[i] * pw[j] for c, i, j in rows])\n")
+    head = "        d, *values = _eval_floats([self.denom, *self.numer.coords], point)\n"
+    assert head in sources["jets"]
+    sources["jets"] = sources["jets"].replace(head, head + "        d = math.fsum([d])\n")
+    # a sum outside the evaluator is not its business
+    sources["circles"] += "\ndef mean(xs):\n    return sum(xs) / len(xs)\n"
+    assert _float_evaluator_sums(sources) == ["jets.FracQuadMap.eval_float", "polycore._eval_float_rows"]
 
 
 def test_out_documents_are_written_only_by_main():
@@ -431,7 +474,7 @@ def test_unused_import_rule_catches_a_foreign_case():
         "from __future__ import annotations\n"
         "import os, numpy as np\n"
         "import xml.dom\n"
-        "from .polycore import Poly, _float_terms as ft\n"
+        "from .polycore import Poly, _FloatForm as ft\n"
         "def f(p: Poly):\n"
         "    return np.zeros(1)\n"
     )
@@ -440,5 +483,5 @@ def test_unused_import_rule_catches_a_foreign_case():
     sources = _package_sources()
     head = "    QuadForm,\n    form_signature,\n"
     assert head in sources["spheres"]
-    sources["spheres"] = sources["spheres"].replace(head, "    QuadForm,\n    _float_terms,\n    form_signature,\n")
-    assert _unused_imports(ast.parse(sources["spheres"])) == ["_float_terms"]
+    sources["spheres"] = sources["spheres"].replace(head, "    QuadForm,\n    _FloatForm,\n    form_signature,\n")
+    assert _unused_imports(ast.parse(sources["spheres"])) == ["_FloatForm"]
