@@ -11,10 +11,10 @@ redundancy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 from typing import Sequence
 
 import numpy as np
@@ -223,20 +223,6 @@ class CircleFit:
     residual: float
 
 
-def _max_distance(points: np.ndarray, fit: CircleFit) -> float:
-    w = points - fit.center
-    if fit.kind == "point":
-        return float(np.max(np.linalg.norm(w, axis=1)))
-    b1, b2 = fit.plane_basis
-    if fit.kind == "line":
-        along = w @ b1
-        return float(np.max(np.linalg.norm(w - np.outer(along, b1), axis=1)))
-    u, v = w @ b1, w @ b2
-    out = w - np.outer(u, b1) - np.outer(v, b2)
-    in_plane = np.hypot(u, v) - fit.radius
-    return float(np.max(np.hypot(in_plane, np.linalg.norm(out, axis=1))))
-
-
 def circle_fit(points: Sequence[Sequence[float]]) -> CircleFit:
     """Algebraic circle fit through points in R^n.
 
@@ -245,44 +231,96 @@ def circle_fit(points: Sequence[Sequence[float]]) -> CircleFit:
     and radius. Nearly collinear or coincident samples degrade to a line or
     point fit rather than returning a meaningless huge circle. Samples that
     are not finite, or so large that their squared spread about the
-    centroid overflows, raise ValueError.
+    centroid overflows, raise ValueError. This is the stacked fit applied to
+    a stack of one.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 5:
         raise ValueError("need at least 5 points")
+    return _fit_stack(pts[np.newaxis])[0]
+
+
+def _fit_stack(pts: np.ndarray) -> list[CircleFit]:
+    """circle_fit of each sample set in a (k, p, n) stack, p >= 5.
+
+    The centroids, the centering, the finite-spread check, the SVD, the
+    point and line decisions and the residual arithmetic run once per stack:
+    each is elementwise, reduces along one sample set's own axes, or (the
+    SVD) factors each matrix on its own. The products with a basis vector
+    (@) and the circle solve (lstsq) run once per fit, since a stacked
+    product may add in another order. So every field has the bits of a fit
+    of that sample set alone. Any non-finite sample set raises.
+    """
+    k, _, n = pts.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        centroid = pts.mean(axis=0)
-        centered = pts - centroid
+        centroids = pts.mean(axis=1)
+        centered = pts - centroids[:, np.newaxis]
         # every square the fit takes is bounded by this sum
-        spread = np.sum(centered * centered)
-    if not np.isfinite(spread):
+        spread = np.sum(centered * centered, axis=(1, 2))
+    if not np.isfinite(spread).all():
         raise ValueError("samples must be finite")
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if vt.shape[0] < 2:
-        vt = np.vstack([vt, np.zeros((2 - vt.shape[0], vt.shape[1]))])
-        svals = np.append(svals, np.zeros(2 - svals.shape[0]))
-    basis = vt[:2]
-    scale = float(svals[0])
-
-    def finish(kind: str, center: np.ndarray, radius: float) -> CircleFit:
-        fit = CircleFit(kind=kind, center=center, radius=radius, plane_basis=basis, residual=0.0)
-        return replace(fit, residual=_max_distance(pts, fit))
-
-    sizes = np.linalg.norm(centered, axis=1)
-    if scale < 1e-12 * max(1.0, float(np.max(sizes, initial=0.0))) or scale == 0.0:
-        return finish("point", centroid, 0.0)
-    if svals[1] < 1e-9 * scale:
-        return finish("line", centroid, float("inf"))
-    u = centered @ basis[0]
-    v = centered @ basis[1]
-    design = np.column_stack([2 * u, 2 * v, np.ones_like(u)])
+    svals, vt = np.linalg.svd(centered, full_matrices=False)[1:]
+    # the top two singular values and right singular vectors, zeros standing
+    # in below n = 2; the rest of vt is dropped here
+    top = min(n, 2)
+    s2, basis = np.zeros((k, 2)), np.zeros((k, 2, n))
+    s2[:, :top], basis[:, :top] = svals[:, :top], vt[:, :top]
+    del svals, vt
+    b1, b2, scales = basis[:, 0], basis[:, 1], s2[:, 0]
+    sizes = np.max(np.linalg.norm(centered, axis=2), axis=1, initial=0.0)
+    point = (scales < 1e-12 * np.maximum(1.0, sizes)) | (scales == 0.0)
+    circle = ~point & ~(s2[:, 1] < 1e-9 * scales)
+    centers = centroids.copy()
+    radii = np.where(point, 0.0, np.inf)
+    u, v = _dots(centered, b1, circle), _dots(centered, b2, circle)
+    design = np.stack([2 * u, 2 * v, np.ones_like(u)], axis=2)
     rhs = u * u + v * v
-    (cu, cv, c), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    r2 = c + cu * cu + cv * cv
-    radius = float(np.sqrt(max(r2, 0.0)))
-    if radius > 1e9 * scale:
-        return finish("line", centroid, float("inf"))
-    return finish("circle", centroid + cu * basis[0] + cv * basis[1], radius)
+    for j, i in enumerate(np.flatnonzero(circle)):
+        (cu, cv, c), *_ = np.linalg.lstsq(design[j], rhs[j], rcond=None)
+        r2 = c + cu * cu + cv * cv
+        radius = float(np.sqrt(max(r2, 0.0)))
+        if radius > 1e9 * scales[i]:
+            circle[i] = False  # a line through the centroid
+        else:
+            radii[i] = radius
+            centers[i] = centroids[i] + cu * b1[i] + cv * b2[i]
+    residuals = _residuals(pts, centered, centers, radii, b1, b2, point, circle)
+    return [CircleFit(kind="point" if point[i] else "circle" if circle[i] else "line", center=centers[i],
+                      radius=float(radii[i]), plane_basis=basis[i], residual=float(residuals[i]))
+            for i in range(k)]
+
+
+def _residuals(pts: np.ndarray, centered: np.ndarray, centers: np.ndarray, radii: np.ndarray, b1: np.ndarray,
+               b2: np.ndarray, point: np.ndarray, circle: np.ndarray) -> np.ndarray:
+    """The worst distance from each sample set of a stack to its fitted object.
+
+    With w = sample - center: a point fit measures |w|; a line fit removes
+    w's component u along b1; a circle fit removes u and the component v
+    along b2, and adds hypot(u, v) - radius in the plane. u and v are taken
+    per fit with @, everything else once per kind of fit. A point or line
+    fit is centered at its centroid, where w is the centered samples, so w
+    is written over centered: the stack holds one copy of its samples less.
+    """
+    w = centered
+    w[circle] = pts[circle] - centers[circle, np.newaxis]
+    line = ~(point | circle)
+    out = np.empty(len(pts))
+    out[point] = np.max(np.linalg.norm(w[point], axis=2), axis=1)
+    off = w[line]
+    off -= _dots(w, b1, line)[..., np.newaxis] * b1[line, np.newaxis]
+    out[line] = np.max(np.linalg.norm(off, axis=2), axis=1)
+    u, v = _dots(w, b1, circle), _dots(w, b2, circle)
+    off = w[circle]
+    off -= u[..., np.newaxis] * b1[circle, np.newaxis]
+    off -= v[..., np.newaxis] * b2[circle, np.newaxis]
+    in_plane = np.hypot(u, v) - radii[circle, np.newaxis]
+    out[circle] = np.max(np.hypot(in_plane, np.linalg.norm(off, axis=2)), axis=1)
+    return out
+
+
+def _dots(w: np.ndarray, b: np.ndarray, fits: np.ndarray) -> np.ndarray:
+    """w[i] @ b[i] for each selected fit i, as rows of one array."""
+    return np.array([w[i] @ b[i] for i in np.flatnonzero(fits)]).reshape(-1, w.shape[1])
 
 
 @dataclass(frozen=True)
@@ -308,6 +346,7 @@ class NumericReport:
 
 _GUARD = 1e-6  # reject parameters where |Q| < guard * (1 + |t|^2)
 _POINTS_PER_LINE = 16
+_FIT_BLOCK = 100  # trials sampled before their lines are fitted as one stack
 
 
 def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
@@ -342,8 +381,15 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     trial; each sampled point builds one power table, from which Q and then
     each F[i] are evaluated with Poly.eval_float's exact operations. A
     coefficient outside float range raises ValueError naming its
-    coordinate, Q or F[i].
+    coordinate, Q or F[i]. Trials are sampled in order, _FIT_BLOCK at a
+    time, and each block's lines are fitted as one stack, with the bits of
+    circle_fit on each line alone. trials must be a positive int and tol
+    positive and finite; a NaN tol would pass every line.
     """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     numerators, denominator = _as_numeric_pair(fmap)
     m = denominator.num_vars
     form = _FloatForm()
@@ -354,32 +400,39 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     violations: list[int] = []
     skipped: list[int] = []
     max_residual = 0.0
-    for trial in range(trials):
-        if trial % 2 == 0:
-            base = [0.0] * m
-        else:
-            base = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-        direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-        while not any(abs(d) > 1e-3 for d in direction):
+    for start in range(0, trials, _FIT_BLOCK):
+        block = np.empty((min(_FIT_BLOCK, trials - start), _POINTS_PER_LINE, len(num_rows)))
+        sampled: list[int] = []
+        for trial in range(start, start + len(block)):
+            if trial % 2 == 0:
+                base = [0.0] * m
+            else:
+                base = [rng.uniform(-1.0, 1.0) for _ in range(m)]
             direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-        pts = []
-        for _ in range(60 * _POINTS_PER_LINE):
-            t = rng.uniform(-2.0, 2.0)
-            x = [b + t * d for b, d in zip(base, direction)]
-            pw = powers(x)
-            qv = _eval_float_rows(den_rows, pw)
-            if abs(qv) < _GUARD * (1.0 + t * t):
-                continue
-            pts.append([_eval_float_rows(rows, pw) / qv for rows in num_rows])
-            if len(pts) >= _POINTS_PER_LINE:
-                break
-        if len(pts) < _POINTS_PER_LINE:
-            skipped.append(trial)
+            while not any(abs(d) > 1e-3 for d in direction):
+                direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+            pts = []
+            for _ in range(60 * _POINTS_PER_LINE):
+                t = rng.uniform(-2.0, 2.0)
+                x = [b + t * d for b, d in zip(base, direction)]
+                pw = powers(x)
+                qv = _eval_float_rows(den_rows, pw)
+                if abs(qv) < _GUARD * (1.0 + t * t):
+                    continue
+                pts.append([_eval_float_rows(rows, pw) / qv for rows in num_rows])
+                if len(pts) >= _POINTS_PER_LINE:
+                    break
+            if len(pts) < _POINTS_PER_LINE:
+                skipped.append(trial)
+            else:
+                block[len(sampled)] = pts
+                sampled.append(trial)
+        if not sampled:
             continue
-        fit = circle_fit(pts)
-        max_residual = max(max_residual, fit.residual)
-        if fit.residual > tol:
-            violations.append(trial)
+        for trial, fit in zip(sampled, _fit_stack(block[:len(sampled)])):
+            max_residual = max(max_residual, fit.residual)
+            if fit.residual > tol:
+                violations.append(trial)
     return NumericReport(
         trials=trials,
         seed=seed,

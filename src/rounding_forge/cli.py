@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import circles, cliff, jets, spheres
 from .polycore import CertificateError, Poly, PolyMap
@@ -469,21 +469,31 @@ def cmd_verify(args) -> Report:
     return report
 
 
-def _value_table(name: str, var: str, fn, upto: int, report: Report) -> list[str]:
-    """fn(1..upto) into report.verdicts[name]; returns the text table."""
+def _value_table(name: str, var: str, fn, upto: int, report: Report, keep: bool) -> Iterable[str]:
+    """The text table of fn(1..upto), each row made when it is read. With
+    keep (--json) every value also goes into report.verdicts[name] and the
+    table is built whole; text mode prints the rows as they are made."""
     report.inputs["params"] = {f"{name}_up_to": upto}
-    values = {k: fn(k) for k in range(1, upto + 1)}
-    report.verdicts[name] = {str(k): v for k, v in values.items()}
+    values = report.verdicts.setdefault(name, {}) if keep else None
     head = f"{name}({var})"
-    return [f"{var:>6}  {head}"] + [f"{k:>6}  {v:>{len(head)}}" for k, v in values.items()]
+
+    def rows():
+        yield f"{var:>6}  {head}"
+        for k in range(1, upto + 1):
+            v = fn(k)
+            if values is not None:
+                values[str(k)] = v
+            yield f"{k:>6}  {v:>{len(head)}}"
+
+    return list(rows()) if keep else rows()
 
 
 def cmd_tables(args) -> Report:
     report = Report(command="tables")
     if args.rho is not None:
-        lines = _value_table("rho", "n", cliff.rho, args.rho, report)
+        lines = _value_table("rho", "n", cliff.rho, args.rho, report, args.json)
     elif args.kappa is not None:
-        lines = _value_table("kappa", "m", cliff.kappa, args.kappa, report)
+        lines = _value_table("kappa", "m", cliff.kappa, args.kappa, report, args.json)
     else:
         r, s, n = args.stiefel
         report.inputs["params"] = {"r": r, "s": s, "n": n}

@@ -36,36 +36,34 @@ class SizeInfeasible(Exception):
         self.n = n
 
 
-@lru_cache(maxsize=None)
 def rho(n: int) -> int:
     """Hurwitz-Radon function: write n = 2^(4a+b) * odd with 0 <= b <= 3,
     then rho(n) = 8a + 2^b."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    s = 0
-    while n % 2 == 0:
-        n //= 2
-        s += 1
-    a, b = divmod(s, 4)
+    a, b = divmod((n & -n).bit_length() - 1, 4)
     return 8 * a + (1 << b)
 
 
-@lru_cache(maxsize=None)
 def kappa(m: int) -> int:
     """Largest n with a nonsingular bilinear [m, n, n]-pairing.
 
     Computed by the recursion kappa(2^t + r) = 2^t when r < rho(2^t) and
-    2^t + kappa(r) otherwise, for 0 <= r < 2^t.
+    2^t + kappa(r) otherwise, for 0 <= r < 2^t, run as a loop over the top
+    bits of m. Neither function caches: a table of every value up to the
+    cap would otherwise keep each one.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m > KAPPA_DOMAIN_CAP:
         raise ValueError(f"kappa domain is capped at {KAPPA_DOMAIN_CAP}")
-    t = m.bit_length() - 1
-    r = m - (1 << t)
-    if r < rho(1 << t):
-        return 1 << t
-    return (1 << t) + kappa(r)
+    head = 0
+    while True:
+        t = m.bit_length() - 1
+        r = m - (1 << t)
+        if r < 8 * (t >> 2) + (1 << (t & 3)):  # rho(2^t)
+            return head + (1 << t)
+        head, m = head + (1 << t), r
 
 
 @dataclass(frozen=True)

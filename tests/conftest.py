@@ -1,19 +1,22 @@
 """Shared fixtures: the named example jets, random valid-jet generators built
 from normed pairings, and small independent oracles (plain-dict polynomial
 expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
-congruent diagonalization, the per-term sampling oracle) used to
-cross-check the package without touching its own arithmetic."""
+congruent diagonalization, the per-term sampling oracle with its
+one-line-at-a-time circle fit) used to cross-check the package without
+touching its own arithmetic."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from rounding_forge import circles, cliff
-from rounding_forge.circles import NumericReport
+from rounding_forge.circles import CircleFit, NumericReport
 from rounding_forge.jets import Jet2, transform_jet
 from rounding_forge.polycore import Poly, PolyMap, QuadForm
 
@@ -84,7 +87,8 @@ def eval_float_reference(p: Poly, point) -> float:
 
 
 # reference sampling oracle: the per-term loop the package's oracle ran
-# before it compiled its maps into one power table per point. Each
+# before it compiled its maps into one power table per point, fitting one
+# line at a time with the circle fit it had before stacked fitting. Each
 # coordinate is converted once to float terms; at every sampled point each
 # term multiplies its coefficient by x[v] ** k, variable by variable, and
 # the terms are added in stored order. The package's reports must match it
@@ -105,6 +109,61 @@ def _reference_eval(terms: list, x: list) -> float:
             term *= x[v] ** k
         total += term
     return total
+
+
+def _reference_max_distance(points: np.ndarray, fit: CircleFit) -> float:
+    w = points - fit.center
+    if fit.kind == "point":
+        return float(np.max(np.linalg.norm(w, axis=1)))
+    b1, b2 = fit.plane_basis
+    if fit.kind == "line":
+        along = w @ b1
+        return float(np.max(np.linalg.norm(w - np.outer(along, b1), axis=1)))
+    u, v = w @ b1, w @ b2
+    out = w - np.outer(u, b1) - np.outer(v, b2)
+    in_plane = np.hypot(u, v) - fit.radius
+    return float(np.max(np.hypot(in_plane, np.linalg.norm(out, axis=1))))
+
+
+def circle_fit_reference(points) -> CircleFit:
+    """The package's circle fit as it was before it fitted lines in stacks:
+    one sample set at a time. The stacked fit must match every field of it
+    bit for bit, and raise the same ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 5:
+        raise ValueError("need at least 5 points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = pts.mean(axis=0)
+        centered = pts - centroid
+        spread = np.sum(centered * centered)
+    if not np.isfinite(spread):
+        raise ValueError("samples must be finite")
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    if vt.shape[0] < 2:
+        vt = np.vstack([vt, np.zeros((2 - vt.shape[0], vt.shape[1]))])
+        svals = np.append(svals, np.zeros(2 - svals.shape[0]))
+    basis = vt[:2]
+    scale = float(svals[0])
+
+    def finish(kind: str, center: np.ndarray, radius: float) -> CircleFit:
+        fit = CircleFit(kind=kind, center=center, radius=radius, plane_basis=basis, residual=0.0)
+        return replace(fit, residual=_reference_max_distance(pts, fit))
+
+    sizes = np.linalg.norm(centered, axis=1)
+    if scale < 1e-12 * max(1.0, float(np.max(sizes, initial=0.0))) or scale == 0.0:
+        return finish("point", centroid, 0.0)
+    if svals[1] < 1e-9 * scale:
+        return finish("line", centroid, float("inf"))
+    u = centered @ basis[0]
+    v = centered @ basis[1]
+    design = np.column_stack([2 * u, 2 * v, np.ones_like(u)])
+    rhs = u * u + v * v
+    (cu, cv, c), *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    r2 = c + cu * cu + cv * cv
+    radius = float(np.sqrt(max(r2, 0.0)))
+    if radius > 1e9 * scale:
+        return finish("line", centroid, float("inf"))
+    return finish("circle", centroid + cu * basis[0] + cv * basis[1], radius)
 
 
 def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
@@ -138,7 +197,7 @@ def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float 
         if len(pts) < points_per_line:
             skipped.append(trial)
             continue
-        fit = circles.circle_fit(pts)
+        fit = circle_fit_reference(pts)
         max_residual = max(max_residual, fit.residual)
         if fit.residual > tol:
             violations.append(trial)

@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    circle_fit_reference,
     complex_square_jet,
     dict_inner,
     mixed_coeffs,
@@ -530,6 +532,33 @@ def test_numeric_oracle_matches_the_per_term_reference(case):
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(oracle_cases())
+def test_numeric_oracle_matches_the_reference_across_fit_blocks(case):
+    # two full stacks and a part one, with skipped lines falling anywhere
+    fmap, _, seed, tol = case
+    trials = 2 * circles._FIT_BLOCK + 5
+    got = verify_rounding_numeric(fmap, trials=trials, seed=seed, tol=tol)
+    want = numeric_oracle_reference(fmap, trials=trials, seed=seed, tol=tol)
+    assert got.max_residual.hex() == want.max_residual.hex()
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def test_numeric_oracle_rejects_samples_past_float_range_in_a_later_trial():
+    # the spread of 2e152 * x1^4 squares past float range only where |x1|
+    # nears the sampling bound 3; with seed 1, trial 129 is the first line
+    # that gets there, and the stack holding it raises
+    fmap = ([Poly(2, {(4, 0): 2 * 10**152}), Poly.variable(2, 1)], Poly.constant(2, 1))
+    for oracle in (verify_rounding_numeric, numeric_oracle_reference):
+        assert oracle(fmap, trials=129, seed=1).violations == tuple(range(129))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                oracle(fmap, trials=130, seed=1)
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                oracle(fmap, trials=3 * circles._FIT_BLOCK, seed=1)
+
+
 @pytest.mark.parametrize("scale", [math.inf, math.nan, 1e307])
 def test_circle_fit_rejects_samples_it_cannot_square(scale):
     # 1e307 is finite, but the squared spread of the samples overflows
@@ -538,6 +567,136 @@ def test_circle_fit_rejects_samples_it_cannot_square(scale):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^samples must be finite$"):
             circle_fit(pts)
+
+
+# ---------------------------------------------------------------------------
+# the stacked fit against the one-at-a-time reference, bit for bit
+
+_FAR = 1e12  # pushes a solved center far enough that the radius degrades
+
+
+def _sample_set(rng: np.random.Generator, kind: str, p: int, n: int, size: float) -> np.ndarray:
+    """p samples in R^n of one kind: on a circle, on a line, one point,
+    noise, or noise with an inf, a nan or a spread whose square overflows."""
+    center = rng.uniform(-3, 3, n) * size
+    if kind == "circle" and n >= 2:
+        a, b = np.linalg.qr(rng.normal(size=(n, 2)))[0].T
+        th = rng.uniform(0, 2 * np.pi, p)
+        return center + size * rng.uniform(0.1, 2) * (np.outer(np.cos(th), a) + np.outer(np.sin(th), b))
+    if kind == "line":
+        return center + np.outer(rng.uniform(-2, 2, p), rng.normal(size=n)) * size
+    if kind == "point":
+        return np.tile(center, (p, 1))
+    pts = rng.normal(size=(p, n)) * size
+    if kind == "bad" and n:
+        pts[rng.integers(p), rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan, 1e307])
+    return pts
+
+
+@st.composite
+def fit_stacks(draw):
+    """A stack of sample sets sharing p and n, mixed kinds and sizes, and
+    whether solved centers move far away, so that circles degrade to lines."""
+    p = draw(st.sampled_from([5, 7, 16]))
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 20]))
+    kinds = draw(st.lists(st.sampled_from(["circle", "circle", "line", "point", "noise", "bad"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    size = draw(st.sampled_from([1e-9, 1.0, 1e5, 1e150]))
+    sets = [_sample_set(rng, kind, p, n, size) for kind in kinds]
+    # a far center squares past float range when the samples are huge
+    return np.stack(sets), size < 1e100 and draw(st.booleans())
+
+
+def _far_centers(moves):
+    """Patch lstsq so that a solve whose design moves(design) accepts puts
+    the center far away: the fitted radius then degrades to a line."""
+    solve = np.linalg.lstsq
+
+    def lstsq(design, rhs, rcond=None):
+        x, *rest = solve(design, rhs, rcond=rcond)
+        return (x * [_FAR, _FAR, 1.0] if moves(design) else x), *rest
+
+    return mock.patch.object(np.linalg, "lstsq", lstsq)
+
+
+def _fit_fields(fit: circles.CircleFit) -> tuple:
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (fit.center, fit.plane_basis))
+    return fit.kind, arrays, float(fit.radius).hex(), float(fit.residual).hex(), type(fit.radius), type(fit.residual)
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(fit_stacks())
+def test_stacked_fit_matches_the_reference_bit_for_bit(case):
+    stack, far = case
+    # the first sample decides, so every fit moves the same centers
+    with _far_centers(lambda design: far and design[0, 0] > 0):
+        want = [_fit_or_error(circle_fit_reference, pts) for pts in stack]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _fit_or_error(circles._fit_stack, stack)
+            alone = [_fit_or_error(circle_fit, pts) for pts in stack]
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        assert errors[0] == "samples must be finite"
+        assert got == errors[0]
+    else:
+        assert [_fit_fields(f) for f in got] == [_fit_fields(f) for f in want]
+    assert [w if isinstance(w, str) else _fit_fields(w) for w in alone] == \
+        [w if isinstance(w, str) else _fit_fields(w) for w in want]
+
+
+@pytest.mark.parametrize("kinds, n, far, want", [
+    (["point", "circle", "line"], 3, False, ["point", "circle", "line"]),
+    (["point", "line"], 0, False, ["point", "point"]),
+    (["line", "noise", "point"], 1, False, ["line", "line", "point"]),
+    (["circle", "circle"], 2, True, ["line", "line"]),
+])
+def test_stacked_fit_covers_every_kind(kinds, n, far, want):
+    rng = np.random.default_rng(5)
+    stack = np.stack([_sample_set(rng, kind, 16, n, 1.0) for kind in kinds])
+    with _far_centers(lambda design: far):
+        got = circles._fit_stack(stack)
+        assert [_fit_fields(f) for f in got] == [_fit_fields(circle_fit_reference(pts)) for pts in stack]
+    assert [f.kind for f in got] == want
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e307])
+def test_stacked_fit_rejects_a_stack_holding_one_bad_set(bad):
+    rng = np.random.default_rng(8)
+    stack = np.stack([_sample_set(rng, "circle", 16, 3, 1.0) for _ in range(4)])
+    stack[2, 5, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            circles._fit_stack(stack)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": math.nan}, "tol must be a positive finite number, got nan"),
+    ({"tol": math.inf}, "tol must be a positive finite number, got inf"),
+    ({"tol": 0.0}, "tol must be a positive finite number, got 0.0"),
+    ({"tol": -1e-7}, "tol must be a positive finite number, got -1e-07"),
+    ({"trials": 0}, "trials must be a positive integer, got 0"),
+    ({"trials": -3}, "trials must be a positive integer, got -3"),
+    ({"trials": 2.0}, "trials must be a positive integer, got 2.0"),
+    ({"trials": True}, "trials must be a positive integer, got True"),
+])
+def test_numeric_oracle_rejects_a_tolerance_or_trial_count_the_cli_would(kwargs, message):
+    # a NaN tolerance compares false with every residual, so it would pass
+    # a map that the default tolerance fails
+    parabola = ([Poly(2, {(2, 0): 1}), Poly.variable(2, 1)], Poly.constant(2, 1))
+    assert not verify_rounding_numeric(parabola, trials=4).ok
+    with pytest.raises(ValueError) as err:
+        verify_rounding_numeric(parabola, **{"trials": 4, **kwargs})
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

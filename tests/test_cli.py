@@ -1,11 +1,13 @@
 """End-to-end command tests, run in process through main(): report shape,
 exit codes, document round trips, and determinism of the emitted JSON."""
 
+import contextlib
 import hashlib
 import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rounding_forge
 from rounding_forge import cli, cliff, jets
-from rounding_forge.jets import canonical_rounding, fracquad_jet, validate_jet
-from rounding_forge.polycore import Poly
+from rounding_forge.jets import FracQuadMap, canonical_rounding, fracquad_jet, validate_jet
+from rounding_forge.polycore import Poly, PolyMap
 
 COMPLEX_JET = {
     "kind": "jet",
@@ -893,6 +895,43 @@ def test_tables_stiefel_lists_a_bounded_number_of_binomials(capsys):
     assert out.splitlines()[-1].endswith(", 63, ... (1048576 in all)")
 
 
+class _Sink:
+    """A stdout that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _text_table_peak(flag: str, upto: int) -> tuple[int, int]:
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["tables", flag, str(upto)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, sink.size
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--kappa"])
+def test_tables_text_mode_prints_rows_as_it_makes_them(flag):
+    # 16 times the rows, the same peak: no row outlives its print
+    _text_table_peak(flag, 2**12)  # warm caches before measuring
+    small, small_bytes = _text_table_peak(flag, 2**12)
+    large, large_bytes = _text_table_peak(flag, 2**16)
+    assert large_bytes > 15 * small_bytes
+    assert large < small + 16 * 1024
+
+
 def test_tables_flags_are_exclusive(capsys):
     code, out, err = run(capsys, "tables", "--rho", "4", "--kappa", "4")
     assert code == 1
@@ -920,6 +959,17 @@ def _golden_documents(tmp_path):
     paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     fq = canonical_rounding(validate_jet(random_valid_jet(random.Random(4242), m=4, n=4)))
     paths["map"] = write_doc(tmp_path, "map.json", cli.fracquad_to_doc(fq))
+    x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+    maps = {
+        # linear over a constant: every line goes to a line
+        "linear": FracQuadMap(PolyMap(3, [x1 + 2 * x2, x3 - x1, Fraction(1, 3) * x2]), Poly.constant(3, 2)),
+        # a plain quadratic map: lines go to parabolas
+        "parabola": FracQuadMap(PolyMap(3, [x1 * x1, x2, x3]), Poly.constant(3, 1)),
+        # one target coordinate
+        "single": FracQuadMap(PolyMap(3, [x1 * x2 - x3]), 1 + x1 * x1 + x2 * x2),
+    }
+    for name, fmap in maps.items():
+        paths[name] = write_doc(tmp_path, f"{name}.json", cli.fracquad_to_doc(fmap))
     return paths
 
 
@@ -936,6 +986,13 @@ GOLDEN_CASES = (
     ("hopf", "--size", "2", "4"),
     ("verify", "{map}", "--trials", "6", "--seed", "5"),
     ("hopf",),
+    ("verify", "{linear}", "--trials", "8", "--seed", "11"),
+    ("verify", "{parabola}", "--trials", "8", "--seed", "11"),
+    ("verify", "{single}", "--trials", "8", "--seed", "11"),
+    ("tables", "--rho", "64"),
+    ("tables", "--rho", "64", "--json"),
+    ("tables", "--kappa", "64"),
+    ("tables", "--kappa", "64", "--json"),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -955,6 +1012,16 @@ GOLDEN = {
     "hopf --size 2 4": ("26c989bf31be24fd57bba07a80d602c46fdaf4acd35e7b8f0aa4d76a40a3a41a", EMPTY, 0),
     "verify {map} --trials 6 --seed 5": ("a66448a5be3c1ff68a4d6b0339935d007e1e006cb6ad8614189b9dfe89960e66", EMPTY, 0),
     "hopf": (EMPTY, "ecd50a0c1e0d377d401fbd79d42b2f7eba9d8a557f2fdde00a29008cd6378c03", 1),
+    # recorded before the oracle fitted its lines in stacks: line fits, a
+    # failing quadratic map with a violation on every line, one coordinate
+    "verify {linear} --trials 8 --seed 11": ("ea76bc481297dfda15e5d207705b057f73afa2ef8a0d485d250de7c607982da4", EMPTY, 0),
+    "verify {parabola} --trials 8 --seed 11": ("86925a95d448ce6e314e1f63d9f117d71f7e04bccec50cbbc17eb59ab708d5e0", EMPTY, 2),
+    "verify {single} --trials 8 --seed 11": ("7ea25b61f0f4d07bf75b932c8253f1cfbd0b751e8267100aed9d10500d50a81f", EMPTY, 0),
+    # recorded while text mode still built the whole table before printing it
+    "tables --rho 64": ("dc4a73498c2a10c205772ff268cedf8931e1cac95cc810b7b0dc587516fdb4b6", EMPTY, 0),
+    "tables --rho 64 --json": ("272c8809bffc0d6f24c4283be74d4bfd2f61ea94059e4756443cd318c4fd90d3", EMPTY, 0),
+    "tables --kappa 64": ("423ad1e645ec472c02ceb484b3410d1e84d94a2ea49d69a675bbd83af2a09722", EMPTY, 0),
+    "tables --kappa 64 --json": ("98e3611269df1919899ae34780eb3de02460109a6ba09cdfeaebdc92026d487f", EMPTY, 0),
 }
 
 

@@ -627,6 +627,43 @@ def test_series_geometric_truncation_passes():
     assert [c.degree for c in report.checks] == [2, 3, 4]
 
 
+def _truncated(p: Poly, order: int) -> Poly:
+    return sum((p.homogeneous_part(d) for d in range(order + 1)), Poly.zero(p.num_vars))
+
+
+def _taylor_polynomial(fq, order: int) -> list[Poly]:
+    """Degrees 1..order of N/D's Taylor series at the origin, for D(0) = 1:
+    N * sum_k (1 - D)^k, cut after degree order at every step."""
+    m = fq.source_dim
+    rest = 1 - fq.denom
+    term = series = Poly.constant(m, 1)
+    for _ in range(order - 1):
+        term = _truncated(term * rest, order - 1)
+        series = series + term
+    return [_truncated(c * series, order) for c in fq.numer.coords]
+
+
+def test_canonical_roundings_pass_the_series_check_at_every_order():
+    # a map that sends lines to circles has a Taylor polynomial that passes
+    # the degreewise check at every order the check takes. <A, N> and |N|^2
+    # are multiples of <A, A>, so N times any series passes; the check
+    # discriminates only against terms that no rounding has
+    rng = random.Random(5)
+    for _ in range(60):
+        fq = canonical_rounding(validate_jet(random_valid_jet(rng)))
+        assert fq.denom.constant_term() == 1
+        for order in range(1, 5):
+            phi = _taylor_polynomial(fq, order)
+            # D * phi agrees with N up to the order: phi is the Taylor polynomial
+            assert [_truncated(fq.denom * c, order) for c in phi] == [_truncated(c, order) for c in fq.numer.coords]
+            assert check_series_divisibility(phi, order).ok
+        # a cubic term that no rounding has shows first in degree 4
+        phi = _taylor_polynomial(fq, 3)
+        bump = Poly(fq.source_dim, {(2, 1) + (0,) * (fq.source_dim - 2): 1})
+        report = check_series_divisibility([phi[0] + bump, *phi[1:]], 3)
+        assert [c.degree for c in report.checks if not c.ok] == [4]
+
+
 def test_series_requires_origin_and_rank():
     with pytest.raises(ValueError):
         check_series_divisibility(PolyMap(2, [Poly.constant(2, 1), Poly.zero(2)]), 2)

@@ -18,7 +18,8 @@ degree 2, composes a polynomial with a line; matrices are cleared in one
 helper, and only _linalg and polycore take an lcm; the numeric oracle
 evaluates only polynomials it compiled once, never eval_float, and one
 float evaluator remains, which adds term by term, never with sum or fsum;
-only the CLI's main writes an --out document; congruent diagonalization, which
+one circle fit remains, the stacked fit with the one SVD, and circle_fit
+delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
 QuadForm's matrix; the one symmetric elimination is called
 only by LDL^T and congruent diagonalization; and no module imports a name
@@ -369,6 +370,26 @@ def test_compiled_evaluation_rule_catches_an_eval_float_call():
     assert _module_callers({"circles": sources["circles"]}, "eval_float") == [
         "circles.Probe", "circles.sample",
     ]
+
+
+def test_one_circle_fit_remains():
+    # the oracle fits its sampled lines in stacks, and circle_fit is that
+    # fit on a stack of one, so one SVD call site serves both
+    sources = _package_sources()
+    assert _package_callers("svd") == ["circles._fit_stack"]
+    assert _module_callers({"circles": sources["circles"]}, "_fit_stack") == [
+        "circles.circle_fit", "circles.verify_rounding_numeric",
+    ]
+
+
+def test_circle_fit_rule_catches_a_second_fit():
+    sources = _package_sources()
+    head = "    return _fit_stack(pts[np.newaxis])[0]\n"
+    assert head in sources["circles"]
+    sources["circles"] = sources["circles"].replace(head, "    return np.linalg.svd(pts)\n")
+    sources["spheres"] += "\nclass Probe:\n    basis = np.linalg.svd(np.eye(2))[2]\n"
+    assert _module_callers(sources, "svd") == ["circles._fit_stack", "circles.circle_fit", "spheres.Probe"]
+    assert _module_callers({"circles": sources["circles"]}, "_fit_stack") == ["circles.verify_rounding_numeric"]
 
 
 # the float evaluator: its compile, its power table, its rows and the
