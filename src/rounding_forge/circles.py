@@ -294,28 +294,24 @@ def _residuals(pts: np.ndarray, centered: np.ndarray, centers: np.ndarray, radii
                b2: np.ndarray, point: np.ndarray, circle: np.ndarray) -> np.ndarray:
     """The worst distance from each sample set of a stack to its fitted object.
 
-    With w = sample - center: a point fit measures |w|; a line fit removes
-    w's component u along b1; a circle fit removes u and the component v
-    along b2, and adds hypot(u, v) - radius in the plane. u and v are taken
-    per fit with @, everything else once per kind of fit. A point or line
-    fit is centered at its centroid, where w is the centered samples, so w
-    is written over centered: the stack holds one copy of its samples less.
+    One formula serves every kind of fit. With w = sample - center and u, v
+    the components of w along b1 and b2, it subtracts u*b1 and v*b2 from w
+    and adds hypot(u, v) - radius in the plane. A point fit takes u = 0, and
+    a line fit takes v = 0 and the in-plane term 0; subtracting a zero and
+    hypot(0, d) = d are exact, so each kind keeps the bits of its own
+    formula. u and v are taken per fit with @. w is written over centered:
+    the stack holds one copy of its samples less, and a point or line fit,
+    centered at its centroid, gets the same bits back.
     """
-    w = centered
-    w[circle] = pts[circle] - centers[circle, np.newaxis]
-    line = ~(point | circle)
-    out = np.empty(len(pts))
-    out[point] = np.max(np.linalg.norm(w[point], axis=2), axis=1)
-    off = w[line]
-    off -= _dots(w, b1, line)[..., np.newaxis] * b1[line, np.newaxis]
-    out[line] = np.max(np.linalg.norm(off, axis=2), axis=1)
-    u, v = _dots(w, b1, circle), _dots(w, b2, circle)
-    off = w[circle]
-    off -= u[..., np.newaxis] * b1[circle, np.newaxis]
-    off -= v[..., np.newaxis] * b2[circle, np.newaxis]
-    in_plane = np.hypot(u, v) - radii[circle, np.newaxis]
-    out[circle] = np.max(np.hypot(in_plane, np.linalg.norm(off, axis=2)), axis=1)
-    return out
+    w = np.subtract(pts, centers[:, np.newaxis], out=centered)
+    u, v = np.zeros(w.shape[:2]), np.zeros(w.shape[:2])
+    u[~point], v[circle] = _dots(w, b1, ~point), _dots(w, b2, circle)
+    w -= u[..., np.newaxis] * b1[:, np.newaxis]
+    w -= v[..., np.newaxis] * b2[:, np.newaxis]
+    # a line's radius is inf, so its in-plane term is -inf until zeroed
+    in_plane = np.hypot(u, v) - radii[:, np.newaxis]
+    in_plane[~circle] = 0.0
+    return np.max(np.hypot(in_plane, np.linalg.norm(w, axis=2)), axis=1)
 
 
 def _dots(w: np.ndarray, b: np.ndarray, fits: np.ndarray) -> np.ndarray:

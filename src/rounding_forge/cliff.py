@@ -241,7 +241,9 @@ class NormedPairing:
 
     tensor[i][j][c] is the coefficient of x_i y_j in coordinate c; any nested
     sequence of rationals is accepted and stored as Fraction tuples. The
-    constructor builds the polynomial map f once and keeps it; the norm
+    constructor builds the polynomial map f once, in one pass over the
+    tensor's rows, so each coordinate holds its terms x_i y_j in (i, j)
+    order, and keeps it; the norm
     identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on f, and a
     tensor that fails it raises ValueError. So every instance carries its
     proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
@@ -263,19 +265,18 @@ class NormedPairing:
         if len(tensor) != r or any(len(slab) != s or any(len(row) != n for row in slab) for slab in tensor):
             raise ValueError(f"tensor shape must be {r} x {s} x {n}")
         object.__setattr__(self, "tensor", tensor)
-        m = self.left_dim + self.right_dim
-        coords = []
-        for c in range(self.target_dim):
-            terms = {}
-            for i in range(self.left_dim):
-                for j in range(self.right_dim):
-                    coeff = tensor[i][j][c]
+        m = r + s
+        # each coordinate gets its terms in (i, j) order; float sums of f follow that order
+        terms = [{} for _ in range(n)]
+        for i, slab in enumerate(tensor):
+            for j, row in enumerate(slab):
+                e = [0] * m
+                e[i] = e[r + j] = 1
+                key = tuple(e)
+                for c, coeff in enumerate(row):
                     if coeff:
-                        e = [0] * m
-                        e[i] += 1
-                        e[self.left_dim + j] += 1
-                        terms[tuple(e)] = coeff
-            coords.append(Poly(m, terms))
+                        terms[c][key] = coeff
+        coords = [Poly(m, t) for t in terms]
         f = PolyMap(m, coords)
         object.__setattr__(self, "f", f)
         xx, yy = self._norm_squares()
@@ -317,10 +318,7 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
     if n % d:
         raise CertificateError(f"rho admitted r={r} but block size {d} does not divide n={n}")
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(r)]
-    for j in range(n):
-        tensor[0][j][j] = Fraction(1)
-    for i in range(1, r):
-        gen = rep._perms[i - 1]
+    for i, gen in enumerate((_SignedPerm.eye(d), *rep._perms)):
         for block in range(n // d):
             off = block * d
             for col in range(d):

@@ -523,10 +523,8 @@ class QuadForm:
         return _int_poly(n, ints, self._den)
 
     def __call__(self, point: Sequence) -> Fraction:
-        v = [as_rational(x) for x in point]
-        if len(v) != self.dim:
-            raise ValueError("point dimension mismatch")
-        return sum(v[i] * sum(self.matrix[i][j] * v[j] for j in range(self.dim)) for i in range(self.dim))
+        """x^T S x, exactly: the value of to_poly() at point, by Poly's one exact evaluator."""
+        return self.to_poly()(point)
 
     def __neg__(self) -> "QuadForm":
         return _store_form(object.__new__(QuadForm), [[-x for x in row] for row in self._ints], self._den)

@@ -177,17 +177,14 @@ def evaluate_factored(sm: QuadSphereMap, x: Sequence[float]) -> np.ndarray:
     hyperplane of the first n coordinates. The projection is centered so the
     lift of the origin lands at 0, which places the pole at the point
     opposite f(origin lift); denominators below 1e-9 raise PoleProximity.
+    The gram value and f are evaluated as polynomials by the one float
+    evaluator, Poly.eval_float and PolyMap.eval_float.
     """
     point = [float(v) for v in x]
     if len(point) != sm.source_dim - 1:
         raise ValueError("expected a chart point with one fewer coordinate")
     point.append(1.0)
-    gram = sm.gram
-    g = sum(
-        float(gram.matrix[i][j]) * point[i] * point[j]
-        for i in range(gram.dim)
-        for j in range(gram.dim)
-    )
+    g = sm.gram.to_poly().eval_float(point)
     if g < 1e-9:
         raise PoleProximity(f"gram value {g} at the embedded point is too small")
     image = np.array(sm.f.eval_float(point)) / g

@@ -1,7 +1,8 @@
 """Shared fixtures: the named example jets, random valid-jet generators built
 from normed pairings, and small independent oracles (plain-dict polynomial
 expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
-congruent diagonalization, the per-term sampling oracle with its
+congruent diagonalization, a quadratic form's value from its matrix rows,
+a pairing's map from its tensor, the per-term sampling oracle with its
 one-line-at-a-time circle fit) used to cross-check the package without
 touching its own arithmetic."""
 
@@ -207,6 +208,32 @@ def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float 
 
 def identity_form(n: int) -> QuadForm:
     return QuadForm(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def quadform_value_reference(matrix, x) -> Fraction:
+    """x^T M x as the sum over rows i of x_i * (row_i . x), in Fractions."""
+    x = [Fraction(v) for v in x]
+    total = Fraction(0)
+    for xi, row in zip(x, matrix):
+        total += xi * sum((Fraction(mij) * xj for mij, xj in zip(row, x)), Fraction(0))
+    return total
+
+
+def pairing_terms_reference(left_dim: int, right_dim: int, target_dim: int, tensor) -> list[dict]:
+    """The coordinates of f(x, y) = sum_ij tensor[i][j][c] x_i y_j, each an
+    {exponents: Fraction} dict of its nonzero terms in (i, j) order, built
+    one coordinate at a time."""
+    m = left_dim + right_dim
+    coords = []
+    for c in range(target_dim):
+        terms = {}
+        for i in range(left_dim):
+            for j in range(right_dim):
+                coeff = Fraction(tensor[i][j][c])
+                if coeff:
+                    terms[tuple(int(v == i or v == left_dim + j) for v in range(m))] = coeff
+        coords.append(terms)
+    return coords
 
 
 # dense matrix products on lists of rationals, for checking factorizations

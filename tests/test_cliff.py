@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_dict, dict_add, dict_inner, dict_mul, quat_mul
+from conftest import as_dict, dict_add, dict_inner, dict_mul, pairing_terms_reference, quat_mul
 from rounding_forge import cli, cliff, polycore, spheres
 from rounding_forge.cliff import (
     KAPPA_DOMAIN_CAP,
@@ -228,6 +228,59 @@ def test_pairing_evaluates_like_the_dense_tensor_sum():
             p(x + [F(1)], y)
         with pytest.raises(ValueError, match="argument dimensions mismatch"):
             p(x, y[:-1])
+
+
+def _assert_built_like_the_reference(p: NormedPairing) -> None:
+    # values and stored term order: the order reaches the float sums of any
+    # oracle run on pairing_to_rounding
+    reference = pairing_terms_reference(p.left_dim, p.right_dim, p.target_dim, p.tensor)
+    assert p.f.source_dim == p.left_dim + p.right_dim
+    assert [list(coord.terms.items()) for coord in p.f.coords] == [list(t.items()) for t in reference]
+
+
+def test_every_built_pairing_matches_the_reference_build():
+    for n in range(1, 17):
+        for r in range(1, rho(n) + 1):
+            _assert_built_like_the_reference(normed_pairing(r, n))
+
+
+_PYTHAGOREAN = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(8, 17), F(-15, 17)))
+
+
+def _hand_made(r: int, s: int, n: int, pad: int, rng: random.Random) -> list:
+    """normed_pairing(r, n) restricted to the first s of its y-coordinates,
+    with pad zero target coordinates inserted, and the target turned by
+    rational Givens rotations; still a normed pairing, of size [r, s, n + pad]."""
+    tensor = [[list(row) for row in slab[:s]] for slab in normed_pairing(r, n).tensor]
+    for size in range(n, n + pad):
+        at = rng.randrange(size + 1)
+        for slab in tensor:
+            for row in slab:
+                row.insert(at, F(0))
+    for _ in range(n // 2):
+        a, b = rng.sample(range(n + pad), 2)
+        cos, sin = rng.choice(_PYTHAGOREAN)
+        for slab in tensor:
+            for row in slab:
+                row[a], row[b] = cos * row[a] - sin * row[b], sin * row[a] + cos * row[b]
+    return tensor
+
+
+def test_hand_made_pairings_match_the_reference_build():
+    rng = random.Random(23)
+    entries = []
+    for r, s, n, pad in ((1, 1, 2, 1), (2, 1, 2, 0), (3, 2, 4, 2), (4, 3, 4, 1), (5, 5, 8, 0), (8, 6, 8, 3),
+                         (9, 11, 16, 2)):
+        tensor = _hand_made(r, s, n, pad, rng)
+        entries += [c for slab in tensor for row in slab for c in row]
+        _assert_built_like_the_reference(NormedPairing(r, s, n + pad, tensor))
+    assert 0 in entries and any(c.denominator > 1 for c in entries)
+    # rational entries as strings, and tensors with no slabs or empty slabs
+    _assert_built_like_the_reference(NormedPairing(1, 1, 2, [[["3/5", "-4/5"]]]))
+    for r, s, n, tensor in ((0, 3, 2, []), (2, 0, 3, [[], []]), (0, 0, 0, [])):
+        p = NormedPairing(r, s, n, tensor)
+        assert all(coord.is_zero() for coord in p.f.coords)
+        _assert_built_like_the_reference(p)
 
 
 def test_pairing_infeasible_sizes():

@@ -26,6 +26,7 @@ from conftest import (
     mixed_coeffs,
     mixed_polys,
     poly_str_reference,
+    quadform_value_reference,
     transpose,
 )
 from rounding_forge import _linalg, cliff
@@ -441,6 +442,34 @@ def test_quadform_roundtrip_and_call():
     assert q.to_poly() == p
     pt = [F(1), F(-2), F(3)]
     assert q(pt) == p(pt)
+
+
+@st.composite
+def _symmetric_point(draw):
+    """A symmetric rational matrix of dimension 0..5 and a rational point for it."""
+    n = draw(st.integers(0, 5))
+    upper = {(i, j): draw(coeffs) for i in range(n) for j in range(i, n)}
+    matrix = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    return matrix, draw(st.lists(coeffs, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_symmetric_point())
+def test_quadform_call_matches_the_matrix_rows(case):
+    # the form evaluates through to_poly(); the reference sums x_i * (row_i . x)
+    matrix, x = case
+    q = QuadForm(matrix)
+    assert q(x) == quadform_value_reference(matrix, x)
+    assert q([str(v) for v in x]) == q(x)
+    for wrong in (x + [F(1)], x[:-1]) if x else (x + [F(1)],):
+        with pytest.raises(ValueError) as err:
+            q(wrong)
+        assert str(err.value) == "point dimension mismatch"
+    # a float is refused before the dimension is checked
+    for floaty in ([0.5] + x[1:], x + [0.5]) if x else ([0.5],):
+        with pytest.raises(TypeError) as err:
+            q(floaty)
+        assert str(err.value) == "refusing to coerce a float into the exact layer"
 
 
 def test_quadform_rejects_non_quadratic():

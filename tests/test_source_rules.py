@@ -10,7 +10,9 @@ roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms; a QuadForm's integer
 form is stored only by its constructor, after the checks, and by its
-kernels; only polycore reads the integer form of a Poly or a QuadForm; a
+kernels; only polycore reads the integer form of a Poly or a QuadForm, and
+a QuadForm's Fraction matrix is read only by the report emitters and as
+_linalg's input; a
 RationalCurve's integer form is stored only
 by its constructor, after the checks, and by the line restriction, and read
 only in circles; only the line restriction, whose maps cap every term at
@@ -241,6 +243,35 @@ def test_integer_form_rule_catches_a_foreign_read():
     sources["cli"] += "\nclass Probe:\n    den = poly._den\n"
     sources["spheres"] += "\ndef gram_rows(sm):\n    return sm.gram._ints\n"
     assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == ["cli.Probe", "jets.size", "spheres.gram_rows"]
+
+
+def _reads_form_matrix(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "matrix"
+
+
+_FORM_MATRIX_READERS = [
+    "cli.jet_to_doc", "cli.spheremap_to_doc",
+    "jets.factor_degenerate", "jets.factor_degenerate", "jets.is_degenerate",
+    "polycore.form_signature", "spheres._factor_gram", "spheres._semidefinite_signature",
+]
+
+
+def test_form_matrix_is_read_by_the_emitters_and_linalg_inputs():
+    # a QuadForm's Fraction matrix is written into reports and handed to
+    # _linalg; its values come from to_poly(), through Poly's evaluators
+    assert _module_sites(_package_sources(), _reads_form_matrix) == _FORM_MATRIX_READERS
+
+
+def test_form_matrix_rule_catches_a_foreign_read():
+    sources = _package_sources()
+    head = "        return self.to_poly()(point)\n"
+    assert head in sources["polycore"]
+    sources["polycore"] = sources["polycore"].replace(
+        head, "        return sum(v * sum(s * w for s, w in zip(row, point)) for v, row in zip(point, self.matrix))\n")
+    sources["spheres"] += "\ndef gram_value(sm, x):\n    return sum(float(s) * x[0] for s in sm.gram.matrix[0])\n"
+    sources["circles"] += "\nclass Probe:\n    rows = form.matrix\n"
+    assert _module_sites(sources, _reads_form_matrix) == sorted(
+        _FORM_MATRIX_READERS + ["circles.Probe", "polycore.QuadForm.__call__", "spheres.gram_value"])
 
 
 def _uses_lcm(node: ast.AST) -> bool:
