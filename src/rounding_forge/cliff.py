@@ -11,9 +11,9 @@ encoding so the checks stay cheap even at dimension 4096.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .jets import FracQuadMap
@@ -153,14 +153,7 @@ def _cayley_dickson_table(dim: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _left_multiplication(dim: int, i: int) -> _SignedPerm:
-    table = _cayley_dickson_table(dim)
-    perm = [0] * dim
-    signs = [0] * dim
-    for j in range(dim):
-        idx, sg = table[i][j]
-        perm[j] = idx
-        signs[j] = sg
-    return _SignedPerm(tuple(perm), tuple(signs))
+    return _SignedPerm(*zip(*_cayley_dickson_table(dim)[i]))
 
 
 def _double(gens: Sequence[_SignedPerm], dim: int) -> list[_SignedPerm]:
@@ -235,53 +228,43 @@ def clifford_generators(k: int) -> CliffordRep:
     return CliffordRep(k, _generator_perms(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormedPairing:
     """Bilinear f: R^left x R^right -> R^target with |f(x, y)| = |x| |y|.
 
-    tensor[i][j][c] is the coefficient of x_i y_j in coordinate c; any nested
-    sequence of rationals is accepted and stored as Fraction tuples. The
-    constructor builds the polynomial map f once, in one pass over the
-    tensor's rows, so each coordinate holds its terms x_i y_j in (i, j)
-    order, and keeps it; the norm
-    identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on f, and a
-    tensor that fails it raises ValueError. So every instance carries its
-    proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
-    A tensor that is not left_dim slabs of right_dim rows of target_dim
-    entries raises ValueError before anything is built.
+    The pairing is stored once, as the polynomial map f, whose coordinate c
+    holds its terms x_i y_j in (i, j) order; `==` and `hash` compare it.
+    tensor[i][j][c], the coefficient of x_i y_j in coordinate c, is a Fraction
+    view of f built on first read. The constructor accepts any nested sequence
+    of rationals as the tensor; one that is not left_dim slabs of right_dim
+    rows of target_dim entries raises ValueError before anything is built.
+    The norm identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on
+    f, and a tensor that fails it raises ValueError. So every instance carries
+    its proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
     """
 
     left_dim: int
     right_dim: int
     target_dim: int
-    tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    f: PolyMap = field(init=False, compare=False)
+    f: PolyMap
 
-    def __post_init__(self):
-        tensor = tuple(
-            tuple(tuple(as_rational(c) for c in row) for row in slab) for slab in self.tensor
-        )
-        r, s, n = self.left_dim, self.right_dim, self.target_dim
+    def __init__(self, left_dim: int, right_dim: int, target_dim: int, tensor):
+        tensor = [[[as_rational(c) for c in row] for row in slab] for slab in tensor]
+        r, s, n = left_dim, right_dim, target_dim
         if len(tensor) != r or any(len(slab) != s or any(len(row) != n for row in slab) for slab in tensor):
             raise ValueError(f"tensor shape must be {r} x {s} x {n}")
-        object.__setattr__(self, "tensor", tensor)
-        m = r + s
-        # each coordinate gets its terms in (i, j) order; float sums of f follow that order
-        terms = [{} for _ in range(n)]
-        for i, slab in enumerate(tensor):
-            for j, row in enumerate(slab):
-                e = [0] * m
-                e[i] = e[r + j] = 1
-                key = tuple(e)
-                for c, coeff in enumerate(row):
-                    if coeff:
-                        terms[c][key] = coeff
-        coords = [Poly(m, t) for t in terms]
-        f = PolyMap(m, coords)
-        object.__setattr__(self, "f", f)
-        xx, yy = self._norm_squares()
-        if inner_poly(f, f) != xx * yy:
-            raise ValueError("tensor does not satisfy the norm identity")
+        entries = [(i, j, c, x) for i, slab in enumerate(tensor) for j, row in enumerate(slab)
+                   for c, x in enumerate(row) if x]
+        _store_pairing(self, r, s, n, entries)
+
+    @cached_property
+    def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        r = self.left_dim
+        tensor = [[[Fraction(0)] * self.target_dim for _ in range(self.right_dim)] for _ in range(r)]
+        for c, coord in enumerate(self.f.coords):
+            for e, x in coord.terms.items():
+                tensor[e.index(1)][e.index(1, r) - r][c] = x
+        return tuple([tuple([tuple(row) for row in slab]) for slab in tensor])
 
     def _norm_squares(self) -> tuple[Poly, Poly]:
         """|x|^2 and |y|^2 as polynomials on R^(left + right)."""
@@ -303,6 +286,26 @@ class NormedPairing:
         return NormedPairing(left_dim, right_dim, target_dim, tensor)
 
 
+def _store_pairing(pairing: NormedPairing, r: int, s: int, n: int, entries) -> NormedPairing:
+    """Store the [r, s, n] pairing with nonzero coefficients x of x_i y_j in
+    coordinate c, given as entries (i, j, c, x) in (i, j) order, and prove its
+    norm identity: only NormedPairing's constructor and normed_pairing come here."""
+    m = r + s
+    # each coordinate gets its terms in (i, j) order; float sums of f follow that order
+    terms = [{} for _ in range(n)]
+    for i, j, c, x in entries:
+        e = [0] * m
+        e[i] = e[r + j] = 1
+        terms[c][tuple(e)] = x
+    f = PolyMap(m, [Poly(m, t) for t in terms])
+    for name, value in (("left_dim", r), ("right_dim", s), ("target_dim", n), ("f", f)):
+        object.__setattr__(pairing, name, value)
+    xx, yy = pairing._norm_squares()
+    if inner_poly(f, f) != xx * yy:
+        raise ValueError("tensor does not satisfy the norm identity")
+    return pairing
+
+
 def normed_pairing(r: int, n: int) -> NormedPairing:
     """The block-diagonal Clifford pairing of size [r, n, n].
 
@@ -317,14 +320,12 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
     d = rep.dim
     if n % d:
         raise CertificateError(f"rho admitted r={r} but block size {d} does not divide n={n}")
-    tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(r)]
-    for i, gen in enumerate((_SignedPerm.eye(d), *rep._perms)):
-        for block in range(n // d):
-            off = block * d
-            for col in range(d):
-                tensor[i][off + col][off + gen.perm[col]] = Fraction(gen.signs[col])
+    entries = [(i, off + col, off + p, sign)
+               for i, gen in enumerate((_SignedPerm.eye(d), *rep._perms))
+               for off in range(0, n, d)
+               for col, (p, sign) in enumerate(zip(gen.perm, gen.signs))]
     try:
-        return NormedPairing(r, n, n, tensor)
+        return _store_pairing(object.__new__(NormedPairing), r, n, n, entries)
     except ValueError as exc:
         raise CertificateError(f"pairing [{r}, {n}, {n}]: {exc}") from None
 

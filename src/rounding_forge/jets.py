@@ -290,11 +290,9 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
 def parallel_factor(a: PolyMap, c: PolyMap) -> Poly | None:
     """The linear l with C = l * A coordinate-wise, when one exists.
 
-    Requires rank(A) >= 2, which also makes l unique. l is read off one
-    coordinate: if A_i = sum_j a_j x_j is the first nonzero one and a_k its
-    first nonzero coefficient, C_i = l * A_i has coefficient l_k * a_k on
-    x_k^2 and l_j * a_k + l_k * a_j on x_j * x_k. The product l * A is then
-    checked against C in full.
+    Requires rank(A) >= 2, which also makes l unique. l is the exact
+    quotient C_i / A_i on the first nonzero coordinate A_i; the product l * A
+    is then checked against C in full.
     """
     rank = rank_linear(a)
     if rank < 2:
@@ -303,17 +301,9 @@ def parallel_factor(a: PolyMap, c: PolyMap) -> Poly | None:
         raise ValueError("maps have different shapes")
     if not all(x.is_zero() or x.is_homogeneous(2) for x in c.coords):
         raise ValueError("C must be homogeneous quadratic")
-    m = a.source_dim
-    row, ci = next((row, ci) for row, ci in zip(a.linear_matrix(), c.coords) if any(row))
-    k = next(j for j, x in enumerate(row) if x)
-
-    def coeff(j: int) -> Fraction:  # the coefficient of x_j * x_k in C_i
-        return ci.terms.get(tuple([int(v == j) + int(v == k) for v in range(m)]), Fraction(0))
-
-    ell_k = coeff(k) / row[k]
-    ell = [ell_k if j == k else (coeff(j) - ell_k * row[j]) / row[k] for j in range(m)]
-    candidate = Poly.linear(ell)
-    return candidate if a.times_poly(candidate) == c else None
+    ai, ci = next((ai, ci) for ai, ci in zip(a.coords, c.coords) if not ai.is_zero())
+    ell = divide_exact(ci, ai)
+    return ell if ell is not None and a.times_poly(ell) == c else None
 
 
 def transform_jet(jet: Jet2, lam, ell: Poly) -> Jet2:
@@ -385,6 +375,9 @@ def check_series_divisibility(phi: PolyMap | Sequence[Poly], order: int) -> Seri
     if not coords:
         raise ValueError("phi has no coordinates")
     m = coords[0].num_vars
+    # type(), not isinstance(): bool is an int, and True is no order
+    if type(order) is not int:
+        raise TypeError(f"order must be an int, got {order!r}")
     if not 1 <= order <= 4:
         raise ValueError("order must be between 1 and 4")
     if any(c.num_vars != m for c in coords):

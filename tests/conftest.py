@@ -2,9 +2,9 @@
 from normed pairings, and small independent oracles (plain-dict polynomial
 expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
 congruent diagonalization, a quadratic form's value from its matrix rows,
-a pairing's map from its tensor, the per-term sampling oracle with its
-one-line-at-a-time circle fit) used to cross-check the package without
-touching its own arithmetic."""
+a pairing's map from its tensor, a built pairing's dense tensor, the
+per-term sampling oracle with its one-line-at-a-time circle fit) used to
+cross-check the package without touching its own arithmetic."""
 
 from __future__ import annotations
 
@@ -234,6 +234,20 @@ def pairing_terms_reference(left_dim: int, right_dim: int, target_dim: int, tens
                     terms[tuple(int(v == i or v == left_dim + j) for v in range(m))] = coeff
         coords.append(terms)
     return coords
+
+
+def pairing_tensor_reference(r: int, n: int) -> tuple:
+    """The dense [r, n, n] tensor of the block-diagonal Clifford pairing, built
+    slab by slab from the identity and the generators' signed permutations."""
+    rep = cliff.clifford_generators(r - 1)
+    d = rep.dim
+    tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(r)]
+    for i, gen in enumerate((cliff._SignedPerm.eye(d), *rep._perms)):
+        for block in range(n // d):
+            off = block * d
+            for col in range(d):
+                tensor[i][off + col][off + gen.perm[col]] = Fraction(gen.signs[col])
+    return tuple(tuple(tuple(row) for row in slab) for slab in tensor)
 
 
 # dense matrix products on lists of rationals, for checking factorizations

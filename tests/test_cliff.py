@@ -5,6 +5,7 @@ Brute-force oracles live in this file: rho via the minimal generator
 dimension table, kappa via an independent iterative greedy pass, binomial
 parity via math.comb."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -14,7 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_dict, dict_add, dict_inner, dict_mul, pairing_terms_reference, quat_mul
+from conftest import (
+    as_dict,
+    dict_add,
+    dict_inner,
+    dict_mul,
+    pairing_tensor_reference,
+    pairing_terms_reference,
+    quat_mul,
+)
 from rounding_forge import cli, cliff, polycore, spheres
 from rounding_forge.cliff import (
     KAPPA_DOMAIN_CAP,
@@ -244,6 +253,35 @@ def test_every_built_pairing_matches_the_reference_build():
             _assert_built_like_the_reference(normed_pairing(r, n))
 
 
+_STORED_SIZES = [(r, n) for n in range(1, 17) for r in range(1, rho(n) + 1)] + [(10, 32), (12, 64)]
+
+
+def test_built_pairing_tensor_matches_the_dense_reference():
+    # normed_pairing stores f from the signed permutations; tensor is a view of f
+    for r, n in _STORED_SIZES:
+        tensor = normed_pairing(r, n).tensor
+        assert tensor == pairing_tensor_reference(r, n), (r, n)
+        assert {type(c) for slab in tensor for row in slab for c in row} == {F}, (r, n)
+
+
+def test_pairing_documents_read_back_to_equal_pairings():
+    # == and hash compare the stored f, built alike from a document and from the permutations
+    for r, n in _STORED_SIZES:
+        p = normed_pairing(r, n)
+        q = cli.pairing_from_obj(cli.pairing_to_doc(p))
+        assert q == p and hash(q) == hash(p), (r, n)
+
+
+def test_pairing_tensor_view_is_built_only_when_read():
+    p = normed_pairing(9, 16)
+    hopf_map(p)
+    pairing_to_rounding(p)
+    assert "tensor" not in vars(p)
+    assert p.tensor is p.tensor
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.tensor = ()
+
+
 _PYTHAGOREAN = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(8, 17), F(-15, 17)))
 
 
@@ -281,6 +319,22 @@ def test_hand_made_pairings_match_the_reference_build():
         p = NormedPairing(r, s, n, tensor)
         assert all(coord.is_zero() for coord in p.f.coords)
         _assert_built_like_the_reference(p)
+
+
+def test_hand_made_pairings_store_their_input():
+    # the stored f and its tensor view against the constructor's own input,
+    # not against the view: values, term order and the slab/row/target axes
+    rng = random.Random(29)
+    cases = [(r, s, n + pad, _hand_made(r, s, n, pad, rng))
+             for r, s, n, pad in ((1, 1, 2, 1), (2, 1, 2, 0), (3, 2, 4, 2), (4, 3, 4, 1), (5, 5, 8, 0),
+                                  (8, 6, 8, 3), (9, 11, 16, 2))]
+    cases += [(1, 1, 2, [[["3/5", "-4/5"]]]), (0, 3, 2, []), (2, 0, 3, [[], []]), (0, 0, 0, [])]
+    for r, s, n, tensor in cases:
+        p = NormedPairing(r, s, n, tensor)
+        expected = tuple(tuple(tuple(F(c) for c in row) for row in slab) for slab in tensor)
+        assert p.tensor == expected, (r, s, n)
+        reference = pairing_terms_reference(r, s, n, expected)
+        assert [list(coord.terms.items()) for coord in p.f.coords] == [list(t.items()) for t in reference]
 
 
 def test_pairing_infeasible_sizes():

@@ -673,6 +673,14 @@ def test_series_requires_origin_and_rank():
         check_series_divisibility(PolyMap.identity(2), 5)
 
 
+@pytest.mark.parametrize("order", [True, False, 2.0, "2", Fraction(2)])
+def test_series_order_must_be_an_int(order):
+    # bool is an int, but True is no order
+    with pytest.raises(TypeError) as err:
+        check_series_divisibility(PolyMap.identity(2), order)
+    assert str(err.value) == f"order must be an int, got {order!r}"
+
+
 # ---------------------------------------------------------------------------
 # exact certificates are raised, so python -O cannot strip them
 

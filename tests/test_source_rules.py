@@ -10,7 +10,9 @@ roundings and sphere lifts reuse the proofs they inherit;
 one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms; a QuadForm's integer
 form is stored only by its constructor, after the checks, and by its
-kernels; only polycore reads the integer form of a Poly or a QuadForm, and
+kernels; a NormedPairing is stored only by its constructor and by
+normed_pairing, through the one builder that proves its norm identity;
+only polycore reads the integer form of a Poly or a QuadForm, and
 a QuadForm's Fraction matrix is read only by the report emitters and as
 _linalg's input; a
 RationalCurve's integer form is stored only
@@ -133,6 +135,7 @@ def test_divisions_happen_only_where_they_prove_something():
     assert _package_callers("divide_exact") == [
         "jets.check_series_divisibility",
         "jets.check_series_divisibility",
+        "jets.parallel_factor",
     ]
 
 
@@ -158,7 +161,7 @@ def test_quartics_are_expanded_only_where_they_prove_something():
     # split expand theirs. hopf_map, pairing_to_rounding and the sphere lift
     # reuse those proofs instead of expanding again
     assert _package_callers("inner_poly") == [
-        "cliff.NormedPairing.__post_init__",
+        "cliff._store_pairing",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
@@ -172,7 +175,7 @@ def test_quartic_rule_catches_a_foreign_call():
     sources["cliff"] += "\ndef hopf_gram(pairing):\n    return inner_poly(pairing.f, pairing.f)\n"
     sources["spheres"] += "\nclass Probe:\n    g = polycore.inner_poly(f, f)\n"
     assert _module_callers(sources, "inner_poly") == [
-        "cliff.NormedPairing.__post_init__",
+        "cliff._store_pairing",
         "cliff.hopf_gram",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
@@ -326,6 +329,22 @@ def test_curve_store_rule_catches_a_foreign_call():
     sources["cli"] += "\ndef emit_line(c):\n    return circles._store_curve(c, [], (1,), 1)\n"
     assert _module_callers(sources, "_store_curve") == [
         "circles.RationalCurve.__init__", "circles.restrict_to_line", "circles.shortcut", "cli.emit_line",
+    ]
+
+
+def test_pairings_are_stored_only_by_their_constructor_and_the_clifford_build():
+    # the builder skips coercion and the shape check: the constructor runs
+    # them first, and normed_pairing hands over its signed permutations; both
+    # go through the builder's one proof of the norm identity
+    assert _package_callers("_store_pairing") == ["cliff.NormedPairing.__init__", "cliff.normed_pairing"]
+
+
+def test_pairing_store_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["cliff"] += "\ndef unit(n):\n    return _store_pairing(object.__new__(NormedPairing), 1, n, n, [])\n"
+    sources["cli"] += "\nclass Probe:\n    p = cliff._store_pairing(p, 1, 1, 1, [(0, 0, 0, 1)])\n"
+    assert _module_callers(sources, "_store_pairing") == [
+        "cli.Probe", "cliff.NormedPairing.__init__", "cliff.normed_pairing", "cliff.unit",
     ]
 
 
