@@ -225,15 +225,11 @@ def fracquad_from_obj(doc) -> jets.FracQuadMap:
 
 
 def pairing_to_doc(p: cliff.NormedPairing) -> dict:
-    return {
-        "kind": "pairing",
-        "r": p.left_dim,
-        "s": p.right_dim,
-        "n": p.target_dim,
-        "tensor": [
-            [[str(c) for c in row] for row in slab] for slab in p.tensor
-        ],
-    }
+    # the entry strings straight from f, without the Fraction tensor view
+    tensor = [[["0"] * p.target_dim for _ in range(p.right_dim)] for _ in range(p.left_dim)]
+    for i, j, c, x in p.entries():
+        tensor[i][j][c] = str(x)
+    return {"kind": "pairing", "r": p.left_dim, "s": p.right_dim, "n": p.target_dim, "tensor": tensor}
 
 
 def pairing_from_obj(doc) -> cliff.NormedPairing:

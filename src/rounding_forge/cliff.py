@@ -6,7 +6,9 @@ Cayley-Dickson algebras give the base cases up to seven generators, one
 doubling step bootstraps the eighth, and the period-8 tensor construction
 extends to larger sizes. Every representation is verified against the
 defining identities at construction, exactly, using a signed-permutation
-encoding so the checks stay cheap even at dimension 4096.
+encoding so the checks stay cheap even at dimension 4096, and each
+generator system is verified once per process. A pairing's norm identity
+is proved by the Hurwitz equations on its slabs, each cleared to integers.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
+from . import _linalg
 from .jets import FracQuadMap
-from .polycore import CertificateError, Poly, PolyMap, as_rational, inner_poly
+from .polycore import CertificateError, Poly, PolyMap, _quadratic_polys, as_rational
 from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
@@ -36,9 +39,17 @@ class SizeInfeasible(Exception):
         self.n = n
 
 
+def _check_ints(**sizes) -> None:
+    # type(), not isinstance(): bool is an int, and True is no size
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def rho(n: int) -> int:
     """Hurwitz-Radon function: write n = 2^(4a+b) * odd with 0 <= b <= 3,
     then rho(n) = 8a + 2^b."""
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     a, b = divmod((n & -n).bit_length() - 1, 4)
@@ -53,6 +64,7 @@ def kappa(m: int) -> int:
     bits of m. Neither function caches: a table of every value up to the
     cap would otherwise keep each one.
     """
+    _check_ints(m=m)
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m > KAPPA_DOMAIN_CAP:
@@ -194,16 +206,22 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class CliffordRep:
     """k anticommuting orthogonal complex structures on R^dim, kept as
     signed permutations and checked against the defining identities when
-    the representation is built."""
+    the representation is built. clifford_generators hands every caller of
+    one generator system the same instance, so it is frozen."""
 
-    def __init__(self, k: int, perms: tuple[_SignedPerm, ...]):
-        self.k = k
-        self.dim = perms[0].dim if perms else 1
-        self._perms = perms
+    k: int
+    _perms: tuple[_SignedPerm, ...]
+
+    def __post_init__(self):
         self._verify()
+
+    @property
+    def dim(self) -> int:
+        return self._perms[0].dim if self._perms else 1
 
     def _verify(self) -> None:
         for i, g in enumerate(self._perms):
@@ -223,9 +241,17 @@ class CliffordRep:
 
 def clifford_generators(k: int) -> CliffordRep:
     """A minimal-dimension system of k generators, verified at construction."""
+    _check_ints(k=k)
     if not 0 <= k <= MAX_GENERATORS:
         raise ValueError(f"k must lie in [0, {MAX_GENERATORS}]")
-    return CliffordRep(k, _generator_perms(k))
+    return _verified_rep(k, _generator_perms(k))
+
+
+@lru_cache(maxsize=None)
+def _verified_rep(k: int, perms: tuple[_SignedPerm, ...]) -> CliffordRep:
+    """CliffordRep(k, perms), verified once per generator tuple: the key is
+    the tuple's value, so a different tuple is verified on its own."""
+    return CliffordRep(k, perms)
 
 
 @dataclass(frozen=True, init=False)
@@ -238,9 +264,10 @@ class NormedPairing:
     view of f built on first read. The constructor accepts any nested sequence
     of rationals as the tensor; one that is not left_dim slabs of right_dim
     rows of target_dim entries raises ValueError before anything is built.
-    The norm identity |f(x, y)|^2 = |x|^2 |y|^2 is expanded exactly once, on
-    f, and a tensor that fails it raises ValueError. So every instance carries
-    its proof, and __call__, hopf_map and pairing_to_rounding reuse the proved f.
+    The norm identity |f(x, y)|^2 = |x|^2 |y|^2 is proved exactly once, by the
+    Hurwitz equations on the tensor's slabs, before f is stored, and a tensor
+    that fails it raises ValueError. So every instance carries its proof, and
+    __call__, hopf_map and pairing_to_rounding reuse the proved f.
     """
 
     left_dim: int
@@ -249,6 +276,7 @@ class NormedPairing:
     f: PolyMap
 
     def __init__(self, left_dim: int, right_dim: int, target_dim: int, tensor):
+        _check_ints(left_dim=left_dim, right_dim=right_dim, target_dim=target_dim)
         tensor = [[[as_rational(c) for c in row] for row in slab] for slab in tensor]
         r, s, n = left_dim, right_dim, target_dim
         if len(tensor) != r or any(len(slab) != s or any(len(row) != n for row in slab) for slab in tensor):
@@ -257,20 +285,25 @@ class NormedPairing:
                    for c, x in enumerate(row) if x]
         _store_pairing(self, r, s, n, entries)
 
-    @cached_property
-    def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """(i, j, c, x) for each nonzero coefficient x of x_i y_j in coordinate
+        c, coordinate by coordinate, in f's stored order."""
         r = self.left_dim
-        tensor = [[[Fraction(0)] * self.target_dim for _ in range(self.right_dim)] for _ in range(r)]
         for c, coord in enumerate(self.f.coords):
             for e, x in coord.terms.items():
-                tensor[e.index(1)][e.index(1, r) - r][c] = x
+                yield e.index(1), e.index(1, r) - r, c, x
+
+    @cached_property
+    def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        tensor = [[[Fraction(0)] * self.target_dim for _ in range(self.right_dim)] for _ in range(self.left_dim)]
+        for i, j, c, x in self.entries():
+            tensor[i][j][c] = x
         return tuple([tuple([tuple(row) for row in slab]) for slab in tensor])
 
     def _norm_squares(self) -> tuple[Poly, Poly]:
         """|x|^2 and |y|^2 as polynomials on R^(left + right)."""
-        m = self.left_dim + self.right_dim
-        xx = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(self.left_dim)})
-        yy = Poly(m, {tuple(2 * (v == i) for v in range(m)): 1 for i in range(self.left_dim, m)})
+        r, m = self.left_dim, self.left_dim + self.right_dim
+        xx, yy = _quadratic_polys(m, [[(i, i, 1) for i in range(r)], [(i, i, 1) for i in range(r, m)]])
         return xx, yy
 
     def __call__(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
@@ -288,22 +321,61 @@ class NormedPairing:
 
 def _store_pairing(pairing: NormedPairing, r: int, s: int, n: int, entries) -> NormedPairing:
     """Store the [r, s, n] pairing with nonzero coefficients x of x_i y_j in
-    coordinate c, given as entries (i, j, c, x) in (i, j) order, and prove its
-    norm identity: only NormedPairing's constructor and normed_pairing come here."""
-    m = r + s
+    coordinate c, given as entries (i, j, c, x) in (i, j) order, after proving
+    its norm identity: only NormedPairing's constructor and normed_pairing come here."""
+    if not _hurwitz_equations_hold(r, s, entries):
+        raise ValueError("tensor does not satisfy the norm identity")
     # each coordinate gets its terms in (i, j) order; float sums of f follow that order
-    terms = [{} for _ in range(n)]
+    coords = [[] for _ in range(n)]
     for i, j, c, x in entries:
-        e = [0] * m
-        e[i] = e[r + j] = 1
-        terms[c][tuple(e)] = x
-    f = PolyMap(m, [Poly(m, t) for t in terms])
+        coords[c].append((i, r + j, x))
+    f = PolyMap(r + s, _quadratic_polys(r + s, coords))
     for name, value in (("left_dim", r), ("right_dim", s), ("target_dim", n), ("f", f)):
         object.__setattr__(pairing, name, value)
-    xx, yy = pairing._norm_squares()
-    if inner_poly(f, f) != xx * yy:
-        raise ValueError("tensor does not satisfy the norm identity")
     return pairing
+
+
+def _hurwitz_equations_hold(r: int, s: int, entries) -> bool:
+    """Whether the slabs of the entries (i, j, c, x) satisfy
+    M_i M_k^T + M_k M_i^T = 2 delta_ik I_s for all i <= k, where slab M_i is
+    the s x n matrix with x at row j, column c.
+
+    Entry (j, l) of the difference of the two sides is, up to a nonzero
+    factor, the coefficient of x_i x_k y_j y_l in |f(x, y)|^2 - |x|^2 |y|^2,
+    so this is the norm identity read coefficient by coefficient. Slab k is
+    cleared to integers over its own denominator D_k when it is reached,
+    which scales the equations of the pair (i, k) by D_i D_k; one denominator
+    for the whole tensor could be the lcm of all its entries' denominators.
+    Each product M_i M_k^T is summed column by column over the nonzero
+    entries, and slab pairs go in order of k up to the first that fails, so
+    a failure among the first slabs is found among the first pairs.
+    """
+    slabs = [[] for _ in range(r)]
+    for i, j, c, x in entries:
+        slabs[i].append((j, c, x))
+    columns = []  # slab i: column c -> [(j, cleared x)]
+    for k, slab in enumerate(slabs):
+        (ints,), den = _linalg.cleared([[x for _, _, x in slab]])
+        right = {}
+        for (j, c, _), v in zip(slab, ints):
+            right.setdefault(c, []).append((j, v))
+        columns.append(right)
+        for i in range(k + 1):
+            prod = {}  # entry (j, l) of M_i M_k^T, times D_i D_k
+            for c, col in columns[i].items():
+                other = right.get(c)
+                if other:
+                    for j, a in col:
+                        for l, b in other:
+                            prod[j, l] = prod.get((j, l), 0) + a * b
+            if i == k:
+                # M_k M_k^T is symmetric: the equation says it is I_s
+                unit = den * den
+                if any(prod.pop((j, j), 0) != unit for j in range(s)) or any(prod.values()):
+                    return False
+            elif any(v + prod.get((l, j), 0) for (j, l), v in prod.items()):
+                return False
+    return True
 
 
 def normed_pairing(r: int, n: int) -> NormedPairing:
@@ -312,6 +384,7 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
     Feasible exactly when r <= rho(n); the first slot acts as
     x_0 * identity plus x_i times the i-th generator on each block.
     """
+    _check_ints(r=r, n=n)
     if r < 1 or n < 1:
         raise ValueError("sizes must be positive")
     if r > rho(n):
@@ -339,6 +412,7 @@ def stiefel_hopf_feasible(r: int, s: int, n: int) -> tuple[bool, int, Iterator[i
     over them in increasing order; the count is taken bit by bit, so a caller
     builds only as many of them as it takes.
     """
+    _check_ints(r=r, s=s, n=n)
     if r < 1 or s < 1 or n < 1:
         raise ValueError("sizes must be positive")
     lo = max(n - r + 1, 0)

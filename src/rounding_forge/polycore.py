@@ -358,6 +358,19 @@ def _unit_keys(num_vars: int) -> list[int]:
     return [top + (1 << (_FIELD_BITS * i)) for i in range(num_vars)]
 
 
+def _quadratic_polys(num_vars: int, coords: Sequence[Sequence[tuple[int, int, Rational | int]]]) -> list[Poly]:
+    """One Poly per coordinate, with terms c * x_i * x_j for its (i, j, c) in
+    the given order, built from packed keys: the monomials of a coordinate
+    are distinct, and its rationals c nonzero. Each coordinate is cleared
+    over the lcm of its own denominators, as the constructor clears it."""
+    unit = _unit_keys(num_vars)
+    polys = []
+    for terms in coords:
+        (ints,), den = _linalg.cleared([[c for _, _, c in terms]])
+        polys.append(_int_poly(num_vars, {unit[i] + unit[j]: v for (i, j, _), v in zip(terms, ints)}, den))
+    return polys
+
+
 def _factors(key: int, num_vars: int) -> tuple[int, ...]:
     return tuple([i for i in range(num_vars) for _ in range((key >> (_FIELD_BITS * i)) & _FIELD_MASK)])
 

@@ -7,6 +7,7 @@ parity via math.comb."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     as_dict,
@@ -272,14 +275,30 @@ def test_pairing_documents_read_back_to_equal_pairings():
         assert q == p and hash(q) == hash(p), (r, n)
 
 
-def test_pairing_tensor_view_is_built_only_when_read():
+def test_pairing_tensor_view_is_built_only_when_read(monkeypatch, tmp_path, capsys):
     p = normed_pairing(9, 16)
     hopf_map(p)
     pairing_to_rounding(p)
+    doc = cli.pairing_to_doc(p)
     assert "tensor" not in vars(p)
+    expected = [[[str(c) for c in row] for row in slab] for slab in pairing_tensor_reference(9, 16)]
+    assert doc["tensor"] == expected
     assert p.tensor is p.tensor
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.tensor = ()
+    # the CLI builds, writes and reads pairings without the view
+    def unread(self):
+        raise RuntimeError("the tensor view was built")
+
+    monkeypatch.setattr(NormedPairing, "tensor", property(unread))
+    path = tmp_path / "pairing.json"
+    assert cli.main(["pairing", "9", "16", "--out", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["witnesses"]["document"]["tensor"] == expected
+    for argv in (["hopf", "--size", "9", "16"], ["hopf", str(path)]):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["verdicts"]["feasible"] is True
 
 
 _PYTHAGOREAN = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(8, 17), F(-15, 17)))
@@ -335,6 +354,163 @@ def test_hand_made_pairings_store_their_input():
         assert p.tensor == expected, (r, s, n)
         reference = pairing_terms_reference(r, s, n, expected)
         assert [list(coord.terms.items()) for coord in p.f.coords] == [list(t.items()) for t in reference]
+
+
+# ---------------------------------------------------------------------------
+# the Hurwitz equations against the quartic expansion
+
+
+def _hurwitz_verdict(r: int, s: int, n: int, tensor) -> bool:
+    try:
+        NormedPairing(r, s, n, tensor)
+    except ValueError as exc:
+        assert str(exc) == "tensor does not satisfy the norm identity"
+        return False
+    return True
+
+
+def _quartic_verdict(r: int, s: int, n: int, tensor) -> bool:
+    """|f(x, y)|^2 = |x|^2 |y|^2, expanded in plain dicts."""
+    f = pairing_terms_reference(r, s, n, tensor)
+    m = r + s
+    xx = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r)}
+    yy = {tuple(2 * (v == i) for v in range(m)): F(1) for i in range(r, m)}
+    return dict_inner(f, f) == dict_mul(xx, yy)
+
+
+def test_every_built_pairing_passes_both_proofs():
+    sizes = [(r, n) for n in range(1, 65) for r in range(1, rho(n) + 1)]
+    assert len(sizes) == 168
+    for r, n in sizes:
+        tensor = normed_pairing(r, n).tensor
+        assert _hurwitz_verdict(r, n, n, tensor) and _quartic_verdict(r, n, n, tensor), (r, n)
+
+
+def _cayley(skew: list[list[F]]) -> list[list[F]]:
+    """(I - A)(I + A)^-1 for a skew-symmetric A: a rational orthogonal matrix.
+
+    I + A is invertible, because A has no real eigenvalue but 0; the inverse
+    is taken by Gauss-Jordan elimination on the augmented rows."""
+    n = len(skew)
+    aug = [[F(i == j) + skew[i][j] for j in range(n)] + [F(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[col])]
+    inverse = [row[n:] for row in aug]
+    minus = [[F(i == j) - skew[i][j] for j in range(n)] for i in range(n)]
+    return [[sum((minus[i][t] * inverse[t][j] for t in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+def test_cayley_matrices_are_orthogonal():
+    q = _cayley([[F(0), F(1), F(2)], [F(-1), F(0), F(1)], [F(-2), F(-1), F(0)]])
+    assert q[0] == [F(-3, 7), F(-6, 7), F(-2, 7)]
+    assert [[sum(a * b for a, b in zip(u, v)) for v in q] for u in q] == [[F(i == j) for j in range(3)]
+                                                                         for i in range(3)]
+    assert all(c for row in q for c in row)
+
+
+@st.composite
+def _skew(draw, n: int) -> list[list[F]]:
+    upper = draw(st.lists(st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    skew = [[F(0)] * n for _ in range(n)]
+    for (i, j), x in zip(itertools.combinations(range(n), 2), upper):
+        skew[i][j], skew[j][i] = x, -x
+    return skew
+
+
+@st.composite
+def _rotated_pairings(draw):
+    """normed_pairing(r, n) on the first s coordinates of y, with its target
+    and y each turned by a Cayley matrix, and two of its slabs by a rational
+    rotation in x: valid and dense, and those two slabs have a denominator
+    of their own."""
+    n = draw(st.sampled_from([1, 2, 4, 8]))
+    r = draw(st.integers(1, rho(n)))
+    s = draw(st.integers(1, n))
+    q, u = _cayley(draw(_skew(n))), _cayley(draw(_skew(s)))
+    slabs = [[[sum((row[t] * q[t][c] for t in range(n)), F(0)) for c in range(n)] for row in slab[:s]]
+             for slab in normed_pairing(r, n).tensor]
+    tensor = [[[sum((u[j][t] * slab[t][c] for t in range(s)), F(0)) for c in range(n)] for j in range(s)]
+              for slab in slabs]
+    if r > 1:
+        a, b = draw(st.sampled_from(list(itertools.combinations(range(r), 2))))
+        cos, sin = draw(st.sampled_from(_PYTHAGOREAN))
+        rows = list(zip(tensor[a], tensor[b]))
+        tensor[a] = [[cos * x - sin * y for x, y in zip(ra, rb)] for ra, rb in rows]
+        tensor[b] = [[sin * x + cos * y for x, y in zip(ra, rb)] for ra, rb in rows]
+    return r, s, n, tensor, True
+
+
+@st.composite
+def _random_tensors(draw):
+    r, s, n = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.sampled_from([F(-1), F(0), F(0), F(1), F(1, 2), F(-3, 5), F(4, 5)])
+    tensor = draw(st.lists(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=s, max_size=s),
+                           min_size=r, max_size=r))
+    return r, s, n, tensor, True if r == 0 or s == 0 else None
+
+
+@st.composite
+def _perturbed_pairings(draw):
+    """A rotated valid pairing with one entry moved."""
+    r, s, n, tensor, _ = draw(_rotated_pairings())
+    i, j, c = draw(st.integers(0, r - 1)), draw(st.integers(0, s - 1)), draw(st.integers(0, n - 1))
+    tensor[i][j][c] += draw(st.sampled_from([F(1), F(-1), F(1, 3), F(1, 1000)]))
+    return r, s, n, tensor, None
+
+
+@st.composite
+def _unit_row_pairings(draw):
+    """A rotated valid pairing with one slab copied over another, or one row
+    of a slab copied over another row: every row keeps norm 1, and only the
+    equations between two slabs, or between two rows of one slab, fail."""
+    r, s, n, tensor, _ = draw(_rotated_pairings())
+    pairs = [("slab", a, b) for a in range(r) for b in range(r) if a != b]
+    pairs += [("row", a, b) for a in range(s) for b in range(s) if a != b]
+    if pairs:
+        kind, a, b = draw(st.sampled_from(pairs))
+        if kind == "slab":
+            tensor[b] = [list(row) for row in tensor[a]]
+        else:
+            slab = tensor[draw(st.integers(0, r - 1))]
+            slab[b] = list(slab[a])
+    return r, s, n, tensor, None if not pairs else False
+
+
+@st.composite
+def _zero_slab_pairings(draw):
+    """A rotated valid pairing with some of its slabs zeroed, or with no
+    slabs or empty slabs."""
+    r, s, n, tensor, _ = draw(_rotated_pairings())
+    zeroed = draw(st.sets(st.integers(0, r - 1), min_size=1))
+    tensor = [[[F(0)] * n for _ in range(s)] if i in zeroed else slab for i, slab in enumerate(tensor)]
+    return draw(st.sampled_from([(r, s, n, tensor, False), (0, s, n, [], True), (r, 0, n, [[]] * r, True)]))
+
+
+@pytest.mark.parametrize("r, s, n, tensor", [
+    (1, 2, 2, [[["1", "0"], ["1", "0"]]]),  # rows of norm 1 that are not orthogonal
+    (2, 2, 2, [[["1", "0"], ["0", "1"]]] * 2),  # orthogonal slabs that do not anticommute
+    (2, 1, 2, [[["3/5", "4/5"]], [["4/5", "3/5"]]]),  # a cross equation off by 48/25
+])
+def test_each_kind_of_hurwitz_equation_is_checked(r, s, n, tensor):
+    assert not _hurwitz_verdict(r, s, n, tensor)
+    assert not _quartic_verdict(r, s, n, tensor)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.one_of(_rotated_pairings(), _random_tensors(), _perturbed_pairings(), _unit_row_pairings(),
+                 _zero_slab_pairings()))
+def test_hurwitz_equations_agree_with_the_quartic(case):
+    r, s, n, tensor, expected = case
+    verdict = _hurwitz_verdict(r, s, n, tensor)
+    assert verdict == _quartic_verdict(r, s, n, tensor)
+    if expected is not None:
+        assert verdict == expected
 
 
 def test_pairing_infeasible_sizes():
@@ -502,9 +678,11 @@ def test_pairing_to_rounding_frozen():
 
 
 def test_corrupted_norm_product_fails_the_rounding_certificate(monkeypatch, capsys):
-    # normed_pairing built the tensor itself, so a failed identity is a defect
-    real = cliff.inner_poly
-    monkeypatch.setattr(cliff, "inner_poly", lambda u, v: real(u, v) + real(u, v))
+    # normed_pairing built the tensor itself, so a failed identity is a defect;
+    # doubling every entry the check reads quadruples |f(x, y)|^2
+    real = cliff._hurwitz_equations_hold
+    monkeypatch.setattr(cliff, "_hurwitz_equations_hold",
+                        lambda r, s, entries: real(r, s, [(i, j, c, 2 * x) for i, j, c, x in entries]))
     with pytest.raises(CertificateError, match=r"pairing \[2, 2, 2\]"):
         normed_pairing(2, 2)
     for argv in (["pairing", "2", "2"], ["hopf", "--size", "2", "2"]):
@@ -575,7 +753,7 @@ def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):
         raise RuntimeError("the pairing identity was expanded again")
 
     monkeypatch.setattr(spheres.QuadSphereMap, "checked", staticmethod(reproved))
-    for module, name in ((cliff, "inner_poly"), (spheres, "inner_poly"), (spheres, "poly_divmod"),
+    for module, name in ((cliff, "_hurwitz_equations_hold"), (spheres, "inner_poly"), (spheres, "poly_divmod"),
                          (polycore, "inner_poly"), (polycore, "poly_divmod"), (polycore, "divide_exact")):
         monkeypatch.setattr(module, name, reproved)
     assert hopf_map(pairing) == sm
@@ -608,6 +786,44 @@ def test_corrupted_generators_fail_the_representation_certificates(monkeypatch, 
     monkeypatch.setattr(cliff, "_generator_perms", lambda j: perms if j == k else cached(j))
     with pytest.raises(CertificateError, match=message):
         clifford_generators(k)
+
+
+def test_each_generator_system_is_verified_once(monkeypatch):
+    verified = []
+    real = cliff.CliffordRep._verify
+    monkeypatch.setattr(cliff.CliffordRep, "_verify", lambda rep: verified.append(rep._perms) or real(rep))
+    cliff._verified_rep.cache_clear()
+    p = normed_pairing(9, 16)
+    assert normed_pairing(9, 16) == p
+    assert verified == [cliff._generator_perms(8)]
+    # a different generator tuple is verified on its own, and then once only
+    negated = tuple(g.neg() for g in cliff._generator_perms(8))
+    cached = cliff._generator_perms
+    monkeypatch.setattr(cliff, "_generator_perms", lambda k: negated if k == 8 else cached(k))
+    q = normed_pairing(9, 16)
+    assert normed_pairing(9, 16) == q != p
+    assert verified == [cached(8), negated]
+
+
+@pytest.mark.parametrize("bad", [True, False, 4.0, "4", F(4), None])
+def test_sizes_must_be_ints(bad):
+    calls = [
+        ("n", lambda: rho(bad)),
+        ("m", lambda: kappa(bad)),
+        ("k", lambda: clifford_generators(bad)),
+        ("r", lambda: normed_pairing(bad, 2)),
+        ("n", lambda: normed_pairing(2, bad)),
+        ("r", lambda: stiefel_hopf_feasible(bad, 1, 1)),
+        ("s", lambda: stiefel_hopf_feasible(1, bad, 1)),
+        ("n", lambda: stiefel_hopf_feasible(1, 1, bad)),
+        ("left_dim", lambda: NormedPairing(bad, 1, 1, [[["1"]]])),
+        ("right_dim", lambda: NormedPairing(1, bad, 1, [[["1"]]])),
+        ("target_dim", lambda: NormedPairing(1, 1, bad, [[["1"]]])),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == f"{name} must be an int, got {bad!r}"
 
 
 def test_oversized_generators_fail_the_block_certificate(monkeypatch):

@@ -4,9 +4,10 @@ sphere map is built in exactly two places, the Hopf construction and the
 expanding check; polynomials are divided only where a division proves
 something new, so no later stage re-divides what a RoundingJet proved;
 a RoundingJet is proved only by validation and for the reduced jet of a
-factorization; quartic inner products are expanded only by the four
+factorization; quartic inner products are expanded only by the three
 constructions that prove an identity with them, so Hopf maps, pairing
-roundings and sphere lifts reuse the proofs they inherit;
+roundings and sphere lifts reuse the proofs they inherit; a pairing's
+Hurwitz equations are checked only by the builder that stores it;
 one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms; a QuadForm's integer
 form is stored only by its constructor, after the checks, and by its
@@ -156,12 +157,11 @@ def test_rounding_jet_rule_catches_a_foreign_call():
 
 
 def test_quartics_are_expanded_only_where_they_prove_something():
-    # a RoundingJet expands <A,A>, <A,B> and <B,B>; a NormedPairing its norm
-    # identity on the map it keeps; the expanding sphere check and the norm
-    # split expand theirs. hopf_map, pairing_to_rounding and the sphere lift
-    # reuse those proofs instead of expanding again
+    # a RoundingJet expands <A,A>, <A,B> and <B,B>; the expanding sphere
+    # check and the norm split expand theirs. A NormedPairing proves its norm
+    # identity by the Hurwitz equations instead. hopf_map, pairing_to_rounding
+    # and the sphere lift reuse those proofs instead of expanding again
     assert _package_callers("inner_poly") == [
-        "cliff._store_pairing",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
@@ -175,7 +175,6 @@ def test_quartic_rule_catches_a_foreign_call():
     sources["cliff"] += "\ndef hopf_gram(pairing):\n    return inner_poly(pairing.f, pairing.f)\n"
     sources["spheres"] += "\nclass Probe:\n    g = polycore.inner_poly(f, f)\n"
     assert _module_callers(sources, "inner_poly") == [
-        "cliff._store_pairing",
         "cliff.hopf_gram",
         "jets.RoundingJet.__post_init__",
         "jets.RoundingJet.__post_init__",
@@ -345,6 +344,21 @@ def test_pairing_store_rule_catches_a_foreign_call():
     sources["cli"] += "\nclass Probe:\n    p = cliff._store_pairing(p, 1, 1, 1, [(0, 0, 0, 1)])\n"
     assert _module_callers(sources, "_store_pairing") == [
         "cli.Probe", "cliff.NormedPairing.__init__", "cliff.normed_pairing", "cliff.unit",
+    ]
+
+
+def test_pairings_are_proved_only_where_they_are_stored():
+    # the Hurwitz equations are the norm identity of the entries the builder
+    # is about to store; every pairing, built or read, passes through it
+    assert _package_callers("_hurwitz_equations_hold") == ["cliff._store_pairing"]
+
+
+def test_hurwitz_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["cliff"] += "\ndef is_normed(p):\n    return _hurwitz_equations_hold(p.left_dim, p.right_dim, [])\n"
+    sources["cli"] += "\nclass Probe:\n    ok = cliff._hurwitz_equations_hold(1, 1, [(0, 0, 0, 1)])\n"
+    assert _module_callers(sources, "_hurwitz_equations_hold") == [
+        "cli.Probe", "cliff._store_pairing", "cliff.is_normed",
     ]
 
 
