@@ -4,11 +4,13 @@ and the quadratic Hopf maps they induce.
 Generators are built, never copied from a table: left multiplications in the
 Cayley-Dickson algebras give the base cases up to seven generators, one
 doubling step bootstraps the eighth, and the period-8 tensor construction
-extends to larger sizes. Every representation is verified against the
-defining identities at construction, exactly, using a signed-permutation
-encoding so the checks stay cheap even at dimension 4096, and each
-generator system is verified once per process. A pairing's norm identity
-is proved by the Hurwitz equations on its slabs, each cleared to integers.
+extends to larger sizes, kept as signed permutations. A pairing's norm
+identity is proved by the Hurwitz equations on its slabs, each cleared to
+integers, and that proof is also the one certificate of a generator system:
+with the identity as slab 0, the Hurwitz equations of the slabs
+[I, E_1, ..., E_k] are exactly E_i^2 = -I, E_i^T E_i = I and
+E_i E_j = -E_j E_i. So clifford_generators proves each generator tuple once
+per process, and normed_pairing proves the slabs of each pairing it builds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterator, Sequence
 
 from . import _linalg
 from .jets import FracQuadMap
-from .polycore import CertificateError, Poly, PolyMap, _quadratic_polys, as_rational
+from .polycore import CertificateError, Poly, PolyMap, _quadratic_polys, _quadratic_terms, as_rational
 from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
@@ -81,7 +83,7 @@ def kappa(m: int) -> int:
 @dataclass(frozen=True)
 class _SignedPerm:
     """Matrix with exactly one entry +-1 per column: column j holds
-    signs[j] at row perm[j]. Closed under product, transpose, Kronecker."""
+    signs[j] at row perm[j]. Closed under product and Kronecker."""
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
@@ -100,17 +102,6 @@ class _SignedPerm:
             tuple(self.signs[other.perm[j]] * other.signs[j] for j in range(other.dim)),
         )
 
-    def transpose(self) -> "_SignedPerm":
-        perm = [0] * self.dim
-        signs = [1] * self.dim
-        for j, (p, s) in enumerate(zip(self.perm, self.signs)):
-            perm[p] = j
-            signs[p] = s
-        return _SignedPerm(tuple(perm), tuple(signs))
-
-    def neg(self) -> "_SignedPerm":
-        return _SignedPerm(self.perm, tuple(-s for s in self.signs))
-
     def kron(self, other: "_SignedPerm") -> "_SignedPerm":
         d = other.dim
         perm = []
@@ -120,15 +111,6 @@ class _SignedPerm:
                 perm.append(self.perm[j1] * d + other.perm[j2])
                 signs.append(self.signs[j1] * other.signs[j2])
         return _SignedPerm(tuple(perm), tuple(signs))
-
-    def is_identity(self) -> bool:
-        return self == _SignedPerm.eye(self.dim)
-
-    def is_neg_identity(self) -> bool:
-        return self.neg().is_identity()
-
-    def anticommutes(self, other: "_SignedPerm") -> bool:
-        return (self @ other) == (other @ self).neg()
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +178,6 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
     volume = eight[0]
     for g in eight[1:]:
         volume = volume @ g
-    if not (volume @ volume).is_identity():
-        raise CertificateError("volume element does not square to +1")
     sub = _generator_perms(k - 8)
     sub_dim = sub[0].dim if sub else 1
     eye = _SignedPerm.eye(sub_dim)
@@ -209,38 +189,27 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
 @dataclass(frozen=True, eq=False, repr=False)
 class CliffordRep:
     """k anticommuting orthogonal complex structures on R^dim, kept as
-    signed permutations and checked against the defining identities when
-    the representation is built. clifford_generators hands every caller of
-    one generator system the same instance, so it is frozen."""
+    signed permutations. Built, it proves itself as the [k + 1, dim, dim]
+    pairing of the identity and its generators, whose Hurwitz equations are
+    the defining identities. clifford_generators hands every caller of one
+    generator system the same instance, so it is frozen."""
 
     k: int
     _perms: tuple[_SignedPerm, ...]
 
     def __post_init__(self):
-        self._verify()
+        _clifford_pairing(self.k + 1, self._perms, self.dim)
 
     @property
     def dim(self) -> int:
         return self._perms[0].dim if self._perms else 1
-
-    def _verify(self) -> None:
-        for i, g in enumerate(self._perms):
-            if sorted(g.perm) != list(range(self.dim)):
-                raise CertificateError(f"generator {i} is not a permutation")
-            if not (g @ g).is_neg_identity():
-                raise CertificateError(f"generator {i} does not square to -identity")
-            if not (g.transpose() @ g).is_identity():
-                raise CertificateError(f"generator {i} is not orthogonal")
-            for j in range(i):
-                if not g.anticommutes(self._perms[j]):
-                    raise CertificateError(f"generators {i} and {j} do not anticommute")
 
     def __repr__(self):
         return f"CliffordRep(k={self.k}, dim={self.dim})"
 
 
 def clifford_generators(k: int) -> CliffordRep:
-    """A minimal-dimension system of k generators, verified at construction."""
+    """A minimal-dimension system of k generators, proved at construction."""
     _check_ints(k=k)
     if not 0 <= k <= MAX_GENERATORS:
         raise ValueError(f"k must lie in [0, {MAX_GENERATORS}]")
@@ -249,8 +218,8 @@ def clifford_generators(k: int) -> CliffordRep:
 
 @lru_cache(maxsize=None)
 def _verified_rep(k: int, perms: tuple[_SignedPerm, ...]) -> CliffordRep:
-    """CliffordRep(k, perms), verified once per generator tuple: the key is
-    the tuple's value, so a different tuple is verified on its own."""
+    """CliffordRep(k, perms), proved once per generator tuple: the key is
+    the tuple's value, so a different tuple is proved on its own."""
     return CliffordRep(k, perms)
 
 
@@ -289,9 +258,10 @@ class NormedPairing:
         """(i, j, c, x) for each nonzero coefficient x of x_i y_j in coordinate
         c, coordinate by coordinate, in f's stored order."""
         r = self.left_dim
-        for c, coord in enumerate(self.f.coords):
-            for e, x in coord.terms.items():
-                yield e.index(1), e.index(1, r) - r, c, x
+        coords, den = _quadratic_terms(self.f.coords)
+        for c, (_, _, quad) in enumerate(coords):
+            for i, j, x in quad:
+                yield i, j - r, c, Fraction(x, den)
 
     @cached_property
     def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -322,7 +292,7 @@ class NormedPairing:
 def _store_pairing(pairing: NormedPairing, r: int, s: int, n: int, entries) -> NormedPairing:
     """Store the [r, s, n] pairing with nonzero coefficients x of x_i y_j in
     coordinate c, given as entries (i, j, c, x) in (i, j) order, after proving
-    its norm identity: only NormedPairing's constructor and normed_pairing come here."""
+    its norm identity: only NormedPairing's constructor and _clifford_pairing come here."""
     if not _hurwitz_equations_hold(r, s, entries):
         raise ValueError("tensor does not satisfy the norm identity")
     # each coordinate gets its terms in (i, j) order; float sums of f follow that order
@@ -389,12 +359,23 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
         raise ValueError("sizes must be positive")
     if r > rho(n):
         raise SizeInfeasible(r, n)
-    rep = clifford_generators(r - 1)
-    d = rep.dim
+    return _clifford_pairing(r, _generator_perms(r - 1), n)
+
+
+def _clifford_pairing(r: int, perms: tuple[_SignedPerm, ...], n: int) -> NormedPairing:
+    """The [r, n, n] pairing whose slab 0 is the identity and slab i the
+    generator perms[i - 1], each repeated on the blocks of R^n, proved by
+    the Hurwitz equations of its slabs. Those cannot see a perm entry outside
+    the block, which would be stored in another coordinate, so each generator
+    is checked to be a permutation first."""
+    d = perms[0].dim if perms else 1
+    for i, g in enumerate(perms):
+        if sorted(g.perm) != list(range(d)):
+            raise CertificateError(f"generator {i} is not a permutation")
     if n % d:
         raise CertificateError(f"rho admitted r={r} but block size {d} does not divide n={n}")
     entries = [(i, off + col, off + p, sign)
-               for i, gen in enumerate((_SignedPerm.eye(d), *rep._perms))
+               for i, gen in enumerate((_SignedPerm.eye(d), *perms))
                for off in range(0, n, d)
                for col, (p, sign) in enumerate(zip(gen.perm, gen.signs))]
     try:

@@ -372,7 +372,17 @@ def _quadratic_polys(num_vars: int, coords: Sequence[Sequence[tuple[int, int, Ra
 
 
 def _factors(key: int, num_vars: int) -> tuple[int, ...]:
-    return tuple([i for i in range(num_vars) for _ in range((key >> (_FIELD_BITS * i)) & _FIELD_MASK)])
+    """The variable of each factor of the monomial with this key, in
+    increasing order: the lowest set bit names the next nonzero field, so
+    only the set fields are read, not all num_vars."""
+    key &= (1 << (_FIELD_BITS * num_vars)) - 1  # drop the total degree
+    out = []
+    while key:
+        i = ((key & -key).bit_length() - 1) // _FIELD_BITS
+        e = (key >> (_FIELD_BITS * i)) & _FIELD_MASK
+        out += [i] * e
+        key ^= e << (_FIELD_BITS * i)
+    return tuple(out)
 
 
 def _quadratic_terms(polys: Sequence[Poly]) -> tuple[list[tuple[int, list, list]], int]:

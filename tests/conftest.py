@@ -2,9 +2,10 @@
 from normed pairings, and small independent oracles (plain-dict polynomial
 expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
 congruent diagonalization, a quadratic form's value from its matrix rows,
-a pairing's map from its tensor, a built pairing's dense tensor, the
-per-term sampling oracle with its one-line-at-a-time circle fit) used to
-cross-check the package without touching its own arithmetic."""
+a pairing's map from its tensor, a built pairing's dense tensor, a packed
+key's factors read field by field, the per-term sampling oracle with its
+one-line-at-a-time circle fit) used to cross-check the package without
+touching its own arithmetic."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rounding_forge import circles, cliff
+from rounding_forge import circles, cliff, polycore
 from rounding_forge.circles import CircleFit, NumericReport
 from rounding_forge.jets import Jet2, transform_jet
 from rounding_forge.polycore import Poly, PolyMap, QuadForm
@@ -248,6 +249,13 @@ def pairing_tensor_reference(r: int, n: int) -> tuple:
             for col in range(d):
                 tensor[i][off + col][off + gen.perm[col]] = Fraction(gen.signs[col])
     return tuple(tuple(tuple(row) for row in slab) for slab in tensor)
+
+
+def factors_reference(key: int, num_vars: int) -> tuple[int, ...]:
+    """The variable of each factor of a packed monomial key, in increasing
+    order, read off every one of its num_vars fields in turn."""
+    bits, mask = polycore._FIELD_BITS, polycore._FIELD_MASK
+    return tuple([i for i in range(num_vars) for _ in range((key >> (bits * i)) & mask)])
 
 
 # dense matrix products on lists of rationals, for checking factorizations

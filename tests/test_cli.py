@@ -268,16 +268,6 @@ def test_non_list_terms_is_one_error_line(tmp_path, capsys, terms):
     assert err.count("\n") == 1
 
 
-def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
-    cached = cliff._generator_perms
-    twice = (cached(2)[0],) * 2
-    monkeypatch.setattr(cliff, "_generator_perms", lambda k: twice if k == 2 else cached(k))
-    code, out, err = run(capsys, "pairing", "3", "4")
-    assert code == 1
-    assert out == ""
-    assert err == "rounding-forge: error: certificate failed: generators 1 and 0 do not anticommute\n"
-
-
 @pytest.mark.parametrize("argv", [
     ("pairing", "0", "4"),
     ("pairing", "1", "0"),

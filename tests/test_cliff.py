@@ -159,11 +159,12 @@ def test_single_generator_is_the_rotation():
 
 
 def test_generator_relations_dense():
-    # independent dense verification on top of the sparse construction checks
-    for k in (2, 3, 4, 7, 8, 9, 12):
+    # independent dense verification of the systems the pairing proof certifies
+    # in float64, whose products of these +-1 matrices are exact and fast
+    for k in range(17):
         rep = clifford_generators(k)
-        eye = np.eye(rep.dim, dtype=np.int64)
-        gens = [_dense(g) for g in rep._perms]
+        eye = np.eye(rep.dim)
+        gens = [_dense(g).astype(np.float64) for g in rep._perms]
         assert len(gens) == k
         for i, e in enumerate(gens):
             assert np.array_equal(e @ e, -eye)
@@ -299,6 +300,20 @@ def test_pairing_tensor_view_is_built_only_when_read(monkeypatch, tmp_path, caps
         assert cli.main(argv) == 0
         out, err = capsys.readouterr()
         assert err == "" and json.loads(out)["verdicts"]["feasible"] is True
+
+
+def test_pairing_entries_unpack_no_keys(monkeypatch):
+    # entries() reads i and j off the set fields of f's packed keys, so the
+    # document and the tensor view build no exponent tuples
+    expected = pairing_tensor_reference(12, 64)
+
+    def unpack(*args):
+        raise RuntimeError("a packed key was unpacked")
+
+    monkeypatch.setattr(polycore, "_unpack", unpack)
+    p = normed_pairing(12, 64)
+    assert cli.pairing_to_doc(p)["tensor"] == [[[str(c) for c in row] for row in slab] for slab in expected]
+    assert p.tensor == expected
 
 
 _PYTHAGOREAN = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(8, 17), F(-15, 17)))
@@ -760,49 +775,84 @@ def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):
     assert pairing_to_rounding(pairing) == fq
 
 
-def test_corrupted_generators_fail_the_volume_certificate(monkeypatch):
-    # repeating a generator leaves six distinct ones in the volume element,
-    # whose square is then -1
-    eight = cliff._generator_perms(8)
-    tampered = (eight[1],) + eight[1:]
-    cached = cliff._generator_perms
-    monkeypatch.setattr(cliff, "_generator_perms", lambda k: tampered if k == 8 else cached(k))
-    with pytest.raises(CertificateError, match="volume element"):
-        cached.__wrapped__(9)
-
-
 SP = cliff._SignedPerm
+HURWITZ = "pairing [{r}, {n}, {n}]: tensor does not satisfy the norm identity"
 
 
+def _tampered(monkeypatch, k):
+    """The generators of k > 8 built over an eight-tuple whose first
+    generator is replaced by its second: its volume element squares to -1."""
+    eight = cliff._generator_perms(8)
+    cached = cliff._generator_perms
+    with monkeypatch.context() as patch:
+        patch.setattr(cliff, "_generator_perms", lambda j: (eight[1],) + eight[1:] if j == 8 else cached(j))
+        return cached.__wrapped__(k)
+
+
+# (k, generator tuple, message); {r} and {n} are the pairing's size
 @pytest.mark.parametrize("k, perms, message", [
-    (1, (SP((0, 0), (1, 1)),), "not a permutation"),
-    (1, (SP.eye(2),), "does not square to -identity"),
+    (1, lambda mp: (SP((0, 0), (1, 1)),), "generator 0 is not a permutation"),
+    (1, lambda mp: (SP((1, 2), (1, -1)),), "generator 0 is not a permutation"),
+    (1, lambda mp: (SP((1, -1), (1, -1)),), "generator 0 is not a permutation"),
+    (1, lambda mp: (SP.eye(2),), HURWITZ),
     # squares to -1, but the signs 2 and -1/2 stretch one axis
-    (1, (SP((1, 0), (F(2), F(-1, 2))),), "not orthogonal"),
-    (2, (cliff._generator_perms(2)[0],) * 2, "do not anticommute"),
-])
-def test_corrupted_generators_fail_the_representation_certificates(monkeypatch, k, perms, message):
+    (1, lambda mp: (SP((1, 0), (F(2), F(-1, 2))),), HURWITZ),
+    (2, lambda mp: (cliff._generator_perms(2)[0],) * 2, HURWITZ),
+    (9, lambda mp: _tampered(mp, 9), HURWITZ),
+    (12, lambda mp: _tampered(mp, 12), HURWITZ),
+], ids=["repeated-entry", "out-of-range", "negative", "identity", "stretched", "repeated-generator",
+        "tampered-9", "tampered-12"])
+def test_corrupted_generators_fail_the_pairing_certificate(monkeypatch, capsys, k, perms, message):
+    # the Hurwitz equations of the pairing [I, E_1, ..., E_k] are the one
+    # certificate of a generator system, behind a permutation check
+    perms = perms(monkeypatch)
     cached = cliff._generator_perms
     monkeypatch.setattr(cliff, "_generator_perms", lambda j: perms if j == k else cached(j))
-    with pytest.raises(CertificateError, match=message):
+    d = perms[0].dim
+    with pytest.raises(CertificateError) as err:
         clifford_generators(k)
+    assert str(err.value) == message.format(r=k + 1, n=d)
+    # normed_pairing proves its own slabs on two blocks, and the CLI reports
+    # the same failure on one line
+    n = 2 * d if 2 * d <= cli.MAX_PAIRING_N else d
+    with pytest.raises(CertificateError) as err:
+        normed_pairing(k + 1, n)
+    assert str(err.value) == message.format(r=k + 1, n=n)
+    if n > cli.MAX_PAIRING_N:
+        return  # k = 12 needs R^128, past the sizes the CLI takes
+    capsys.readouterr()
+    assert cli.main(["pairing", str(k + 1), str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"rounding-forge: error: certificate failed: {message.format(r=k + 1, n=n)}\n"
 
 
-def test_each_generator_system_is_verified_once(monkeypatch):
-    verified = []
-    real = cliff.CliffordRep._verify
-    monkeypatch.setattr(cliff.CliffordRep, "_verify", lambda rep: verified.append(rep._perms) or real(rep))
+def test_each_generator_system_is_proved_once(monkeypatch):
+    proved, built = [], []
+    real, post_init = cliff._hurwitz_equations_hold, cliff.CliffordRep.__post_init__
+    monkeypatch.setattr(cliff, "_hurwitz_equations_hold",
+                        lambda r, s, entries: proved.append((r, s)) or real(r, s, entries))
+    monkeypatch.setattr(cliff.CliffordRep, "__post_init__", lambda rep: built.append(rep) or post_init(rep))
     cliff._verified_rep.cache_clear()
+    # normed_pairing proves the slabs it stores, and builds no representation
     p = normed_pairing(9, 16)
     assert normed_pairing(9, 16) == p
-    assert verified == [cliff._generator_perms(8)]
-    # a different generator tuple is verified on its own, and then once only
-    negated = tuple(g.neg() for g in cliff._generator_perms(8))
+    assert proved == [(9, 16), (9, 16)]
+    assert built == []
+    # clifford_generators proves each generator tuple once
+    rep = clifford_generators(8)
+    assert clifford_generators(8) is rep
+    assert proved[2:] == [(9, 16)]
+    assert built == [rep]
+    # a different generator tuple is proved on its own, and then once only
+    negated = tuple(SP(g.perm, tuple(-s for s in g.signs)) for g in rep._perms)
     cached = cliff._generator_perms
     monkeypatch.setattr(cliff, "_generator_perms", lambda k: negated if k == 8 else cached(k))
-    q = normed_pairing(9, 16)
-    assert normed_pairing(9, 16) == q != p
-    assert verified == [cached(8), negated]
+    other = clifford_generators(8)
+    assert clifford_generators(8) is other is not rep
+    assert other._perms == negated
+    assert proved[2:] == [(9, 16), (9, 16)]
+    assert built == [rep, other]
 
 
 @pytest.mark.parametrize("bad", [True, False, 4.0, "4", F(4), None])

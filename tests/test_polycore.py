@@ -4,6 +4,7 @@ forms, and the fraction-free linear algebra underneath.
 Expansion results are cross-checked against the plain-dict oracle from
 conftest, ranks against numpy on random integer matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conftest import (
     dict_inner,
     dict_mul,
     eval_float_reference,
+    factors_reference,
     grlex_key,
     identity_form,
     lagrange_reference,
@@ -29,7 +31,7 @@ from conftest import (
     quadform_value_reference,
     transpose,
 )
-from rounding_forge import _linalg, cliff
+from rounding_forge import _linalg, cliff, polycore
 from rounding_forge.circles import Line
 from rounding_forge.jets import jet_from_matrices
 from rounding_forge.polycore import (
@@ -160,6 +162,24 @@ def test_kernel_terms_keep_the_dict_oracle_order(a, b):
     assert list((a * b).terms) == list(dict_mul(as_dict(a), as_dict(b)))
     assert list((a + b).terms) == list(dict_add(as_dict(a), as_dict(b)))
     assert list((a - b).terms) == list(dict_add(as_dict(a), negated))
+
+
+def test_factors_scan_only_the_set_fields_like_the_field_loop():
+    # every key of at most three variables up to MAX_DEGREE, then random keys
+    # on many variables and sums of two keys, whose fields reach 2 MAX_DEGREE
+    keys = [(polycore._pack(e), m) for m in range(4)
+            for e in itertools.product(range(MAX_DEGREE + 1), repeat=m) if sum(e) <= MAX_DEGREE]
+    rng = random.Random(11)
+    for m in (1, 9, 76):
+        for _ in range(200):
+            a, b = ([0] * m, [0] * m)
+            for e in (a, b):
+                for _ in range(rng.randint(0, MAX_DEGREE)):
+                    e[rng.randrange(m)] += 1
+            keys += [(polycore._pack(tuple(a)), m), (polycore._pack(tuple(a)) + polycore._pack(tuple(b)), m)]
+    assert len(keys) > 1000
+    for key, m in keys:
+        assert polycore._factors(key, m) == factors_reference(key, m), (key, m)
 
 
 @settings(max_examples=80, derandomize=True)

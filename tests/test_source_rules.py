@@ -333,9 +333,10 @@ def test_curve_store_rule_catches_a_foreign_call():
 
 def test_pairings_are_stored_only_by_their_constructor_and_the_clifford_build():
     # the builder skips coercion and the shape check: the constructor runs
-    # them first, and normed_pairing hands over its signed permutations; both
-    # go through the builder's one proof of the norm identity
-    assert _package_callers("_store_pairing") == ["cliff.NormedPairing.__init__", "cliff.normed_pairing"]
+    # them first, and _clifford_pairing hands over checked signed permutations
+    # for normed_pairing and CliffordRep; both go through the builder's one
+    # proof of the norm identity
+    assert _package_callers("_store_pairing") == ["cliff.NormedPairing.__init__", "cliff._clifford_pairing"]
 
 
 def test_pairing_store_rule_catches_a_foreign_call():
@@ -343,7 +344,7 @@ def test_pairing_store_rule_catches_a_foreign_call():
     sources["cliff"] += "\ndef unit(n):\n    return _store_pairing(object.__new__(NormedPairing), 1, n, n, [])\n"
     sources["cli"] += "\nclass Probe:\n    p = cliff._store_pairing(p, 1, 1, 1, [(0, 0, 0, 1)])\n"
     assert _module_callers(sources, "_store_pairing") == [
-        "cli.Probe", "cliff.NormedPairing.__init__", "cliff.normed_pairing", "cliff.unit",
+        "cli.Probe", "cliff.NormedPairing.__init__", "cliff._clifford_pairing", "cliff.unit",
     ]
 
 
