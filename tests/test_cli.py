@@ -146,6 +146,17 @@ def test_failed_certificate_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert err == "rounding-forge: error: certificate failed: reduced jet is still degenerate\n"
 
 
+def test_failed_generator_certificate_is_one_error_line(capsys, monkeypatch):
+    cached = cliff._generator_perms
+    twice = (cached(2)[0],) * 2
+    monkeypatch.setattr(cliff, "_generator_perms", lambda k: twice if k == 2 else cached(k))
+    code, out, err = run(capsys, "pairing", "3", "4")
+    assert code == 1
+    assert out == ""
+    assert err == ("rounding-forge: error: certificate failed: "
+                   "pairing [3, 4, 4]: tensor does not satisfy the norm identity\n")
+
+
 @pytest.mark.parametrize("command", ["check", "verify", "hopf"])
 def test_non_utf8_document_is_one_error_line(tmp_path, capsys, command):
     path = tmp_path / "doc.json"

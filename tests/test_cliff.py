@@ -827,7 +827,7 @@ def test_corrupted_generators_fail_the_pairing_certificate(monkeypatch, capsys, 
     assert err == f"rounding-forge: error: certificate failed: {message.format(r=k + 1, n=n)}\n"
 
 
-def test_each_generator_system_is_proved_once(monkeypatch):
+def test_each_generator_system_is_verified_once(monkeypatch):
     proved, built = [], []
     real, post_init = cliff._hurwitz_equations_hold, cliff.CliffordRep.__post_init__
     monkeypatch.setattr(cliff, "_hurwitz_equations_hold",
