@@ -342,7 +342,125 @@ class NumericReport:
 
 _GUARD = 1e-6  # reject parameters where |Q| < guard * (1 + |t|^2)
 _POINTS_PER_LINE = 16
+_MAX_PARAMETERS = 60 * _POINTS_PER_LINE  # parameters drawn on a line before it is skipped
 _FIT_BLOCK = 100  # trials sampled before their lines are fitted as one stack
+
+
+class _Draws:
+    """The stream of rng.random() values, read at offsets from the start of
+    the current fit block. A uniform(a, b) draw is a + (b - a) * random(), so
+    each value the oracle samples is one value of this stream."""
+
+    def __init__(self, seed: int):
+        self.random = random.Random(seed).random
+        self.values: list[float] = []
+
+    def read(self, start: int, count: int) -> list[float]:
+        missing = start + count - len(self.values)
+        if missing > 0:
+            self.values += [self.random() for _ in range(missing)]
+        return self.values[start:start + count]
+
+    def trim(self, end: int) -> None:
+        """Drop the block's draws, up to end, where the next block's begin."""
+        del self.values[:end]
+
+
+def _line(draws: _Draws, start: int, trial: int, m: int) -> tuple[list[float], list[float], int]:
+    """The base, the direction and the offset of the first parameter of the
+    line whose draws begin at start. An even trial's line passes through the
+    origin and draws no base; a direction with no entry above 1e-3 is drawn
+    again."""
+    base = [0.0] * m
+    if trial % 2:
+        base, start = [-1.0 + 2.0 * r for r in draws.read(start, m)], start + m
+    direction = [-1.0 + 2.0 * r for r in draws.read(start, m)]
+    while not any(abs(d) > 1e-3 for d in direction):
+        start += m
+        direction = [-1.0 + 2.0 * r for r in draws.read(start, m)]
+    return base, direction, start + m
+
+
+def _guarded(draws: _Draws, lines: list[tuple], count: int, powers, den_rows) -> tuple[np.ndarray, ...]:
+    """Sample count parameters t on each line, from its parameter offset: the
+    power table of the points base + t * direction, line by line, Q at them,
+    and which of them clear the denominator guard (a NaN Q does)."""
+    base, direction, first = zip(*lines)
+    r = np.array(draws.read(first[0], first[-1] + count - first[0]))
+    t = -2.0 + 4.0 * r[np.subtract(first, first[0])[:, np.newaxis] + np.arange(count)]
+    x = np.array(base)[:, np.newaxis] + t[..., np.newaxis] * np.array(direction)[:, np.newaxis]
+    pw = powers(x.reshape(-1, x.shape[2]))
+    q = _eval_float_rows(den_rows, pw).reshape(t.shape)
+    return pw, q, ~(np.abs(q) < _GUARD * (1.0 + t * t))
+
+
+def _sample_block(draws: _Draws, trials: range, m: int, powers, den_rows,
+                  window: int) -> tuple[list[tuple], list[int], list[int], int]:
+    """Sample the lines of one fit block, reading draws from offset 0.
+
+    Each line reads parameters until 16 clear the guard, at most 960 of them,
+    so where the next line's draws begin is known once this line's guard
+    outcomes are. The lines of a window are sampled together, each at its
+    offset with 16 parameters (32 for a window of one line). The first line
+    that needs more is finished alone, in chunks that double the parameters
+    it has read, keeping the points already sampled; the next window starts
+    at its true end, with 2 * (lines the window finished) + 1 lines.
+
+    Returns the power-table columns and Q values of each sampled line's 16
+    points, in trial order, the sampled and skipped trials, and the window.
+    The block's draws are trimmed from the stream.
+    """
+    points, sampled, skipped = [], [], []
+    start, trial = 0, trials.start
+    while trial < trials.stop:
+        lines = []
+        count = _POINTS_PER_LINE if min(window, trials.stop - trial) > 1 else 2 * _POINTS_PER_LINE
+        for line_trial in range(trial, min(trial + window, trials.stop)):
+            lines.append(_line(draws, start, line_trial, m))
+            start = lines[-1][2] + count
+        pw, q, ok = _guarded(draws, lines, count, powers, den_rows)
+        accepted = np.cumsum(ok, axis=1)
+        full = accepted[:, -1] >= _POINTS_PER_LINE
+        done = len(lines) if full.all() else int(full.argmin())
+        keep = np.flatnonzero(ok[:done] & (accepted[:done] <= _POINTS_PER_LINE))
+        points.append((pw[:, keep], q.ravel()[keep]))
+        sampled += range(trial, trial + done)
+        trial += done
+        window = 2 * done + 1
+        if done == len(lines):
+            start = lines[-1][2] + int(np.argmax(accepted[-1] == _POINTS_PER_LINE)) + 1
+            continue
+        keep = done * count + np.flatnonzero(ok[done])
+        line_points, start = _finish_line(draws, lines[done], count, (pw[:, keep], q.ravel()[keep]), powers,
+                                          den_rows)
+        if line_points:
+            points += line_points
+            sampled.append(trial)
+        else:
+            skipped.append(trial)
+        trial += 1
+    draws.trim(start)
+    return points, sampled, skipped, window
+
+
+def _finish_line(draws: _Draws, line: tuple, read: int, found: tuple, powers, den_rows) -> tuple[list, int]:
+    """Read more parameters on a line that has read some and found fewer than
+    16 points clearing the guard, in chunks that double what it has read,
+    up to 960. Returns the power-table columns and Q values of its 16
+    points, or [] if it is skipped, and the offset where its draws end."""
+    base, direction, first = line
+    points = [found]
+    missing = _POINTS_PER_LINE - found[1].size
+    while read < _MAX_PARAMETERS:
+        chunk = min(read, _MAX_PARAMETERS - read)
+        pw, q, ok = _guarded(draws, [(base, direction, first + read)], chunk, powers, den_rows)
+        keep = np.flatnonzero(ok[0])[:missing]
+        points.append((pw[:, keep], q[0, keep]))
+        missing -= keep.size
+        if not missing:
+            return points, first + read + int(keep[-1]) + 1
+        read += chunk
+    return [], first + _MAX_PARAMETERS
 
 
 def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
@@ -357,7 +475,7 @@ def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
     return numerators, denominator
 
 
-def _compiled(form: _FloatForm, p: Poly, name: str) -> list[tuple]:
+def _compiled(form: _FloatForm, p: Poly, name: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         return form.add(p)
     except OverflowError:
@@ -369,18 +487,27 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
 
     fmap is a FracQuadMap, or a raw (numerators, denominator) pair of exact
     polynomials so that deliberately broken maps (degree up to 4) can be fed
-    to the oracle as controls. Half the lines pass through the origin. Lines
-    where not enough parameters clear the denominator guard are skipped, not
-    counted as violations.
+    to the oracle as controls. The even trials' lines pass through the
+    origin, so a map constant along those lines (cliff.pairing_to_rounding
+    is one) fits them as points with residual 0, and they check nothing.
+    Lines where not enough parameters clear the denominator guard are
+    skipped, not counted as violations.
 
-    Q and every F[i] are compiled into one float form before the first
-    trial; each sampled point builds one power table, from which Q and then
-    each F[i] are evaluated with Poly.eval_float's exact operations. A
-    coefficient outside float range raises ValueError naming its
-    coordinate, Q or F[i]. Trials are sampled in order, _FIT_BLOCK at a
-    time, and each block's lines are fitted as one stack, with the bits of
-    circle_fit on each line alone. trials must be a positive int and tol
-    positive and finite; a NaN tol would pass every line.
+    The reports are those of a scalar loop that draws each line's base,
+    direction and parameters from random.Random(seed) and evaluates one
+    point at a time; this oracle gets the same bits a block of lines at a
+    time. Every draw is one value of the stream of random() values, and each
+    line reads its draws at a known offset, which _sample_block finds from
+    the guard outcomes of the lines before it. Q and every F[i] are compiled
+    into one float form before the first trial, and evaluated by the one
+    float evaluator on power tables of many points: Q at every sampled
+    point, each F[i] once per block at the points that cleared the guard. A
+    coefficient outside float range raises ValueError naming its coordinate,
+    Q or F[i]. Trials are sampled in order, _FIT_BLOCK at a time, and each
+    block's lines are fitted as one stack, with the bits of circle_fit on
+    each line alone. trials must be a positive int and tol positive and
+    finite; a NaN tol would pass every line. A map of no variables has no
+    lines, and raises ValueError.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -388,44 +515,29 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     numerators, denominator = _as_numeric_pair(fmap)
     m = denominator.num_vars
+    if m == 0:
+        raise ValueError("a map of no variables has no lines to sample")
     form = _FloatForm()
     den_rows = _compiled(form, denominator, "Q")
     num_rows = [_compiled(form, p, f"F[{i}]") for i, p in enumerate(numerators)]
-    powers = form.powers
-    rng = random.Random(seed)
+    draws = _Draws(seed)
+    window = _FIT_BLOCK
     violations: list[int] = []
     skipped: list[int] = []
     max_residual = 0.0
     for start in range(0, trials, _FIT_BLOCK):
-        block = np.empty((min(_FIT_BLOCK, trials - start), _POINTS_PER_LINE, len(num_rows)))
-        sampled: list[int] = []
-        for trial in range(start, start + len(block)):
-            if trial % 2 == 0:
-                base = [0.0] * m
-            else:
-                base = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-            direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-            while not any(abs(d) > 1e-3 for d in direction):
-                direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-            pts = []
-            for _ in range(60 * _POINTS_PER_LINE):
-                t = rng.uniform(-2.0, 2.0)
-                x = [b + t * d for b, d in zip(base, direction)]
-                pw = powers(x)
-                qv = _eval_float_rows(den_rows, pw)
-                if abs(qv) < _GUARD * (1.0 + t * t):
-                    continue
-                pts.append([_eval_float_rows(rows, pw) / qv for rows in num_rows])
-                if len(pts) >= _POINTS_PER_LINE:
-                    break
-            if len(pts) < _POINTS_PER_LINE:
-                skipped.append(trial)
-            else:
-                block[len(sampled)] = pts
-                sampled.append(trial)
+        block = range(start, min(start + _FIT_BLOCK, trials))
+        points, sampled, block_skipped, window = _sample_block(draws, block, m, form.powers, den_rows, window)
+        skipped += block_skipped
         if not sampled:
             continue
-        for trial, fit in zip(sampled, _fit_stack(block[:len(sampled)])):
+        pw = np.concatenate([p for p, _ in points], axis=1)
+        q = np.concatenate([q for _, q in points])
+        samples = np.empty((len(sampled), _POINTS_PER_LINE, len(num_rows)))
+        with np.errstate(all="ignore"):
+            for i, rows in enumerate(num_rows):
+                samples[..., i] = (_eval_float_rows(rows, pw) / q).reshape(len(sampled), _POINTS_PER_LINE)
+        for trial, fit in zip(sampled, _fit_stack(samples)):
             max_residual = max(max_residual, fit.residual)
             if fit.residual > tol:
                 violations.append(trial)

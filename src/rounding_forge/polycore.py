@@ -20,6 +20,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import _linalg
 
 Rational = Fraction
@@ -295,61 +297,70 @@ class _FloatForm:
     """Polys compiled once for float evaluation at many points.
 
     `slots` numbers the powers (v, k), x[v] ** k, that the compiled terms
-    use; `powers(x)` is the table pw of those powers at a point x, in slot
-    order, with a trailing 1.0. `add(p)` turns p into rows (c, i, j, ...),
-    one per term in stored order: the float coefficient c, then the slots of
-    the term's nonzero exponents in variable order, padded with -1, the 1.0
-    slot, up to the widest term of p (at least two). _eval_float_rows
-    multiplies c by each slot and adds the terms from 0.0; multiplying by
-    1.0 is exact, so the operations are those of a direct loop over the
-    terms."""
+    use; `powers(x)` is the table pw of those powers at a stack x of points,
+    one row per slot and one column per point, with a trailing row of 1.0.
+    `add(p)` turns p into rows: an array of float coefficients, one per term
+    in stored order, and a matrix of slots, the slots of each term's nonzero
+    exponents in variable order, padded with -1, the 1.0 row, up to the
+    widest term of p (at least two). _eval_float_rows multiplies each
+    coefficient by its slots and adds the terms from 0.0; multiplying by 1.0
+    is exact, so the operations are those of a direct loop over the terms
+    at each point."""
 
     __slots__ = ("slots",)
 
     def __init__(self):
         self.slots: dict[tuple[int, int], int] = {}
 
-    def add(self, p: Poly) -> list[tuple]:
+    def add(self, p: Poly) -> tuple[np.ndarray, np.ndarray]:
         """p's rows; a coefficient outside float range raises OverflowError."""
         # int / int rounds correctly, as float() of the Fraction does
         terms = [(c / p._den, [(v, k) for v, k in enumerate(_unpack(e, p.num_vars)) if k])
                  for e, c in p._ints.items()]
         width = max([2, *[len(factors) for _, factors in terms]])
-        rows = []
-        for c, factors in terms:
-            slots = [self.slots.setdefault(factor, len(self.slots)) for factor in factors]
-            rows.append((c, *slots, *[-1] * (width - len(slots))))
-        return rows
+        slots = np.full((len(terms), width), -1)
+        for row, (_, factors) in zip(slots, terms):
+            row[:len(factors)] = [self.slots.setdefault(factor, len(self.slots)) for factor in factors]
+        return np.array([c for c, _ in terms]), slots
 
-    def powers(self, x: Sequence[float]) -> list[float]:
-        pw = [x[v] ** k for v, k in self.slots]
-        pw.append(1.0)
+    def powers(self, x: np.ndarray) -> np.ndarray:
+        """The power table of a (points, variables) stack x. A power k = 1 is x
+        itself, and k >= 2 is Python's ** on each float: numpy's power is
+        not the C library's pow, and differs from it in the last bit."""
+        pw = np.empty((len(self.slots) + 1, len(x)))
+        for row, (v, k) in zip(pw, self.slots):
+            row[:] = x[:, v] if k == 1 else [c ** k for c in x[:, v].tolist()]
+        pw[-1] = 1.0
         return pw
 
 
-def _eval_float_rows(rows: Sequence[tuple], pw: Sequence[float]) -> float:
-    """The value of _FloatForm.add rows on the power table pw of a point."""
-    total = 0.0
-    if rows and len(rows[0]) == 3:
-        for c, i, j in rows:
-            total += c * pw[i] * pw[j]
-        return total
-    for c, *slots in rows:
-        for i in slots:
-            c *= pw[i]
-        total += c
-    return total
+def _eval_float_rows(rows: tuple[np.ndarray, np.ndarray], pw: np.ndarray) -> np.ndarray:
+    """The values of _FloatForm.add rows at each point of the power table pw.
+
+    Each term is its coefficient times its slots, left to right. The terms
+    are added by np.add.accumulate from a leading row of 0.0, which adds
+    them one at a time in stored order, as a running total does (np.sum
+    adds pairwise); the leading 0.0 turns a first term of -0.0 into 0.0, as
+    0.0 + -0.0 does. Overflow to inf or nan raises no warning, as in Python
+    floats."""
+    coeffs, slots = rows
+    terms = np.zeros((len(coeffs) + 1, pw.shape[1]))
+    with np.errstate(all="ignore"):
+        np.multiply(coeffs[:, np.newaxis], pw[slots[:, 0]], out=terms[1:])
+        for column in slots.T[1:]:
+            terms[1:] *= pw[column]
+        return np.add.accumulate(terms)[-1]
 
 
 def _eval_floats(polys: Sequence[Poly], point: Sequence[float]) -> list[float]:
     """The values of polys, which share their variables, at a point of floats,
-    from one compiled form and one power table."""
+    from one compiled form and a power table of that one point."""
     if polys and len(point) != polys[0].num_vars:
         raise ValueError("point dimension mismatch")
     form = _FloatForm()
     rows = [form.add(p) for p in polys]
-    pw = form.powers([float(v) for v in point])
-    return [_eval_float_rows(r, pw) for r in rows]
+    pw = form.powers(np.array([[float(v) for v in point]]))
+    return [float(_eval_float_rows(r, pw)[0]) for r in rows]
 
 
 def _unit_keys(num_vars: int) -> list[int]:

@@ -168,16 +168,15 @@ def circle_fit_reference(points) -> CircleFit:
     return finish("circle", centroid + cu * basis[0] + cv * basis[1], radius)
 
 
-def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
+def _reference_lines(fmap, trials: int, seed: int):
+    """Each trial's sampled points, or None when its line is skipped, and
+    the number of parameters its line read."""
     numerators, denominator = circles._as_numeric_pair(fmap)
     m = denominator.num_vars
     den_terms = _reference_float_terms(denominator, "Q")
     num_terms = [_reference_float_terms(p, f"F[{i}]") for i, p in enumerate(numerators)]
     points_per_line = circles._POINTS_PER_LINE
     rng = random.Random(seed)
-    violations: list = []
-    skipped: list = []
-    max_residual = 0.0
     for trial in range(trials):
         if trial % 2 == 0:
             base = [0.0] * m
@@ -187,7 +186,7 @@ def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float 
         while not any(abs(d) > 1e-3 for d in direction):
             direction = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         pts = []
-        for _ in range(60 * points_per_line):
+        for read in range(1, 60 * points_per_line + 1):
             t = rng.uniform(-2.0, 2.0)
             x = [b + t * d for b, d in zip(base, direction)]
             qv = _reference_eval(den_terms, x)
@@ -196,14 +195,28 @@ def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float 
             pts.append([_reference_eval(terms, x) / qv for terms in num_terms])
             if len(pts) >= points_per_line:
                 break
-        if len(pts) < points_per_line:
+        yield (pts if len(pts) >= points_per_line else None), read
+
+
+def reference_parameters_read(fmap, trials: int, seed: int) -> list[int]:
+    """The parameters each trial's line reads: 16 when all of its first 16
+    clear the guard, 960 when the line is skipped."""
+    return [read for _, read in _reference_lines(fmap, trials, seed)]
+
+
+def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> NumericReport:
+    violations: list = []
+    skipped: list = []
+    max_residual = 0.0
+    for trial, (pts, _) in enumerate(_reference_lines(fmap, trials, seed)):
+        if pts is None:
             skipped.append(trial)
             continue
         fit = circle_fit_reference(pts)
         max_residual = max(max_residual, fit.residual)
         if fit.residual > tol:
             violations.append(trial)
-    return NumericReport(trials=trials, seed=seed, tol=tol, points_per_line=points_per_line,
+    return NumericReport(trials=trials, seed=seed, tol=tol, points_per_line=circles._POINTS_PER_LINE,
                          max_residual=max_residual, violations=tuple(violations), skipped=tuple(skipped))
 
 

@@ -22,6 +22,7 @@ from conftest import (
     numeric_oracle_reference,
     quaternion_jet,
     random_valid_jet,
+    reference_parameters_read,
 )
 from rounding_forge import circles, jets
 from rounding_forge.circles import (
@@ -798,3 +799,68 @@ def test_oracle_that_fitted_no_line_is_not_ok():
     report = verify_rounding_numeric(_tiny_denominator_map(10**7), trials=6)
     assert report.skipped == () and report.violations == tuple(range(6))
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# the oracle's stream of draws, against the scalar loop of the reference
+
+
+def _scaled_canonical_map(scale):
+    """A canonical m = 4 rounding with Q and every F[i] multiplied by scale:
+    the smaller the scale, the more parameters fail the denominator guard."""
+    fq = canonical_rounding(validate_jet(random_valid_jet(random.Random(4), m=4)))
+    return [p * scale for p in fq.numer.coords], fq.denom * scale
+
+
+def _assert_matches_the_reference(fmap, trials, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify_rounding_numeric(fmap, trials=trials, seed=seed)
+    want = numeric_oracle_reference(fmap, trials=trials, seed=seed)
+    assert got.max_residual.hex() == want.max_residual.hex()
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    return got
+
+
+@pytest.mark.parametrize("trials", [1, 99, 101, 250])
+@pytest.mark.parametrize("scale", [F(1), F(1, 10**5), F(1, 10**6), F(3, 10**6), F(1, 10**7)], ids=str)
+def test_numeric_oracle_matches_the_reference_as_the_guard_tightens(scale, trials):
+    # at scale 1 no parameter fails the guard; at 1/10^7 most lines are skipped
+    report = _assert_matches_the_reference(_scaled_canonical_map(scale), trials, seed=0)
+    if trials == 250:
+        assert (scale == F(1, 10**7)) == (len(report.skipped) > trials // 2)
+
+
+@pytest.mark.parametrize("fmap", [
+    _tiny_denominator_map(1),  # every line is skipped
+    ([Poly(2, {(2, 0): 1})], Poly.zero(2)),  # Q is 0 at every point
+    FracQuadMap(PolyMap(2, []), 1 + Poly.variable(2, 0)),  # no numerators, ok
+], ids=["tiny-denominator", "zero-denominator", "no-numerators"])
+def test_numeric_oracle_matches_the_reference_on_degenerate_controls(fmap):
+    report = _assert_matches_the_reference(fmap, 101, seed=3)
+    assert report.ok == (not report.skipped)
+
+
+@pytest.mark.parametrize("seed, trials, first", [
+    (0, 250, 100),  # the first line of a full block, after clean lines
+    (10, 115, 114),  # the last line of a part block
+], ids=["first-line", "last-line"])
+def test_numeric_oracle_matches_the_reference_where_a_block_first_reads_more(seed, trials, first):
+    fmap = _scaled_canonical_map(F(3, 10**4))
+    reads = reference_parameters_read(fmap, trials, seed)
+    block = range(circles._FIT_BLOCK, trials)
+    # first is the first line of the second block that reads past its 16 parameters
+    assert [trial for trial in block if reads[trial] > 16][0] == first
+    assert reads[first - 1] == 16
+    _assert_matches_the_reference(fmap, trials, seed)
+
+
+@pytest.mark.parametrize("fmap", [
+    ([Poly.constant(0, 1)], Poly.constant(0, 1)),
+    FracQuadMap(PolyMap(0, [Poly.constant(0, 1)]), Poly.constant(0, 1)),
+], ids=["pair", "FracQuadMap"])
+def test_numeric_oracle_rejects_a_map_of_no_variables(fmap):
+    # its direction would be empty, and no empty direction is ever accepted
+    with mock.patch.object(circles.random, "Random", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="^a map of no variables has no lines to sample$"):
+            verify_rounding_numeric(fmap)

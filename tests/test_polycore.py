@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     as_dict,
@@ -249,7 +249,7 @@ def test_compiled_float_evaluation_matches_the_reference_bit_for_bit(case):
     assert p.eval_float(point).hex() == want
     form = _FloatForm()
     rows = form.add(p)
-    assert _eval_float_rows(rows, form.powers([float(v) for v in point])).hex() == want
+    assert _eval_float_rows(rows, form.powers(np.array([[float(v) for v in point]])))[0].hex() == want
     if p.degree() <= 2:
         # a map compiles its coordinates into one form with one power table
         coords = [p, p + 1, -p]
@@ -260,18 +260,64 @@ def test_compiled_float_evaluation_matches_the_reference_bit_for_bit(case):
 def test_float_terms_keep_term_order_and_nonzero_exponents():
     p = Poly(3, {(0, 2, 1): F(1, 3), (0, 0, 0): -2, (1, 0, 0): F(5, 2)})
     form = _FloatForm()
+
+    def rows(poly):
+        coeffs, slots = form.add(poly)
+        return coeffs.tolist(), slots.tolist()
+
     # rows in term order, slots in variable order, padded with the trailing 1.0 slot
-    assert form.add(p) == [(1 / 3, 0, 1), (-2.0, -1, -1), (2.5, 2, -1)]
+    assert rows(p) == ([1 / 3, -2.0, 2.5], [[0, 1], [-1, -1], [2, -1]])
     assert list(form.slots) == [(1, 2), (2, 1), (0, 1)]
     # a second Poly reuses the slots it shares; a wider term widens only its own rows
     q = Poly(3, {(1, 0, 0): 1, (1, 1, 1): 4})
-    assert form.add(q) == [(1.0, 2, -1, -1), (4.0, 2, 3, 1)]
+    assert rows(q) == ([1.0, 4.0], [[2, -1, -1], [2, 3, 1]])
     assert list(form.slots) == [(1, 2), (2, 1), (0, 1), (1, 1)]
-    assert form.powers([2.0, 3.0, 5.0]) == [9.0, 5.0, 2.0, 3.0, 1.0]
-    assert form.add(Poly.zero(3)) == []
+    # one column per point of the stack
+    assert form.powers(np.array([[2.0, 3.0, 5.0], [-1.0, 0.5, 0.0]])).tolist() == [
+        [9.0, 0.25], [5.0, 0.0], [2.0, -1.0], [3.0, 0.5], [1.0, 1.0]]
+    assert rows(Poly.zero(3)) == ([], [])
+    assert form.add(Poly.zero(3))[1].shape == (0, 2)
     assert Poly.zero(2).eval_float([-0.0, 1.0]).hex() == (0.0).hex()
     with pytest.raises(ValueError, match="point dimension mismatch"):
         p.eval_float([1.0, 2.0])
+
+
+# stacks of points for the evaluator: signed zeros make terms of -0.0, and
+# the coordinates are bounded so that no power overflows
+_stack_entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@st.composite
+def _poly_and_stack(draw):
+    """A Poly, possibly zero or constant, or holding a term of three or four
+    distinct factors, whose narrower rows pad to its width with the 1.0 slot;
+    and a stack of points, one per row."""
+    kind = draw(st.sampled_from(["mixed", "zero", "constant", "wide"]))
+    m = draw(st.integers(3 if kind == "wide" else 1, 5))
+    if kind == "zero":
+        p = Poly.zero(m)
+    elif kind == "constant":
+        p = Poly.constant(m, draw(mixed_coeffs))
+    else:
+        p = draw(mixed_polys(m, 4))
+    if kind == "wide":
+        width = draw(st.integers(3, min(m, 4)))
+        p += Poly(m, {tuple(int(v < width) for v in range(m)): draw(mixed_coeffs.filter(bool))})
+    points = draw(st.integers(1, 6))
+    return p, draw(st.lists(st.lists(_stack_entries, min_size=m, max_size=m), min_size=points, max_size=points))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_poly_and_stack())
+@example((-Poly.variable(2, 0) - Poly.variable(2, 0) * Poly.variable(2, 1), [[0.0, 1.0], [1.0, -0.0], [-0.0, 2.0]]))
+def test_float_evaluation_on_a_stack_matches_the_reference_at_each_point(case):
+    # the example's terms are all -0.0 at its first point, where the sum
+    # from 0.0 is 0.0
+    p, stack = case
+    form = _FloatForm()
+    got = _eval_float_rows(form.add(p), form.powers(np.array(stack)))
+    assert got.shape == (len(stack),)
+    assert [x.hex() for x in got.tolist()] == [eval_float_reference(p, point).hex() for point in stack]
 
 
 def test_grlex_leading_term():

@@ -22,8 +22,9 @@ only in circles; only the line restriction, whose maps cap every term at
 degree 2, composes a polynomial with a line; matrices are cleared in one
 helper, and only _linalg and polycore take an lcm; the numeric oracle
 evaluates only polynomials it compiled once, never eval_float, and one
-float evaluator remains, which adds term by term, never with sum or fsum;
-one circle fit remains, the stacked fit with the one SVD, and circle_fit
+float evaluator remains, which adds term by term, never with sum, fsum or
+numpy's sum and add.reduce; polycore and circles raise floats to powers
+with Python's **, never with numpy's power or ** on an ndarray; one circle fit remains, the stacked fit with the one SVD, and circle_fit
 delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
 QuadForm's matrix; the one symmetric elimination is called
@@ -416,12 +417,13 @@ def test_numeric_oracle_stays_on_compiled_evaluation():
     # them from one power table per sampled point
     sources = _package_sources()
     assert _module_callers({"circles": sources["circles"]}, "eval_float") == []
+    # Q at every sampled point, each F[i] once per block
     assert _module_callers({"circles": sources["circles"]}, "_eval_float_rows") == [
-        "circles.verify_rounding_numeric", "circles.verify_rounding_numeric",
+        "circles._guarded", "circles.verify_rounding_numeric",
     ]
     # one float evaluator: every eval_float reaches the same rows
     assert _package_callers("_eval_float_rows") == [
-        "circles.verify_rounding_numeric", "circles.verify_rounding_numeric", "polycore._eval_floats",
+        "circles._guarded", "circles.verify_rounding_numeric", "polycore._eval_floats",
     ]
     assert _package_callers("_eval_floats") == [
         "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float", "polycore.PolyMap.eval_float",
@@ -460,35 +462,149 @@ def test_circle_fit_rule_catches_a_second_fit():
 # the float evaluator: its compile, its power table, its rows and the
 # functions that drive it
 _FLOAT_EVALUATOR = (
-    "circles.verify_rounding_numeric", "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float",
-    "polycore.PolyMap.eval_float", "polycore._FloatForm", "polycore._eval_float_rows", "polycore._eval_floats",
+    "circles._finish_line", "circles._guarded", "circles._sample_block", "circles.verify_rounding_numeric",
+    "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float", "polycore.PolyMap.eval_float",
+    "polycore._FloatForm", "polycore._eval_float_rows", "polycore._eval_floats",
 )
 
 
 def _float_evaluator_sums(sources: dict[str, str]) -> list[str]:
-    sites = _module_sites(sources, lambda node: _called_name(node) in ("sum", "fsum"))
+    # sum and fsum, np.sum and the .sum method, and np.add.reduce
+    sites = _module_sites(sources, lambda node: _called_name(node) in ("sum", "fsum", "reduce"))
     return [name for name in sites if any(name == f or name.startswith(f + ".") for f in _FLOAT_EVALUATOR)]
 
 
 def test_float_evaluator_adds_term_by_term():
-    # Python 3.12 made sum() of floats compensated and fsum rounds once, so
-    # either would move report bytes between Python versions; the evaluator
-    # adds each term to a running total from 0.0, in stored order
+    # Python 3.12 made sum() of floats compensated and fsum rounds once, and
+    # numpy's sum and add.reduce add pairwise, so each would move report
+    # bytes; the evaluator adds each term to a running total from 0.0, in
+    # stored order, with np.add.accumulate
     assert _float_evaluator_sums(_package_sources()) == []
+
+
+_EVAL_ROWS_HEAD = "def _eval_float_rows(rows: tuple[np.ndarray, np.ndarray], pw: np.ndarray) -> np.ndarray:\n"
 
 
 def test_float_sum_rule_catches_a_sum_in_the_evaluator():
     sources = _package_sources()
-    head = "def _eval_float_rows(rows: Sequence[tuple], pw: Sequence[float]) -> float:\n"
+    head = _EVAL_ROWS_HEAD
     assert head in sources["polycore"]
     sources["polycore"] = sources["polycore"].replace(
-        head, head + "    return sum([c * pw[i] * pw[j] for c, i, j in rows])\n")
+        head, head + "    return sum([c * pw[i] * pw[j] for c, i, j in zip(*rows)])\n")
     head = "        d, *values = _eval_floats([self.denom, *self.numer.coords], point)\n"
     assert head in sources["jets"]
     sources["jets"] = sources["jets"].replace(head, head + "        d = math.fsum([d])\n")
     # a sum outside the evaluator is not its business
     sources["circles"] += "\ndef mean(xs):\n    return sum(xs) / len(xs)\n"
     assert _float_evaluator_sums(sources) == ["jets.FracQuadMap.eval_float", "polycore._eval_float_rows"]
+
+
+def test_float_sum_rule_catches_a_numpy_sum_in_the_evaluator():
+    sources = _package_sources()
+    head = _EVAL_ROWS_HEAD
+    assert head in sources["polycore"]
+    sources["polycore"] = sources["polycore"].replace(head, head + "    return np.add.reduce(pw)\n")
+    head = "    q = _eval_float_rows(den_rows, pw).reshape(t.shape)\n"
+    assert head in sources["circles"]
+    sources["circles"] = sources["circles"].replace(head, head + "    q = np.sum(pw, axis=0)\n")
+    head = "        q = np.concatenate([q for _, q in points])\n"
+    assert head in sources["circles"]
+    sources["circles"] = sources["circles"].replace(head, head + "        q = pw.sum(axis=0)\n")
+    # a numpy sum outside the evaluator is not its business
+    sources["circles"] += "\ndef spread(pts):\n    return np.sum(pts * pts)\n"
+    assert _float_evaluator_sums(sources) == [
+        "circles._guarded", "circles.verify_rounding_numeric", "polycore._eval_float_rows",
+    ]
+
+
+def _functions(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(dotted name, node) of each function, methods and nested functions included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, ast.ClassDef):
+                yield ".".join(scope + (node.name,)), node
+            yield from _functions(node, scope + (node.name,))
+
+
+def _is_array(node: ast.AST, arrays: set[str]) -> bool:
+    """Whether an expression is an ndarray by its syntax: a name in arrays, a
+    numpy call, or an index, attribute, method call or arithmetic of an
+    array. tolist and item give Python numbers."""
+    if isinstance(node, ast.Name):
+        return node.id in arrays
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+            return True
+        return node.func.attr not in ("tolist", "item") and _is_array(owner, arrays)
+    if isinstance(node, (ast.Subscript, ast.Attribute)):
+        return _is_array(node.value, arrays)
+    if isinstance(node, ast.BinOp):
+        return _is_array(node.left, arrays) or _is_array(node.right, arrays)
+    if isinstance(node, ast.UnaryOp):
+        return _is_array(node.operand, arrays)
+    return False
+
+
+def _array_names(func: ast.AST) -> set[str]:
+    """The names a function binds to arrays: parameters annotated as
+    ndarrays, and names assigned an array expression."""
+    params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    arrays = {a.arg for a in params if a.annotation is not None and "ndarray" in ast.unparse(a.annotation)}
+    assigns = [node for node in ast.walk(func) if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))]
+    grown = True
+    while grown:
+        grown = False
+        for node in assigns:
+            if node.value is None or not _is_array(node.value, arrays):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id not in arrays:
+                        arrays.add(name.id)
+                        grown = True
+    return arrays
+
+
+def _numpy_powers(sources: dict[str, str]) -> list[str]:
+    """Functions in polycore and circles that call numpy's power, or raise an
+    ndarray to a power with **."""
+    found = []
+    for stem in ("circles", "polycore"):
+        for name, func in _functions(ast.parse(sources[stem], filename=stem)):
+            arrays = _array_names(func)
+            for node in ast.walk(func):
+                if _called_name(node) in ("power", "float_power"):
+                    found.append(f"{stem}.{name}")
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                    left = node.left if isinstance(node, ast.BinOp) else node.target
+                    if _is_array(left, arrays) or _is_array(node.value if isinstance(node, ast.AugAssign)
+                                                            else node.right, arrays):
+                        found.append(f"{stem}.{name}")
+    return sorted(found)
+
+
+def test_float_powers_are_the_c_librarys():
+    # numpy's power is not the C library's pow that Python's ** calls: on
+    # 10^6 draws they differ in the last bit up to 27,503 times; the power
+    # table raises each coordinate to k >= 2 as a Python float
+    assert _numpy_powers(_package_sources()) == []
+
+
+def test_float_power_rule_catches_a_numpy_power():
+    sources = _package_sources()
+    head = "            row[:] = x[:, v] if k == 1 else [c ** k for c in x[:, v].tolist()]\n"
+    assert head in sources["polycore"]
+    sources["polycore"] = sources["polycore"].replace(head, "            row[:] = x[:, v] ** k\n")
+    head = "    x = np.array(base)[:, np.newaxis] + t[..., np.newaxis] * np.array(direction)[:, np.newaxis]\n"
+    assert head in sources["circles"]
+    sources["circles"] = sources["circles"].replace(head, head + "    square = t ** 2\n    x **= 1\n")
+    sources["circles"] += "\ndef squares(x):\n    return np.power(x, 2)\n"
+    # ** on Python numbers is not its business
+    sources["circles"] += "\ndef area(r):\n    return [c ** 2 for c in np.array(r).tolist()]\n"
+    assert _numpy_powers(sources) == [
+        "circles._guarded", "circles._guarded", "circles.squares", "polycore._FloatForm.powers",
+    ]
 
 
 def test_out_documents_are_written_only_by_main():
