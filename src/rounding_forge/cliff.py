@@ -9,8 +9,8 @@ identity is proved by the Hurwitz equations on its slabs, each cleared to
 integers, and that proof is also the one certificate of a generator system:
 with the identity as slab 0, the Hurwitz equations of the slabs
 [I, E_1, ..., E_k] are exactly E_i^2 = -I, E_i^T E_i = I and
-E_i E_j = -E_j E_i. So clifford_generators proves each generator tuple once
-per process, and normed_pairing proves the slabs of each pairing it builds.
+E_i E_j = -E_j E_i. So normed_pairing, the one entry to the generator
+systems, proves the slabs of each pairing it builds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .polycore import CertificateError, Poly, PolyMap, _quadratic_polys, _quadra
 from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
-MAX_GENERATORS = 24
 
 # Minimal dimensions of representations with k anticommuting orthogonal
 # complex structures, k = 0..7; beyond that the dimension multiplies by 16
@@ -186,43 +185,6 @@ def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CliffordRep:
-    """k anticommuting orthogonal complex structures on R^dim, kept as
-    signed permutations. Built, it proves itself as the [k + 1, dim, dim]
-    pairing of the identity and its generators, whose Hurwitz equations are
-    the defining identities. clifford_generators hands every caller of one
-    generator system the same instance, so it is frozen."""
-
-    k: int
-    _perms: tuple[_SignedPerm, ...]
-
-    def __post_init__(self):
-        _clifford_pairing(self.k + 1, self._perms, self.dim)
-
-    @property
-    def dim(self) -> int:
-        return self._perms[0].dim if self._perms else 1
-
-    def __repr__(self):
-        return f"CliffordRep(k={self.k}, dim={self.dim})"
-
-
-def clifford_generators(k: int) -> CliffordRep:
-    """A minimal-dimension system of k generators, proved at construction."""
-    _check_ints(k=k)
-    if not 0 <= k <= MAX_GENERATORS:
-        raise ValueError(f"k must lie in [0, {MAX_GENERATORS}]")
-    return _verified_rep(k, _generator_perms(k))
-
-
-@lru_cache(maxsize=None)
-def _verified_rep(k: int, perms: tuple[_SignedPerm, ...]) -> CliffordRep:
-    """CliffordRep(k, perms), proved once per generator tuple: the key is
-    the tuple's value, so a different tuple is proved on its own."""
-    return CliffordRep(k, perms)
-
-
 @dataclass(frozen=True, init=False)
 class NormedPairing:
     """Bilinear f: R^left x R^right -> R^target with |f(x, y)| = |x| |y|.
@@ -292,7 +254,7 @@ class NormedPairing:
 def _store_pairing(pairing: NormedPairing, r: int, s: int, n: int, entries) -> NormedPairing:
     """Store the [r, s, n] pairing with nonzero coefficients x of x_i y_j in
     coordinate c, given as entries (i, j, c, x) in (i, j) order, after proving
-    its norm identity: only NormedPairing's constructor and _clifford_pairing come here."""
+    its norm identity: only NormedPairing's constructor and normed_pairing come here."""
     if not _hurwitz_equations_hold(r, s, entries):
         raise ValueError("tensor does not satisfy the norm identity")
     # each coordinate gets its terms in (i, j) order; float sums of f follow that order
@@ -352,23 +314,19 @@ def normed_pairing(r: int, n: int) -> NormedPairing:
     """The block-diagonal Clifford pairing of size [r, n, n].
 
     Feasible exactly when r <= rho(n); the first slot acts as
-    x_0 * identity plus x_i times the i-th generator on each block.
+    x_0 * identity plus x_i times the i-th generator on each block. Its
+    slabs, and so the generators, are proved before the pairing is stored.
     """
     _check_ints(r=r, n=n)
     if r < 1 or n < 1:
         raise ValueError("sizes must be positive")
     if r > rho(n):
         raise SizeInfeasible(r, n)
-    return _clifford_pairing(r, _generator_perms(r - 1), n)
-
-
-def _clifford_pairing(r: int, perms: tuple[_SignedPerm, ...], n: int) -> NormedPairing:
-    """The [r, n, n] pairing whose slab 0 is the identity and slab i the
-    generator perms[i - 1], each repeated on the blocks of R^n, proved by
-    the Hurwitz equations of its slabs. Those cannot see a perm entry outside
-    the block, which would be stored in another coordinate, so each generator
-    is checked to be a permutation first."""
+    perms = _generator_perms(r - 1)
     d = perms[0].dim if perms else 1
+    # the Hurwitz equations cannot see a perm entry outside the block, which
+    # would be stored in another coordinate, so each generator is checked to
+    # be a permutation first
     for i, g in enumerate(perms):
         if sorted(g.perm) != list(range(d)):
             raise CertificateError(f"generator {i} is not a permutation")

@@ -253,10 +253,10 @@ def pairing_terms_reference(left_dim: int, right_dim: int, target_dim: int, tens
 def pairing_tensor_reference(r: int, n: int) -> tuple:
     """The dense [r, n, n] tensor of the block-diagonal Clifford pairing, built
     slab by slab from the identity and the generators' signed permutations."""
-    rep = cliff.clifford_generators(r - 1)
-    d = rep.dim
+    perms = cliff._generator_perms(r - 1)
+    d = perms[0].dim if perms else 1
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(r)]
-    for i, gen in enumerate((cliff._SignedPerm.eye(d), *rep._perms)):
+    for i, gen in enumerate((cliff._SignedPerm.eye(d), *perms)):
         for block in range(n // d):
             off = block * d
             for col in range(d):

@@ -30,10 +30,8 @@ from conftest import (
 from rounding_forge import cli, cliff, polycore, spheres
 from rounding_forge.cliff import (
     KAPPA_DOMAIN_CAP,
-    MAX_GENERATORS,
     NormedPairing,
     SizeInfeasible,
-    clifford_generators,
     hopf_map,
     kappa,
     normed_pairing,
@@ -140,10 +138,19 @@ def test_kappa_dominates_rho():
 # generator systems
 
 
+def _dim(perms) -> int:
+    return perms[0].dim if perms else 1
+
+
 def test_generator_dimensions_frozen():
     expected = [1, 2, 4, 4, 8, 8, 8, 8, 16, 32, 64, 64, 128, 128, 128, 128, 256]
-    assert [clifford_generators(k).dim for k in range(17)] == expected
+    assert [_dim(cliff._generator_perms(k)) for k in range(17)] == expected
     assert _DIMS[:17] == expected
+    # each system is minimal: rho admits k + 1 slabs on its dimension, and
+    # at most k on half of it
+    for k in range(1, 25):
+        d = _dim(cliff._generator_perms(k))
+        assert rho(d) > k >= rho(d // 2), k
 
 
 def _dense(g) -> np.ndarray:
@@ -154,17 +161,17 @@ def _dense(g) -> np.ndarray:
 
 
 def test_single_generator_is_the_rotation():
-    rep = clifford_generators(1)
-    assert np.array_equal(_dense(rep._perms[0]), np.array([[0, -1], [1, 0]]))
+    (g,) = cliff._generator_perms(1)
+    assert np.array_equal(_dense(g), np.array([[0, -1], [1, 0]]))
 
 
 def test_generator_relations_dense():
     # independent dense verification of the systems the pairing proof certifies
     # in float64, whose products of these +-1 matrices are exact and fast
     for k in range(17):
-        rep = clifford_generators(k)
-        eye = np.eye(rep.dim)
-        gens = [_dense(g).astype(np.float64) for g in rep._perms]
+        perms = cliff._generator_perms(k)
+        eye = np.eye(_dim(perms))
+        gens = [_dense(g).astype(np.float64) for g in perms]
         assert len(gens) == k
         for i, e in enumerate(gens):
             assert np.array_equal(e @ e, -eye)
@@ -174,11 +181,8 @@ def test_generator_relations_dense():
 
 
 def test_generator_count_bounds():
-    with pytest.raises(ValueError):
-        clifford_generators(-1)
-    with pytest.raises(ValueError):
-        clifford_generators(MAX_GENERATORS + 1)
-    assert clifford_generators(0).dim == 1
+    # no generators: the [1, n, n] pairing is the identity slab alone
+    assert cliff._generator_perms(0) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +736,9 @@ def test_hopf_map_of_every_feasible_pairing_oracle():
             assert sm.diag == (F(1),) * m
 
 
+SP = cliff._SignedPerm
+
+
 def _pairing_jet(pairing):
     """The closed-form jet of a pairing: A = f(e1, y), B = f(x, y) - 2 x1 f(e1, y)."""
     r, n = pairing.left_dim, pairing.right_dim
@@ -760,6 +767,39 @@ def test_pairing_jet_factors_and_lifts_to_the_hopf_map():
         assert lift.gram == hopf.gram, (r, n)
 
 
+# (r, n): signed permutations S of the source and T of the target with
+# hopf_map(P)(x) = T^T sphere_lift(reduced)(S x), found by a search outside
+# the test. SP(perm, signs) has signs[j] at row perm[j] of column j
+_LIFT_TO_HOPF = {
+    (2, 2): (SP((0, 3, 1, 2), (1, 1, 1, -1)), SP((1, 0, 2), (1, 1, 1))),
+    (3, 4): (SP((0, 1, 6, 2, 5, 3, 4), (1, 1, 1, 1, -1, -1, 1)), SP((1, 2, 0, 3, 4), (1, 1, 1, 1, 1))),
+    (4, 4): (SP((0, 1, 2, 7, 3, 6, 5, 4), (1, 1, 1, -1, 1, -1, 1, 1)), SP((1, 2, 3, 0, 4), (1, 1, 1, -1, 1))),
+}
+
+
+@pytest.mark.parametrize("r, n", sorted(_LIFT_TO_HOPF))
+def test_reduced_lift_is_the_hopf_map_up_to_signed_permutations(r, n):
+    # coordinate c of the Hopf map has the Fraction matrix T_c S^T L S, where
+    # L is the matrix of the lift's coordinate perm_T[c] and T_c its sign
+    source, target = _LIFT_TO_HOPF[r, n]
+    for g in (source, target):
+        assert sorted(g.perm) == list(range(g.dim))
+    pairing = normed_pairing(r, n)
+    _, reduced = factor_degenerate(validate_jet(_pairing_jet(pairing)))
+    lift, hopf = sphere_lift(reduced), hopf_map(pairing)
+    assert (lift.source_dim, lift.target_dim) == (source.dim, target.dim)
+    p, s = source.perm, source.signs
+
+    def moved(matrix, sign):
+        return tuple(tuple(sign * s[i] * s[j] * matrix[p[i]][p[j]] for j in range(len(p))) for i in range(len(p)))
+
+    lifted = [polycore.QuadForm.from_poly(coord).matrix for coord in lift.f.coords]
+    for c, coord in enumerate(hopf.f.coords):
+        assert moved(lifted[target.perm[c]], target.signs[c]) == polycore.QuadForm.from_poly(coord).matrix, c
+    # S is orthogonal, so it carries the shared gram form onto itself
+    assert moved(lift.gram.matrix, 1) == hopf.gram.matrix
+
+
 def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):
     pairing = normed_pairing(3, 4)
     sm, fq = hopf_map(pairing), pairing_to_rounding(pairing)
@@ -775,7 +815,6 @@ def test_hopf_map_and_rounding_reuse_the_pairing_proof(monkeypatch):
     assert pairing_to_rounding(pairing) == fq
 
 
-SP = cliff._SignedPerm
 HURWITZ = "pairing [{r}, {n}, {n}]: tensor does not satisfy the norm identity"
 
 
@@ -809,50 +848,43 @@ def test_corrupted_generators_fail_the_pairing_certificate(monkeypatch, capsys, 
     cached = cliff._generator_perms
     monkeypatch.setattr(cliff, "_generator_perms", lambda j: perms if j == k else cached(j))
     d = perms[0].dim
-    with pytest.raises(CertificateError) as err:
-        clifford_generators(k)
-    assert str(err.value) == message.format(r=k + 1, n=d)
-    # normed_pairing proves its own slabs on two blocks, and the CLI reports
-    # the same failure on one line
-    n = 2 * d if 2 * d <= cli.MAX_PAIRING_N else d
-    with pytest.raises(CertificateError) as err:
-        normed_pairing(k + 1, n)
-    assert str(err.value) == message.format(r=k + 1, n=n)
-    if n > cli.MAX_PAIRING_N:
-        return  # k = 12 needs R^128, past the sizes the CLI takes
-    capsys.readouterr()
-    assert cli.main(["pairing", str(k + 1), str(n)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"rounding-forge: error: certificate failed: {message.format(r=k + 1, n=n)}\n"
+    # normed_pairing fails on one block and on two, and the CLI reports the
+    # same failure on one line wherever it takes the size
+    for n in (d, 2 * d):
+        expected = message.format(r=k + 1, n=n)
+        with pytest.raises(CertificateError) as err:
+            normed_pairing(k + 1, n)
+        assert str(err.value) == expected
+        if n > cli.MAX_PAIRING_N:
+            continue  # k = 12 needs R^128, past the sizes the CLI takes
+        capsys.readouterr()
+        assert cli.main(["pairing", str(k + 1), str(n)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"rounding-forge: error: certificate failed: {expected}\n"
 
 
 def test_each_generator_system_is_verified_once(monkeypatch):
-    proved, built = [], []
-    real, post_init = cliff._hurwitz_equations_hold, cliff.CliffordRep.__post_init__
+    proved = []
+    real = cliff._hurwitz_equations_hold
     monkeypatch.setattr(cliff, "_hurwitz_equations_hold",
                         lambda r, s, entries: proved.append((r, s)) or real(r, s, entries))
-    monkeypatch.setattr(cliff.CliffordRep, "__post_init__", lambda rep: built.append(rep) or post_init(rep))
-    cliff._verified_rep.cache_clear()
-    # normed_pairing proves the slabs it stores, and builds no representation
+    cliff._generator_perms.cache_clear()
+    # each build proves the slabs it stores exactly once
     p = normed_pairing(9, 16)
+    assert proved == [(9, 16)]
     assert normed_pairing(9, 16) == p
     assert proved == [(9, 16), (9, 16)]
-    assert built == []
-    # clifford_generators proves each generator tuple once
-    rep = clifford_generators(8)
-    assert clifford_generators(8) is rep
-    assert proved[2:] == [(9, 16)]
-    assert built == [rep]
-    # a different generator tuple is proved on its own, and then once only
-    negated = tuple(SP(g.perm, tuple(-s for s in g.signs)) for g in rep._perms)
+    # the generators are built once per k: 8, and the 7 it doubles
+    info = cliff._generator_perms.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (2, 2, 1)
+    # a different generator tuple is proved on its own
+    negated = tuple(SP(g.perm, tuple(-s for s in g.signs)) for g in cliff._generator_perms(8))
     cached = cliff._generator_perms
     monkeypatch.setattr(cliff, "_generator_perms", lambda k: negated if k == 8 else cached(k))
-    other = clifford_generators(8)
-    assert clifford_generators(8) is other is not rep
-    assert other._perms == negated
-    assert proved[2:] == [(9, 16), (9, 16)]
-    assert built == [rep, other]
+    other = normed_pairing(9, 16)
+    assert other != p
+    assert proved == [(9, 16)] * 3
 
 
 @pytest.mark.parametrize("bad", [True, False, 4.0, "4", F(4), None])
@@ -860,7 +892,6 @@ def test_sizes_must_be_ints(bad):
     calls = [
         ("n", lambda: rho(bad)),
         ("m", lambda: kappa(bad)),
-        ("k", lambda: clifford_generators(bad)),
         ("r", lambda: normed_pairing(bad, 2)),
         ("n", lambda: normed_pairing(2, bad)),
         ("r", lambda: stiefel_hopf_feasible(bad, 1, 1)),

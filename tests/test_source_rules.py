@@ -12,7 +12,8 @@ one constructor builds a jet from matrices; only the polynomial kernels
 in polycore build a Poly without validating its terms; a QuadForm's integer
 form is stored only by its constructor, after the checks, and by its
 kernels; a NormedPairing is stored only by its constructor and by
-normed_pairing, through the one builder that proves its norm identity;
+normed_pairing, through the one builder that proves its norm identity, and
+only normed_pairing reads a generator system;
 only polycore reads the integer form of a Poly or a QuadForm, and
 a QuadForm's Fraction matrix is read only by the report emitters and as
 _linalg's input; a
@@ -28,10 +29,12 @@ with Python's **, never with numpy's power or ** on an ndarray; one circle fit r
 delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
 QuadForm's matrix; the one symmetric elimination is called
-only by LDL^T and congruent diagonalization; and no module imports a name
-it never uses."""
+only by LDL^T and congruent diagonalization; no module imports a name
+it never uses; and the package binds each name of its __all__ once, and
+no other public name."""
 
 import ast
+import types
 from pathlib import Path
 
 import rounding_forge
@@ -334,10 +337,9 @@ def test_curve_store_rule_catches_a_foreign_call():
 
 def test_pairings_are_stored_only_by_their_constructor_and_the_clifford_build():
     # the builder skips coercion and the shape check: the constructor runs
-    # them first, and _clifford_pairing hands over checked signed permutations
-    # for normed_pairing and CliffordRep; both go through the builder's one
-    # proof of the norm identity
-    assert _package_callers("_store_pairing") == ["cliff.NormedPairing.__init__", "cliff._clifford_pairing"]
+    # them first, and normed_pairing hands over checked signed permutations;
+    # both go through the builder's one proof of the norm identity
+    assert _package_callers("_store_pairing") == ["cliff.NormedPairing.__init__", "cliff.normed_pairing"]
 
 
 def test_pairing_store_rule_catches_a_foreign_call():
@@ -345,7 +347,26 @@ def test_pairing_store_rule_catches_a_foreign_call():
     sources["cliff"] += "\ndef unit(n):\n    return _store_pairing(object.__new__(NormedPairing), 1, n, n, [])\n"
     sources["cli"] += "\nclass Probe:\n    p = cliff._store_pairing(p, 1, 1, 1, [(0, 0, 0, 1)])\n"
     assert _module_callers(sources, "_store_pairing") == [
-        "cli.Probe", "cliff.NormedPairing.__init__", "cliff._clifford_pairing", "cliff.unit",
+        "cli.Probe", "cliff.NormedPairing.__init__", "cliff.normed_pairing", "cliff.unit",
+    ]
+
+
+def test_generator_systems_are_reached_only_by_normed_pairing():
+    # a generator system is proved only as the slabs of the pairing built
+    # from it, so nothing else in the package reads one; _generator_perms
+    # calls itself for the smaller systems it is built from
+    assert _package_callers("_generator_perms") == [
+        "cliff._generator_perms", "cliff._generator_perms", "cliff._generator_perms", "cliff.normed_pairing",
+    ]
+
+
+def test_generator_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["cliff"] += "\ndef generator_dim(k):\n    return _generator_perms(k)[0].dim\n"
+    sources["cli"] += "\nclass Probe:\n    gens = cliff._generator_perms(2)\n"
+    assert _module_callers(sources, "_generator_perms") == [
+        "cli.Probe", "cliff._generator_perms", "cliff._generator_perms", "cliff._generator_perms",
+        "cliff.generator_dim", "cliff.normed_pairing",
     ]
 
 
@@ -687,3 +708,31 @@ def test_unused_import_rule_catches_a_foreign_case():
     assert head in sources["spheres"]
     sources["spheres"] = sources["spheres"].replace(head, "    QuadForm,\n    _FloatForm,\n    form_signature,\n")
     assert _unused_imports(ast.parse(sources["spheres"])) == ["_FloatForm"]
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Public names a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_public_names_resolve():
+    # __init__ re-exports each name in __all__ once and binds nothing else
+    # public besides the modules
+    names = rounding_forge.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(rounding_forge, name)] == []
+    bound = {name for name, value in vars(rounding_forge).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(names)
+    # a generator system has no public name of its own: normed_pairing is
+    # the one way to reach one
+    assert _public_definitions(ast.parse(_package_sources()["cliff"])) == [
+        "KAPPA_DOMAIN_CAP", "NormedPairing", "SizeInfeasible", "hopf_map", "kappa", "normed_pairing",
+        "pairing_to_rounding", "rho", "stiefel_hopf_feasible",
+    ]
