@@ -30,6 +30,7 @@ from .polycore import (
     QuadForm,
     _eval_floats,
     _quadratic_terms,
+    _sum_of_products,
     as_rational,
     divide_exact,
     inner_poly,
@@ -200,10 +201,13 @@ def canonical_rounding(rj: RoundingJet) -> FracQuadMap:
     proved give |N|^2 = (1-2p)^2<A,A> + 2(1-2p)<A,B> + <B,B> = (1-2p+q)<A,A>,
     that is |N|^2 = D<A,A>.
     """
-    a, b = rj.jet.linear, rj.jet.quad
-    two_p = 2 * rj.p
-    numer = PolyMap(a.source_dim, [ai + bi - two_p * ai for ai, bi in zip(a.coords, b.coords)])
-    denom = 1 - two_p + rj.q
+    a, b, m = rj.jet.linear, rj.jet.quad, rj.source_dim
+    minus_two_p, one = -2 * rj.p, Poly.constant(m, 1)
+    # each N_i is one kernel pass with the values and the stored term order of
+    # A_i + B_i - 2p * A_i: the float oracle sums terms in stored order
+    numer = PolyMap(m, [_sum_of_products(m, [(ai, one), (bi, one), (minus_two_p, ai)])
+                        for ai, bi in zip(a.coords, b.coords)])
+    denom = 1 + minus_two_p + rj.q
     return FracQuadMap(numer=numer, denom=denom)
 
 
@@ -392,9 +396,9 @@ def check_series_divisibility(phi: PolyMap | Sequence[Poly], order: int) -> Seri
     rank = rank_linear(PolyMap(m, a_coords))
     if rank < 2:
         raise RankTooLow(rank)
-    norm_a = sum((c * c for c in a_coords), Poly.zero(m))
-    mixed = sum((u * v for u, v in zip(a_coords, truncated)), Poly.zero(m))
-    square = sum((c * c for c in truncated), Poly.zero(m))
+    norm_a = _sum_of_products(m, [(c, c) for c in a_coords])
+    mixed = _sum_of_products(m, list(zip(a_coords, truncated)))
+    square = _sum_of_products(m, [(c, c) for c in truncated])
     checks = []
     for d in range(2, order + 2):
         inner_ok = divide_exact(mixed.homogeneous_part(d), norm_a) is not None

@@ -197,6 +197,42 @@ def test_canonical_norm_identity_randomized():
         assert fq.is_germ
 
 
+def _cancelling_transform(jet):
+    """transform_jet(jet, 1, t * x1), with t chosen so that the first x1 * x_j
+    term of B_0 - 2p A_0 that can cancel does, or None: B' = B + t x1 A and
+    p' = p + t x1, so that coefficient becomes Q[x1 x_j] - t a_j."""
+    rj = validate_jet(jet)
+    a0 = jet.linear.coords[0]
+    quad = (jet.quad.coords[0] - 2 * rj.p * a0).terms
+    m = jet.source_dim
+    for j in range(m):
+        key = tuple(int(i == 0) + int(i == j) for i in range(m))
+        a_j = a0.terms.get(tuple(int(i == j) for i in range(m)), 0)
+        if quad.get(key) and a_j:
+            return transform_jet(jet, 1, Poly.variable(m, 0) * (quad[key] / a_j))
+    return None
+
+
+def test_canonical_numerators_keep_the_chain_of_sums():
+    # one kernel pass per N_i gives the values and the stored term order of
+    # A_i + B_i - 2p A_i; the float oracle sums terms in that order
+    rng = random.Random(47)
+    cancelled = 0
+    for _ in range(40):
+        jet = random_valid_jet(rng, m=rng.randint(2, 6), n=rng.choice([2, 4, 8]))
+        for case in (jet, _cancelling_transform(jet)):
+            if case is None:
+                continue
+            rj = validate_jet(case)
+            for ai, bi, ni in zip(case.linear.coords, case.quad.coords, canonical_rounding(rj).numer.coords):
+                two_pa = 2 * rj.p * ai
+                old = ai + bi - two_pa
+                assert ni == old
+                assert list(ni.terms.items()) == list(old.terms.items())
+                cancelled += any(e in bi.terms and e in two_pa.terms and e not in old.terms for e in bi.terms)
+    assert cancelled >= 20
+
+
 def test_two_jet_roundtrip():
     rng = random.Random(47)
     for _ in range(20):

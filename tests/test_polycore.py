@@ -208,6 +208,66 @@ def test_inner_poly_matches_dict_oracle(coords):
     assert as_dict(got) == dict_inner([as_dict(c) for c in left], [as_dict(c) for c in right])
 
 
+def _copy(p: Poly) -> Poly:
+    # equal but a distinct object, so a product with p takes the ordered-pair loop
+    return Poly(p.num_vars, p.terms)
+
+
+def _check_squares(num_vars: int, coords: list[Poly]) -> None:
+    """Values against the dict oracle; `==` and stored order against the full
+    loop over distinct copies, since dict_inner drops zeros coordinate by
+    coordinate and so cannot pin the order."""
+    u = PolyMap(num_vars, coords)
+    pairs = [(inner_poly(u, u), inner_poly(u, PolyMap(num_vars, [_copy(c) for c in coords])))]
+    pairs += [(c * c, c * _copy(c)) for c in coords]
+    assert as_dict(pairs[0][0]) == dict_inner([as_dict(c) for c in coords], [as_dict(c) for c in coords])
+    for c, (square, _) in zip(coords, pairs[1:]):
+        assert as_dict(square) == dict_mul(as_dict(c), as_dict(c))
+    for square, full in pairs:
+        assert square == full
+        assert list(square.terms.items()) == list(full.terms.items())
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(mixed_polys(3, 2), min_size=n, max_size=n)))
+def test_self_products_take_the_squares_form(coords):
+    # mixed denominators: each coordinate is scaled to the lcm once, not once per factor
+    _check_squares(3, coords)
+
+
+@pytest.mark.parametrize("coords", [
+    # one coordinate over 1, one over 3 * 5, one over 7: the scales differ
+    [Poly(2, {(1, 0): 1, (0, 1): 2}), Poly(2, {(1, 0): F(1, 3), (0, 1): F(2, 5)}), Poly(2, {(1, 1): F(5, 7)})],
+    # (x1^2 - 2 x2^2 + 2 x1 x2)^2: the x1^2 x2^2 terms -4 and 4 cancel
+    [Poly(2, {(2, 0): 1, (0, 2): -2, (1, 1): 2})],
+    # x1 x2 cancels across the coordinates (x1 + x2, x1 - x2), after the first one stored it
+    [Poly(2, {(1, 0): 1, (0, 1): 1}), Poly(2, {(1, 0): 1, (0, 1): -1})],
+    # x1^2 x2^2 cancels in the first square and returns in the second: it keeps its first place
+    [Poly(2, {(2, 0): 1, (0, 2): -2, (1, 1): 2}), Poly(2, {(1, 1): F(1, 2)})],
+    # zero polynomials, alone and beside a nonzero coordinate
+    [Poly.zero(2)],
+    [Poly.zero(2), Poly(2, {(0, 1): F(-3, 4), (0, 0): F(1, 6)}), Poly.zero(2)],
+    [],
+])
+def test_squares_form_on_denominators_cancellations_and_zeros(coords):
+    _check_squares(2, coords)
+
+
+def test_squares_form_cancels_and_keeps_the_cap():
+    p = Poly(2, {(2, 0): 1, (0, 2): -2, (1, 1): 2})
+    assert (2, 2) not in (p * p).terms and len((p * p).terms) == 4
+    u = PolyMap(2, [Poly(2, {(1, 0): 1, (0, 1): 1}), Poly(2, {(1, 0): 1, (0, 1): -1})])
+    assert inner_poly(u, u) == Poly(2, {(2, 0): 2, (0, 2): 2})
+    assert (Poly.zero(3) * Poly.zero(3)).is_zero()
+    # the first over-cap key in stored order names the degree, as in the full loop
+    for terms, degree in (({(5, 0): 1}, 10), ({(4, 0): F(1, 3), (0, 5): 2}, 9)):
+        p = Poly(2, terms)
+        for q in (p, _copy(p)):
+            with pytest.raises(ValueError) as err:
+                p * q
+            assert str(err.value) == f"total degree {degree} exceeds cap 8"
+
+
 @settings(max_examples=60, derandomize=True)
 @given(polys(2, 2), polys(2, 2))
 def test_evaluation_is_a_homomorphism(a, b):

@@ -189,6 +189,36 @@ def test_quartic_rule_catches_a_foreign_call():
     ]
 
 
+def test_sums_of_products_are_taken_in_one_kernel_call():
+    # the product kernel is reached by Poly products and inner_poly, by the
+    # canonical numerators (one call per N_i) and by the series check's three
+    # sums; every other product goes through those
+    assert _package_callers("_sum_of_products") == [
+        "jets.canonical_rounding",
+        "jets.check_series_divisibility",
+        "jets.check_series_divisibility",
+        "jets.check_series_divisibility",
+        "polycore.Poly.__mul__",
+        "polycore.inner_poly",
+    ]
+
+
+def test_product_kernel_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["spheres"] += "\ndef doubled(f):\n    return _sum_of_products(f.source_dim, [(c, c) for c in f.coords])\n"
+    sources["cliff"] += "\nclass Probe:\n    s = polycore._sum_of_products(2, [])\n"
+    assert _module_callers(sources, "_sum_of_products") == [
+        "cliff.Probe",
+        "jets.canonical_rounding",
+        "jets.check_series_divisibility",
+        "jets.check_series_divisibility",
+        "jets.check_series_divisibility",
+        "polycore.Poly.__mul__",
+        "polycore.inner_poly",
+        "spheres.doubled",
+    ]
+
+
 def test_builder_rule_sees_nested_and_qualified_calls():
     tree = ast.parse(
         "x = QuadSphereMap(f)\n"
