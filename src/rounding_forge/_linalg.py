@@ -201,7 +201,7 @@ def _symmetric_bareiss(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[F
 
 def congruent_diagonalize(s: Sequence[Sequence]) -> tuple[list[int], Matrix, list[Fraction]]:
     """(order, lower, diag) as above. S must be square and symmetric; both
-    callers pass a QuadForm's matrix, square and symmetric by construction."""
+    callers pass a QuadForm's integer rows, square and symmetric by construction."""
     return _symmetric_bareiss(s)
 
 

@@ -179,10 +179,9 @@ class FracQuadMap:
 
 
 def jet_from_matrices(linear_rows: Sequence[Sequence], quad_matrices: Sequence[Sequence[Sequence]]) -> Jet2:
-    """Build a Jet2 from an n x m matrix and n symmetric m x m matrices."""
-    lin = PolyMap.from_linear_matrix(linear_rows)
-    quad = PolyMap.from_quadratic_forms([QuadForm(mat) for mat in quad_matrices])
-    return Jet2(lin, quad)
+    """Build a Jet2 from an n x m matrix and n symmetric m x m matrices, A
+    cleared in one call and every B_i in another, with no QuadForm built."""
+    return Jet2(PolyMap.from_linear_matrix(linear_rows), PolyMap.from_symmetric_matrices(quad_matrices))
 
 
 def validate_jet(jet: Jet2) -> RoundingJet:
@@ -239,7 +238,8 @@ def is_degenerate(rj: RoundingJet) -> tuple[bool, tuple | None]:
     if not kernel:
         return False, None
     restricted = QuadForm.from_poly(rj.q - rj.p * rj.p).restricted(kernel)
-    order, lower, diag = _linalg.congruent_diagonalize(restricted.matrix)
+    # the integer rows are den times the form: L and the signs of D are the same
+    order, lower, diag = _linalg.congruent_diagonalize(restricted._int_rows()[0])
     if any(d < 0 for d in diag):
         raise CertificateError("q - p^2 is not positive semidefinite on ker A")
     if all(diag):
@@ -268,10 +268,11 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     degenerate, _ = is_degenerate(rj)
     if not degenerate:
         raise NotDegenerate("jet is nondegenerate, nothing to factor")
-    # A = a / den: scaling A's rows leaves the row space and so the RREF alone
+    # A = a / den and each form's integer rows over its den: scaled rows keep the RREF
     a, den = rj.jet.linear._linear_ints()
     forms = (rj.jet.quad - rj.jet.linear.times_poly(rj.p)).quadratic_forms()
-    proj_rows, pivots = _linalg.rref([*a, *(row for f in forms for row in f.matrix)])
+    rows = [f._int_rows() for f in forms]
+    proj_rows, pivots = _linalg.rref([*a, *(row for s, _ in rows for row in s)])
     if len(pivots) == rj.source_dim:
         # the degeneracy witness lies in ker A and in the radical of B - pA
         raise CertificateError("ker A meets the radical of B - pA only in 0")
@@ -279,12 +280,12 @@ def factor_degenerate(rj: RoundingJet) -> tuple[tuple[tuple[Fraction, ...], ...]
     # Restricting along the section x_i = y_j for i = pivots[j] (other x_i = 0)
     # selects the pivot columns of A and the pivot block of each form.
     red_a = [[row[i] for i in pivots] for row in a]
-    red_b = [tuple(tuple(f.matrix[i][j] for j in pivots) for i in pivots) for f in forms]
+    red_b = [[[Fraction(s[i][j], d) for j in pivots] for i in pivots] for s, d in rows]
     reduced = RoundingJet(jet_from_matrices([[Fraction(x, den) for x in row] for row in red_a], red_b))
     cols = list(zip(*proj))
     if [[sum([x * y for x, y in zip(row, col)]) for col in cols] for row in red_a] != a:
         raise CertificateError("projection does not recover A")
-    if any(QuadForm(mat).restricted(cols) != f for mat, f in zip(red_b, forms)):
+    if any(g.restricted(cols) != f for g, f in zip(reduced.jet.quad.quadratic_forms(), forms)):
         raise CertificateError("projection does not recover B - pA")
     if is_degenerate(reduced)[0]:
         raise CertificateError("reduced jet is still degenerate")

@@ -5,6 +5,8 @@ form signatures).
 
 A Poly stores integer numerators keyed by packed exponents, a QuadForm integer rows, each over
 one reduced denominator; the kernels use only that form, and `terms` and `matrix` are built on first read.
+A jet's matrices are cleared once for A and once for all B_i. A PolyMap keeps, from its first inner
+product, a column form, each coordinate's integer coefficient per key, that inner_poly sums per key pair.
 
 Degrees are capped at MAX_DEGREE = 8: a squared norm of a quadratic map has
 degree 4, and squared norms of order-4 series truncations reach 8. The cap is
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -521,6 +524,23 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     return q if r.is_zero() else None
 
 
+def _symmetric_rows(rows: list[list[int]]) -> list[list[int]]:
+    """The cleared rows, once checked to make a square, symmetric matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix not square")
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError("matrix not symmetric")
+    return rows
+
+
+def _form_poly(rows: Sequence[Sequence[int]], den: int) -> Poly:
+    """x^T S x for symmetric integer rows S over den, its terms in the order of S's upper triangle."""
+    n, unit = len(rows), _unit_keys(len(rows))
+    ints = {unit[i] + unit[j]: rows[i][j] if i == j else 2 * rows[i][j]
+            for i in range(n) for j in range(i, n) if rows[i][j]}
+    return _int_poly(n, ints, den)
+
+
 def _store_form(form: "QuadForm", rows: Sequence[Sequence[int]], den: int) -> "QuadForm":
     """Store symmetric integer rows over den > 0 in form, reduced by their gcd; unchecked."""
     g = gcd(den, *[x for row in rows for x in row])
@@ -538,13 +558,8 @@ class QuadForm:
     _den: int
 
     def __init__(self, matrix):
-        n = len(matrix)
         rows, den = _linalg.cleared([[as_rational(x) for x in row] for row in matrix])
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix not square")
-        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("matrix not symmetric")
-        _store_form(self, rows, den)
+        _store_form(self, _symmetric_rows(rows), den)
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -553,6 +568,10 @@ class QuadForm:
     @property
     def dim(self) -> int:
         return len(self._ints)
+
+    def _int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The integer rows over their denominator, as _linalg.cleared gives `matrix`: _linalg's input."""
+        return self._ints, self._den
 
     @staticmethod
     def from_poly(p: Poly) -> "QuadForm":
@@ -567,10 +586,7 @@ class QuadForm:
         return _store_form(object.__new__(QuadForm), rows, 2 * p._den)
 
     def to_poly(self) -> Poly:
-        s, n, unit = self._ints, self.dim, _unit_keys(self.dim)
-        ints = {unit[i] + unit[j]: s[i][j] if i == j else 2 * s[i][j]
-                for i in range(n) for j in range(i, n) if s[i][j]}
-        return _int_poly(n, ints, self._den)
+        return _form_poly(self._ints, self._den)
 
     def __call__(self, point: Sequence) -> Fraction:
         """x^T S x, exactly: the value of to_poly() at point, by Poly's one exact evaluator."""
@@ -602,7 +618,7 @@ class PolyMap:
     parts, numerators of fractional-quadratic maps, sphere maps.
     """
 
-    __slots__ = ("source_dim", "target_dim", "coords")
+    __slots__ = ("source_dim", "target_dim", "coords", "_columns")
 
     def __init__(self, source_dim: int, coords: Sequence[Poly]):
         coords = tuple(coords)
@@ -611,9 +627,8 @@ class PolyMap:
                 raise ValueError("coordinate has wrong number of variables")
             if c.degree() > 2:
                 raise ValueError("polynomial map coordinates are capped at degree 2")
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", len(coords))
-        object.__setattr__(self, "coords", coords)
+        for name, value in zip(PolyMap.__slots__, (source_dim, len(coords), coords, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
@@ -622,15 +637,24 @@ class PolyMap:
 
     @staticmethod
     def from_linear_matrix(rows: Sequence[Sequence]) -> "PolyMap":
-        """Map x -> Mx for an n x m coefficient matrix."""
+        """Map x -> Mx for an n x m coefficient matrix, its rows cleared together."""
         m = len(rows[0]) if rows else 0
-        return PolyMap(m, [Poly.linear(row) for row in rows])
+        ints, den = _linalg.cleared([[as_rational(x) for x in row] for row in rows])
+        if any(len(row) != m for row in ints):
+            raise ValueError("coordinate has wrong number of variables")
+        unit = _unit_keys(m)
+        return PolyMap(m, [_int_poly(m, {k: c for k, c in zip(unit, row) if c}, den) for row in ints])
 
     @staticmethod
-    def from_quadratic_forms(forms: Sequence[QuadForm]) -> "PolyMap":
-        if not forms:
+    def from_symmetric_matrices(matrices: Sequence[Sequence[Sequence]]) -> "PolyMap":
+        """Map x -> (x^T S_1 x, ..., x^T S_n x), the rows of all S_i cleared
+        together; each coordinate stores what QuadForm(S_i).to_poly() does."""
+        if not matrices:
             raise ValueError("need at least one form")
-        return PolyMap(forms[0].dim, [f.to_poly() for f in forms])
+        ints, den = _linalg.cleared([[as_rational(x) for x in row] for mat in matrices for row in mat])
+        rows = iter(ints)
+        return PolyMap(len(matrices[0]), [_form_poly(_symmetric_rows([next(rows) for _ in mat]), den)
+                                          for mat in matrices])
 
     @staticmethod
     def zero(source_dim: int, target_dim: int) -> "PolyMap":
@@ -708,11 +732,43 @@ class PolyMap:
         return f"PolyMap(R^{self.source_dim} -> R^{self.target_dim}; {body})"
 
 
+def _column_form(u: PolyMap) -> tuple[list[tuple[int, list[int]]], int]:
+    """u's column form, built once into its slot: each key of its coordinates in order of first
+    appearance, with its column of integer coefficients, one per coordinate, and their lcm denominator."""
+    if u._columns is None:
+        den, columns = lcm(*[c._den for c in u.coords]), {}
+        for i, c in enumerate(u.coords):
+            scale = den // c._den
+            for k, x in c._ints.items():
+                columns.setdefault(k, [0] * u.target_dim)[i] = x * scale
+        object.__setattr__(u, "_columns", (list(columns.items()), den))
+    return u._columns
+
+
 def inner_poly(u: PolyMap, v: PolyMap) -> Poly:
-    """Pointwise Euclidean inner product <U, V> as a polynomial."""
+    """Pointwise Euclidean inner product <U, V> as a polynomial.
+
+    The sum over coordinates comes first: a key pair (s, t) of the column
+    forms adds the dot product of their columns, one update per key pair, not
+    one per coordinate and term pair. When u is v only the pairs s <= t are
+    visited, s < t twice. Coordinates have degree at most 2, so no cap check.
+    """
     if u.source_dim != v.source_dim or u.target_dim != v.target_dim:
         raise ValueError("maps have different shapes")
-    return _sum_of_products(u.source_dim, list(zip(u.coords, v.coords)))
+    (left, left_den), (right, right_den) = _column_form(u), _column_form(v)
+    acc: dict[int, int] = {}
+    if u is v:
+        for i, (k1, c1) in enumerate(left):
+            acc[k1 + k1] = acc.get(k1 + k1, 0) + sum(map(mul, c1, c1))
+            for k2, c2 in left[i + 1:]:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + 2 * sum(map(mul, c1, c2))
+    else:
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + sum(map(mul, c1, c2))
+    return _int_poly(u.source_dim, {k: c for k, c in acc.items() if c}, left_den * right_den)
 
 
 def rank_linear(a: PolyMap) -> int:
@@ -722,7 +778,7 @@ def rank_linear(a: PolyMap) -> int:
 
 def form_signature(q: QuadForm) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero): the signs of the congruent diagonal."""
-    _, _, diag = _linalg.congruent_diagonalize(q.matrix)
+    _, _, diag = _linalg.congruent_diagonalize(q._ints)
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return plus, minus, len(diag) - plus - minus

@@ -108,19 +108,21 @@ def hopf_construction(numer: PolyMap, p: Poly, q: Poly) -> QuadSphereMap:
 
 def _semidefinite_signature(gram: QuadForm) -> tuple[int, int, int]:
     """Signature of a gram form known to be positive semidefinite, from its rank."""
-    rank = _linalg.exact_rank(gram.matrix)
+    rank = _linalg.exact_rank(gram._int_rows()[0])
     return rank, 0, gram.dim - rank
 
 
 def _factor_gram(
     gram: QuadForm, signature: Callable[[QuadForm], tuple[int, int, int]]
 ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-    """Exact LDL^T of gram; Degenerate(signature(gram)) when a pivot is not positive."""
+    """Exact LDL^T of gram; Degenerate(signature(gram)) when a pivot is not positive.
+    Its integer rows are den times gram: the same L, and D divided by den once."""
+    rows, den = gram._int_rows()
     try:
-        lower, diag = _linalg.ldl(gram.matrix)
+        lower, diag = _linalg.ldl(rows)
     except ValueError:
         raise Degenerate(signature(gram)) from None
-    return tuple(tuple(row) for row in lower), tuple(diag)
+    return tuple(tuple(row) for row in lower), tuple([d / den for d in diag])
 
 
 def homogenize(fq: FracQuadMap) -> tuple[PolyMap, Poly]:

@@ -4,7 +4,7 @@ expansion, hand-coded quaternion arithmetic, dense LDL^T, Lagrange's
 congruent diagonalization, a quadratic form's value from its matrix rows,
 a pairing's map from its tensor, a built pairing's dense tensor, a packed
 key's factors read field by field, the per-term sampling oracle with its
-one-line-at-a-time circle fit) used to cross-check the package without
+one-line-at-a-time circle fit, a jet built one form and one row at a time) used to cross-check the package without
 touching its own arithmetic."""
 
 from __future__ import annotations
@@ -218,6 +218,18 @@ def numeric_oracle_reference(fmap, trials: int = 100, seed: int = 0, tol: float 
             violations.append(trial)
     return NumericReport(trials=trials, seed=seed, tol=tol, points_per_line=circles._POINTS_PER_LINE,
                          max_residual=max_residual, violations=tuple(violations), skipped=tuple(skipped))
+
+
+def jet_by_forms_reference(linear_rows, quad_matrices) -> Jet2:
+    """The jet of the matrices built one row and one form at a time: each
+    row by Poly.linear and each matrix by QuadForm(mat).to_poly(), each
+    cleared on its own."""
+    if not quad_matrices:
+        raise ValueError("need at least one form")
+    m = len(linear_rows[0]) if linear_rows else 0
+    lin = PolyMap(m, [Poly.linear(row) for row in linear_rows])
+    forms = [QuadForm(mat) for mat in quad_matrices]
+    return Jet2(lin, PolyMap(forms[0].dim, [f.to_poly() for f in forms]))
 
 
 def identity_form(n: int) -> QuadForm:

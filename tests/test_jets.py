@@ -414,9 +414,9 @@ def _pullback_by_matmul(rj):
         constraints.extend(list(row) for row in form.matrix)
     _, pivots = rref(constraints)
     section = [[F(int(p == i)) for p in pivots] for i in range(rj.source_dim)]
-    lin = PolyMap.from_linear_matrix(matmul(a.linear_matrix(), section))
-    quad = PolyMap.from_quadratic_forms([f.restricted(transpose(section)) for f in b.quadratic_forms()])
-    return lin, quad
+    jet = jet_from_matrices(matmul(a.linear_matrix(), section),
+                            [f.restricted(transpose(section)).matrix for f in b.quadratic_forms()])
+    return jet.linear, jet.quad
 
 
 def test_factor_selects_the_pivot_coordinates():

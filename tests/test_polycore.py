@@ -22,6 +22,7 @@ from conftest import (
     factors_reference,
     grlex_key,
     identity_form,
+    jet_by_forms_reference,
     lagrange_reference,
     ldl_dense_reference,
     matmul,
@@ -672,6 +673,124 @@ def test_quadform_stores_one_form(drawn):
         assert str(err.value) == message
 
 
+def _stored(poly: Poly) -> tuple:
+    return list(poly._ints.items()), poly._den
+
+
+@st.composite
+def _jet_matrices(draw):
+    """An n x m matrix and n symmetric m x m matrices over mixed denominators,
+    with zero rows and zero matrices among them."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [draw(st.one_of(st.just([F(0)] * m), st.lists(_entries, min_size=m, max_size=m))) for _ in range(n)]
+    mats = []
+    for _ in range(n):
+        half = draw(st.one_of(st.just([[F(0)] * m] * m),
+                              st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m)))
+        mats.append([[half[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)])
+    return rows, mats
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_jet_matrices())
+def test_jets_from_matrices_store_what_the_forms_store(drawn):
+    # one clearing for A's rows and one for all of B's: each coordinate keeps
+    # the items, their order and the denominator of Poly.linear(row) and of
+    # QuadForm(mat).to_poly(), each of which is cleared on its own
+    rows, mats = drawn
+    jet = jet_from_matrices(rows, mats)
+    assert [_stored(c) for c in jet.linear.coords] == [_stored(Poly.linear(row)) for row in rows]
+    assert [_stored(c) for c in jet.quad.coords] == [_stored(QuadForm(mat).to_poly()) for mat in mats]
+    assert jet == jet_by_forms_reference(rows, mats)
+    # the order itself: A's terms by variable, B's by the upper triangle, row by row
+    m = len(rows[0])
+    unit = [tuple(int(t == i) for t in range(m)) for i in range(m)]
+    assert [list(c.terms) for c in jet.linear.coords] == [[unit[i] for i in range(m) if row[i]] for row in rows]
+    assert [list(c.terms) for c in jet.quad.coords] == [
+        [tuple(a + b for a, b in zip(unit[i], unit[j])) for i in range(m) for j in range(i, m) if mat[i][j]]
+        for mat in mats]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_jet_matrices(), st.integers(0, 7))
+def test_jets_from_matrices_raise_what_the_forms_raise(drawn, fault):
+    # each malformed input of test_quadform_stores_one_form, against the jet
+    # built one row and one form at a time
+    rows, mats = drawn
+    m, last = len(rows[0]), len(mats) - 1
+    mats = [[list(row) for row in mat] for mat in mats]
+    if fault == 0:
+        mats[last] = [row[:-1] for row in mats[last]]
+    elif fault == 1:
+        mats[last] = [row + [F(0)] for row in mats[last]]
+    elif fault == 2:
+        rows = [*rows[:-1], rows[-1] + [F(1)]]
+    elif fault == 3:
+        rows = [*rows[:-1], rows[-1][:-1]]
+    elif fault == 4 and m > 1:
+        mats[last][0][1] += 1
+    elif fault == 5:
+        mats = []
+    elif fault == 6:
+        # a square, symmetric matrix of another size
+        mats[last] = [[F(int(i == j)) for j in range(m + 1)] for i in range(m + 1)]
+    elif fault == 7:
+        mats[last] = mats[last][:-1]
+    results = []
+    for build in (jet_from_matrices, jet_by_forms_reference):
+        try:
+            results.append(build(rows, mats))
+        except ValueError as err:
+            results.append(str(err))
+    assert results[0] == results[1]
+    # every fault raises, except a skew entry asked of a 1 x 1 matrix, which has none
+    assert isinstance(results[0], str) == (fault != 4 or m > 1)
+
+
+def test_jets_from_matrices_build_no_form(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("a QuadForm was built")
+
+    monkeypatch.setattr(polycore.QuadForm, "__init__", boom)
+    monkeypatch.setattr(polycore.QuadForm, "from_poly", boom)
+    jet = jet_from_matrices([[1, F(1, 2)], [0, 3]], [[[1, F(1, 3)], [F(1, 3), 0]], [[0, 0], [0, 0]]])
+    assert jet.quad.coords[0] == Poly(2, {(2, 0): 1, (1, 1): F(2, 3)}) and jet.quad.coords[1].is_zero()
+    assert all(c._terms is None for c in (*jet.linear.coords, *jet.quad.coords))
+
+
+@st.composite
+def _maps_with_own_supports(draw):
+    """Two maps R^3 -> R^n whose coordinates each use their own monomials:
+    coordinate i of either map draws its terms from a subset of the
+    monomials of degree at most 2, so the columns differ in their zeros."""
+    n = draw(st.integers(0, 5))
+    monomials = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+    maps = []
+    for _ in range(2):
+        coords = []
+        for _ in range(n):
+            support = draw(st.lists(st.sampled_from(monomials), max_size=5, unique=True))
+            coords.append(Poly(3, {e: draw(_entries) for e in support}))
+        maps.append(PolyMap(3, coords))
+    return maps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_maps_with_own_supports())
+def test_inner_poly_sums_columns_over_coordinates(maps):
+    u, v = maps
+    cu, cv = [as_dict(c) for c in u.coords], [as_dict(c) for c in v.coords]
+    for left, right, expected in ((u, v, dict_inner(cu, cv)), (v, u, dict_inner(cv, cu)),
+                                  (u, u, dict_inner(cu, cu)), (v, v, dict_inner(cv, cv))):
+        got = inner_poly(left, right)
+        assert as_dict(got) == expected
+        # the column form is kept: a second product reads it and agrees
+        assert left._columns is not None and inner_poly(left, right) == got
+    # a square takes the pairs s <= t, with the stored order of the full loop over an equal copy
+    copy = PolyMap(3, [Poly(3, c.terms) for c in u.coords])
+    assert list(inner_poly(u, u)._ints.items()) == list(inner_poly(u, copy)._ints.items())
+
+
 def test_inner_poly_frozen_example_and_bilinearity():
     u = PolyMap.identity(2)
     v = PolyMap(2, [Poly(2, {(2, 0): 1, (0, 2): -1}), Poly(2, {(1, 1): 2})])
@@ -1029,6 +1148,29 @@ def test_sparse_ldl_on_every_hopf_gram_up_to_16():
         assert got == ldl_dense_reference(gram) == _sympy_ldl(gram)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_symmetric(), _positive_definite()))
+def test_linalg_on_a_forms_integer_rows(s):
+    # the integer rows are den times the form: rank and L are the same, D is
+    # den times the Fraction matrix's D, and so has the same signs
+    form = QuadForm(s)
+    rows, den = form._int_rows()
+    assert _linalg.exact_rank(rows) == _linalg.exact_rank(form.matrix)
+    order, lower, diag = _linalg.congruent_diagonalize(rows)
+    expected = _linalg.congruent_diagonalize(form.matrix)
+    assert (order, lower, [d / den for d in diag]) == expected
+    assert [d > 0 for d in diag] == [d > 0 for d in expected[2]]
+    assert [d < 0 for d in diag] == [d < 0 for d in expected[2]]
+    try:
+        expected = _linalg.ldl(form.matrix)
+    except ValueError:
+        with pytest.raises(ValueError, match="not positive definite"):
+            _linalg.ldl(rows)
+    else:
+        lower, diag = _linalg.ldl(rows)
+        assert (lower, [d / den for d in diag]) == expected
+
+
 # ---------------------------------------------------------------------------
 # error paths of the exact layer: each names its exception and message
 
@@ -1046,7 +1188,7 @@ def test_sparse_ldl_on_every_hopf_gram_up_to_16():
     (lambda: identity_form(2).restricted([[1, 0, 0]]), ValueError, "inner dimensions differ"),
     (lambda: PolyMap(2, [Poly(1)]), ValueError, "coordinate has wrong number of variables"),
     (lambda: setattr(PolyMap.identity(1), "coords", ()), AttributeError, "PolyMap is immutable"),
-    (lambda: PolyMap.from_quadratic_forms([]), ValueError, "need at least one form"),
+    (lambda: PolyMap.from_symmetric_matrices([]), ValueError, "need at least one form"),
     (lambda: PolyMap(1, [Poly(1, {(2,): 1})]).linear_matrix(), ValueError, "map is not homogeneous linear"),
     (lambda: PolyMap.identity(2) + PolyMap.identity(3), ValueError, "maps have different shapes"),
     (lambda: PolyMap.identity(2) - PolyMap.zero(2, 1), ValueError, "maps have different shapes"),

@@ -15,8 +15,8 @@ kernels; a NormedPairing is stored only by its constructor and by
 normed_pairing, through the one builder that proves its norm identity, and
 only normed_pairing reads a generator system;
 only polycore reads the integer form of a Poly or a QuadForm, and
-a QuadForm's Fraction matrix is read only by the report emitters and as
-_linalg's input; a
+a QuadForm's Fraction matrix is read only by the report emitters; a
+PolyMap's column form is built and read only by inner_poly and its helper; a
 RationalCurve's integer form is stored only
 by its constructor, after the checks, and by the line restriction, and read
 only in circles; only the line restriction, whose maps cap every term at
@@ -28,7 +28,7 @@ numpy's sum and add.reduce; polycore and circles raise floats to powers
 with Python's **, never with numpy's power or ** on an ndarray; one circle fit remains, the stacked fit with the one SVD, and circle_fit
 delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
-QuadForm's matrix; the one symmetric elimination is called
+QuadForm's integer rows; the one symmetric elimination is called
 only by LDL^T and congruent diagonalization; no module imports a name
 it never uses; and the package binds each name of its __all__ once, and
 no other public name."""
@@ -190,16 +190,15 @@ def test_quartic_rule_catches_a_foreign_call():
 
 
 def test_sums_of_products_are_taken_in_one_kernel_call():
-    # the product kernel is reached by Poly products and inner_poly, by the
-    # canonical numerators (one call per N_i) and by the series check's three
-    # sums; every other product goes through those
+    # the product kernel is reached by Poly products, by the canonical
+    # numerators (one call per N_i) and by the series check's three sums;
+    # every other product goes through those, and inner_poly sums columns
     assert _package_callers("_sum_of_products") == [
         "jets.canonical_rounding",
         "jets.check_series_divisibility",
         "jets.check_series_divisibility",
         "jets.check_series_divisibility",
         "polycore.Poly.__mul__",
-        "polycore.inner_poly",
     ]
 
 
@@ -214,7 +213,6 @@ def test_product_kernel_rule_catches_a_foreign_call():
         "jets.check_series_divisibility",
         "jets.check_series_divisibility",
         "polycore.Poly.__mul__",
-        "polycore.inner_poly",
         "spheres.doubled",
     ]
 
@@ -235,15 +233,15 @@ def test_jets_are_built_from_matrices_in_one_place():
     # jet documents, the reduced jet of a factorization and the bench all
     # hand over matrices; one constructor turns them into polynomial maps
     assert _package_callers("from_linear_matrix") == ["jets.jet_from_matrices"]
-    assert _package_callers("from_quadratic_forms") == ["jets.jet_from_matrices"]
+    assert _package_callers("from_symmetric_matrices") == ["jets.jet_from_matrices"]
 
 
 def test_matrix_constructor_rule_catches_a_foreign_call():
     sources = _package_sources()
     sources["jets"] += "\ndef reduced_linear(rows):\n    return PolyMap.from_linear_matrix(rows)\n"
-    sources["spheres"] += "\nclass Probe:\n    quad = polycore.PolyMap.from_quadratic_forms([])\n"
+    sources["spheres"] += "\nclass Probe:\n    quad = polycore.PolyMap.from_symmetric_matrices([])\n"
     assert _module_callers(sources, "from_linear_matrix") == ["jets.jet_from_matrices", "jets.reduced_linear"]
-    assert _module_callers(sources, "from_quadratic_forms") == ["jets.jet_from_matrices", "spheres.Probe"]
+    assert _module_callers(sources, "from_symmetric_matrices") == ["jets.jet_from_matrices", "spheres.Probe"]
 
 
 def test_trusted_construction_stays_in_polycore():
@@ -267,7 +265,8 @@ def _reads_integer_form(node: ast.AST) -> bool:
 def test_integer_form_is_read_only_in_polycore():
     # a Poly's packed keys and a QuadForm's integer rows, each over one
     # denominator, are polycore's format; other modules read Poly through its
-    # methods, terms, or _quadratic_terms, and QuadForm through its matrix
+    # methods, terms, or _quadratic_terms, and QuadForm through its matrix or,
+    # as _linalg's input, _int_rows
     sources = _package_sources()
     assert len(_module_sites(sources, _reads_integer_form)) >= 20
     assert _foreign_sites(sources, _reads_integer_form, ("polycore",)) == []
@@ -285,16 +284,12 @@ def _reads_form_matrix(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "matrix"
 
 
-_FORM_MATRIX_READERS = [
-    "cli.jet_to_doc", "cli.spheremap_to_doc",
-    "jets.factor_degenerate", "jets.factor_degenerate", "jets.is_degenerate",
-    "polycore.form_signature", "spheres._factor_gram", "spheres._semidefinite_signature",
-]
+_FORM_MATRIX_READERS = ["cli.jet_to_doc", "cli.spheremap_to_doc"]
 
 
-def test_form_matrix_is_read_by_the_emitters_and_linalg_inputs():
-    # a QuadForm's Fraction matrix is written into reports and handed to
-    # _linalg; its values come from to_poly(), through Poly's evaluators
+def test_form_matrix_is_read_only_by_the_emitters():
+    # a QuadForm's Fraction matrix is written into reports; _linalg takes its
+    # integer rows, and its values come from to_poly(), through Poly's evaluators
     assert _module_sites(_package_sources(), _reads_form_matrix) == _FORM_MATRIX_READERS
 
 
@@ -308,6 +303,35 @@ def test_form_matrix_rule_catches_a_foreign_read():
     sources["circles"] += "\nclass Probe:\n    rows = form.matrix\n"
     assert _module_sites(sources, _reads_form_matrix) == sorted(
         _FORM_MATRIX_READERS + ["circles.Probe", "polycore.QuadForm.__call__", "spheres.gram_value"])
+
+
+def _touches_column_form(node: ast.AST) -> bool:
+    # the slot by attribute or by name, as object.__setattr__ writes it, and the helper
+    if isinstance(node, ast.Attribute) and node.attr == "_columns":
+        return True
+    return (isinstance(node, ast.Constant) and node.value == "_columns") or _called_name(node) == "_column_form"
+
+
+_COLUMN_FORM_SITES = [
+    "polycore.PolyMap", "polycore._column_form", "polycore._column_form", "polycore._column_form",
+    "polycore.inner_poly", "polycore.inner_poly",
+]
+
+
+def test_column_form_is_built_and_read_only_by_inner_poly():
+    # the slot is declared in PolyMap and filled by _column_form on first use;
+    # inner_poly reads it only through that helper
+    assert _module_sites(_package_sources(), _touches_column_form) == _COLUMN_FORM_SITES
+
+
+def test_column_form_rule_catches_a_foreign_read():
+    sources = _package_sources()
+    sources["jets"] += "\ndef columns(a):\n    return a._columns\n"
+    sources["spheres"] += "\nclass Probe:\n    cols = polycore._column_form(f)\n"
+    sources["cliff"] += "\ndef reset(m):\n    object.__setattr__(m, '_columns', None)\n"
+    sources["polycore"] += "\ndef width(u):\n    return len(u._columns[0])\n"
+    assert _module_sites(sources, _touches_column_form) == sorted(
+        _COLUMN_FORM_SITES + ["cliff.reset", "jets.columns", "polycore.width", "spheres.Probe"])
 
 
 def _uses_lcm(node: ast.AST) -> bool:
@@ -674,7 +698,7 @@ def test_out_rule_catches_a_write_from_a_handler():
 
 def test_congruent_diagonalization_runs_only_on_checked_forms():
     # congruent_diagonalize does not check that its matrix is square and
-    # symmetric; both callers pass a QuadForm's matrix, which is symmetric by construction
+    # symmetric; both callers pass a QuadForm's integer rows, symmetric by construction
     assert _package_callers("congruent_diagonalize") == ["jets.is_degenerate", "polycore.form_signature"]
 
 
