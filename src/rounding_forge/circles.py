@@ -394,30 +394,30 @@ def _guarded(draws: _Draws, lines: list[tuple], count: int, powers, den_rows) ->
     return pw, q, ~(np.abs(q) < _GUARD * (1.0 + t * t))
 
 
-def _sample_block(draws: _Draws, trials: range, m: int, powers, den_rows,
-                  window: int) -> tuple[list[tuple], list[int], list[int], int]:
+def _sample_block(draws: _Draws, trials: range, m: int, powers, den_rows) -> tuple[list[tuple], list[int], list[int]]:
     """Sample the lines of one fit block, reading draws from offset 0.
 
     Each line reads parameters until 16 clear the guard, at most 960 of them,
     so where the next line's draws begin is known once this line's guard
     outcomes are. The lines of a window are sampled together, each at its
-    offset with 16 parameters (32 for a window of one line). The first line
-    that needs more is finished alone, in chunks that double the parameters
-    it has read, keeping the points already sampled; the next window starts
-    at its true end, with 2 * (lines the window finished) + 1 lines.
+    offset with 16 parameters; the first window holds the whole block. The
+    first line that finds fewer than 16 points becomes a window of one,
+    sampled again from its first parameter at 32, 64, ... up to 960
+    parameters, and skipped if it still finds too few. The next window
+    starts at that line's true end. After a window at 16 parameters it has
+    2 * (lines the window finished) + 1 lines, and after a line sampled
+    again it has one.
 
     Returns the power-table columns and Q values of each sampled line's 16
-    points, in trial order, the sampled and skipped trials, and the window.
-    The block's draws are trimmed from the stream.
+    points, in trial order, and the sampled and skipped trials. The block's
+    draws are trimmed from the stream.
     """
     points, sampled, skipped = [], [], []
-    start, trial = 0, trials.start
+    start, trial, window, count = 0, trials.start, len(trials), _POINTS_PER_LINE
     while trial < trials.stop:
-        lines = []
-        count = _POINTS_PER_LINE if min(window, trials.stop - trial) > 1 else 2 * _POINTS_PER_LINE
-        for line_trial in range(trial, min(trial + window, trials.stop)):
-            lines.append(_line(draws, start, line_trial, m))
-            start = lines[-1][2] + count
+        lines = [_line(draws, start, trial, m)]
+        for line_trial in range(trial + 1, min(trial + window, trials.stop)):
+            lines.append(_line(draws, lines[-1][2] + count, line_trial, m))
         pw, q, ok = _guarded(draws, lines, count, powers, den_rows)
         accepted = np.cumsum(ok, axis=1)
         full = accepted[:, -1] >= _POINTS_PER_LINE
@@ -426,41 +426,17 @@ def _sample_block(draws: _Draws, trials: range, m: int, powers, den_rows,
         points.append((pw[:, keep], q.ravel()[keep]))
         sampled += range(trial, trial + done)
         trial += done
-        window = 2 * done + 1
-        if done == len(lines):
-            start = lines[-1][2] + int(np.argmax(accepted[-1] == _POINTS_PER_LINE)) + 1
+        if done:
+            start = lines[done - 1][2] + int(np.argmax(accepted[done - 1] == _POINTS_PER_LINE)) + 1
+        if done < len(lines) and count < _MAX_PARAMETERS:
+            window, count = 1, min(2 * count, _MAX_PARAMETERS)
             continue
-        keep = done * count + np.flatnonzero(ok[done])
-        line_points, start = _finish_line(draws, lines[done], count, (pw[:, keep], q.ravel()[keep]), powers,
-                                          den_rows)
-        if line_points:
-            points += line_points
-            sampled.append(trial)
-        else:
+        if done < len(lines):
             skipped.append(trial)
-        trial += 1
+            trial, start = trial + 1, lines[done][2] + count
+        window, count = 2 * done + 1 if count == _POINTS_PER_LINE else 1, _POINTS_PER_LINE
     draws.trim(start)
-    return points, sampled, skipped, window
-
-
-def _finish_line(draws: _Draws, line: tuple, read: int, found: tuple, powers, den_rows) -> tuple[list, int]:
-    """Read more parameters on a line that has read some and found fewer than
-    16 points clearing the guard, in chunks that double what it has read,
-    up to 960. Returns the power-table columns and Q values of its 16
-    points, or [] if it is skipped, and the offset where its draws end."""
-    base, direction, first = line
-    points = [found]
-    missing = _POINTS_PER_LINE - found[1].size
-    while read < _MAX_PARAMETERS:
-        chunk = min(read, _MAX_PARAMETERS - read)
-        pw, q, ok = _guarded(draws, [(base, direction, first + read)], chunk, powers, den_rows)
-        keep = np.flatnonzero(ok[0])[:missing]
-        points.append((pw[:, keep], q[0, keep]))
-        missing -= keep.size
-        if not missing:
-            return points, first + read + int(keep[-1]) + 1
-        read += chunk
-    return [], first + _MAX_PARAMETERS
+    return points, sampled, skipped
 
 
 def _as_numeric_pair(fmap) -> tuple[list[Poly], Poly]:
@@ -498,19 +474,25 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     point at a time; this oracle gets the same bits a block of lines at a
     time. Every draw is one value of the stream of random() values, and each
     line reads its draws at a known offset, which _sample_block finds from
-    the guard outcomes of the lines before it. Q and every F[i] are compiled
-    into one float form before the first trial, and evaluated by the one
-    float evaluator on power tables of many points: Q at every sampled
-    point, each F[i] once per block at the points that cleared the guard. A
-    coefficient outside float range raises ValueError naming its coordinate,
-    Q or F[i]. Trials are sampled in order, _FIT_BLOCK at a time, and each
-    block's lines are fitted as one stack, with the bits of circle_fit on
-    each line alone. trials must be a positive int and tol positive and
+    the guard outcomes of the lines before it; a line that finds too few
+    points is sampled again alone, at doubled counts, from the same cached
+    draws. Q and every F[i] are compiled into one float form before the
+    first trial, and evaluated by the one float evaluator on power tables of
+    many points: Q at every sampled point, each F[i] once per block at the
+    points that cleared the guard. A coefficient outside float range raises
+    ValueError naming its coordinate, Q or F[i]. Trials are sampled in
+    order, _FIT_BLOCK at a time, and each block's lines are fitted as one
+    stack, with the bits of circle_fit on each line alone. trials must be a
+    positive int, seed an int (None would seed from the OS, and the report
+    could not be reproduced from its own fields) and tol positive and
     finite; a NaN tol would pass every line. A map of no variables has no
     lines, and raises ValueError.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    # type(), not isinstance(): bool is an int, and True is no seed
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 < tol < inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     numerators, denominator = _as_numeric_pair(fmap)
@@ -521,13 +503,12 @@ def verify_rounding_numeric(fmap, trials: int = 100, seed: int = 0, tol: float =
     den_rows = _compiled(form, denominator, "Q")
     num_rows = [_compiled(form, p, f"F[{i}]") for i, p in enumerate(numerators)]
     draws = _Draws(seed)
-    window = _FIT_BLOCK
     violations: list[int] = []
     skipped: list[int] = []
     max_residual = 0.0
     for start in range(0, trials, _FIT_BLOCK):
         block = range(start, min(start + _FIT_BLOCK, trials))
-        points, sampled, block_skipped, window = _sample_block(draws, block, m, form.powers, den_rows, window)
+        points, sampled, block_skipped = _sample_block(draws, block, m, form.powers, den_rows)
         skipped += block_skipped
         if not sampled:
             continue

@@ -431,27 +431,11 @@ def _sum_of_products(num_vars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
     The multiply-adds run on the stored integer numerators, each pair scaled
     to the lcm of the pairs' denominators, and a monomial product is one
     addition of packed keys. The sum is reduced once, at the end.
-
-    A pair whose two factors are one object is a square, and its squares
-    form visits only the term pairs i <= j: c_i * c_i once and 2 c_i c_j for
-    i < j. The full loop first meets each key at such a pair, and zeros are
-    dropped only at the end, so the stored order is the same.
     """
     den = lcm(*[a._den * b._den for a, b in pairs])
     acc: dict[int, int] = {}
     for a, b in pairs:
         scale = den // (a._den * b._den)
-        if a is b:
-            terms = list(a._ints.items())
-            for i, (k1, c1) in enumerate(terms):
-                scaled = c1 * scale
-                k = k1 + k1
-                acc[k] = acc.get(k, 0) + c1 * scaled
-                twice = scaled + scaled
-                for k2, c2 in terms[i + 1:]:
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + twice * c2
-            continue
         right = b._ints.items()
         for k1, c1 in a._ints.items():
             c1 *= scale

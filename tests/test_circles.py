@@ -700,6 +700,17 @@ def test_numeric_oracle_rejects_a_tolerance_or_trial_count_the_cli_would(kwargs,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "abc", True])
+def test_numeric_oracle_rejects_a_seed_that_is_not_an_int(seed):
+    # None seeds from the OS, so its report could not be reproduced from its
+    # own fields; True is an int to isinstance, but no seed
+    fq = canonical_rounding(validate_jet(complex_square_jet()))
+    with mock.patch.object(circles.random, "Random", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError) as err:
+            verify_rounding_numeric(fq, trials=4, seed=seed)
+    assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+
 # ---------------------------------------------------------------------------
 # error paths: each names its exception and message
 
@@ -822,8 +833,12 @@ def _assert_matches_the_reference(fmap, trials, seed):
     return got
 
 
-@pytest.mark.parametrize("trials", [1, 99, 101, 250])
-@pytest.mark.parametrize("scale", [F(1), F(1, 10**5), F(1, 10**6), F(3, 10**6), F(1, 10**7)], ids=str)
+_GUARD_TRIALS = [1, 99, 101, 250]
+_GUARD_SCALES = [F(1), F(1, 10**5), F(1, 10**6), F(3, 10**6), F(1, 10**7)]
+
+
+@pytest.mark.parametrize("trials", _GUARD_TRIALS)
+@pytest.mark.parametrize("scale", _GUARD_SCALES, ids=str)
 def test_numeric_oracle_matches_the_reference_as_the_guard_tightens(scale, trials):
     # at scale 1 no parameter fails the guard; at 1/10^7 most lines are skipped
     report = _assert_matches_the_reference(_scaled_canonical_map(scale), trials, seed=0)
@@ -831,14 +846,52 @@ def test_numeric_oracle_matches_the_reference_as_the_guard_tightens(scale, trial
         assert (scale == F(1, 10**7)) == (len(report.skipped) > trials // 2)
 
 
-@pytest.mark.parametrize("fmap", [
+_DEGENERATE_CONTROLS = pytest.mark.parametrize("fmap", [
     _tiny_denominator_map(1),  # every line is skipped
     ([Poly(2, {(2, 0): 1})], Poly.zero(2)),  # Q is 0 at every point
     FracQuadMap(PolyMap(2, []), 1 + Poly.variable(2, 0)),  # no numerators, ok
 ], ids=["tiny-denominator", "zero-denominator", "no-numerators"])
+
+
+@_DEGENERATE_CONTROLS
 def test_numeric_oracle_matches_the_reference_on_degenerate_controls(fmap):
     report = _assert_matches_the_reference(fmap, 101, seed=3)
     assert report.ok == (not report.skipped)
+
+
+def _points_evaluated(fmap, trials, seed) -> int:
+    """The points at which the oracle evaluates Q: count parameters on each
+    line of every _guarded call."""
+    evaluated = 0
+    guarded = circles._guarded
+
+    def counting(draws, lines, count, *rest):
+        nonlocal evaluated
+        evaluated += len(lines) * count
+        return guarded(draws, lines, count, *rest)
+
+    with mock.patch.object(circles, "_guarded", counting):
+        verify_rounding_numeric(fmap, trials=trials, seed=seed)
+    return evaluated
+
+
+def _assert_bounded_work(fmap, trials, seed):
+    # every parameter the scalar loop reads is evaluated at least once; the
+    # re-reads of a short line at doubled counts and the lines a window reads
+    # past it stay under 3.5 times as many on these controls
+    read = sum(reference_parameters_read(fmap, trials, seed))
+    assert read <= _points_evaluated(fmap, trials, seed) <= 4 * read
+
+
+@pytest.mark.parametrize("trials", _GUARD_TRIALS)
+@pytest.mark.parametrize("scale", _GUARD_SCALES, ids=str)
+def test_numeric_oracle_work_is_bounded_as_the_guard_tightens(scale, trials):
+    _assert_bounded_work(_scaled_canonical_map(scale), trials, seed=0)
+
+
+@_DEGENERATE_CONTROLS
+def test_numeric_oracle_work_is_bounded_on_degenerate_controls(fmap):
+    _assert_bounded_work(fmap, 101, seed=3)
 
 
 @pytest.mark.parametrize("seed, trials, first", [

@@ -210,7 +210,7 @@ def test_inner_poly_matches_dict_oracle(coords):
 
 
 def _copy(p: Poly) -> Poly:
-    # equal but a distinct object, so a product with p takes the ordered-pair loop
+    # equal but a distinct object, so inner_poly does not take its squares form for u is v
     return Poly(p.num_vars, p.terms)
 
 

@@ -24,7 +24,8 @@ degree 2, composes a polynomial with a line; matrices are cleared in one
 helper, and only _linalg and polycore take an lcm; the numeric oracle
 evaluates only polynomials it compiled once, never eval_float, and one
 float evaluator remains, which adds term by term, never with sum, fsum or
-numpy's sum and add.reduce; polycore and circles raise floats to powers
+numpy's sum and add.reduce; the oracle draws its lines and samples their
+parameters in one loop; polycore and circles raise floats to powers
 with Python's **, never with numpy's power or ** on an ndarray; one circle fit remains, the stacked fit with the one SVD, and circle_fit
 delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
@@ -514,6 +515,24 @@ def test_compiled_evaluation_rule_catches_an_eval_float_call():
     ]
 
 
+def test_numeric_oracle_samples_in_one_loop():
+    # a line that finds too few points is sampled again by the same loop,
+    # alone at doubled counts, so no second path draws a line or its parameters
+    assert _package_callers("_line") == ["circles._sample_block", "circles._sample_block"]
+    assert _package_callers("_guarded") == ["circles._sample_block"]
+
+
+def test_sampling_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    sources["circles"] += (
+        "\ndef _finish_line(draws, line, read, powers, den_rows):\n"
+        "    return _guarded(draws, [line], read, powers, den_rows)\n"
+    )
+    sources["cli"] += "\nclass Probe:\n    line = circles._line(draws, 0, 1, 2)\n"
+    assert _module_callers(sources, "_guarded") == ["circles._finish_line", "circles._sample_block"]
+    assert _module_callers(sources, "_line") == ["circles._sample_block", "circles._sample_block", "cli.Probe"]
+
+
 def test_one_circle_fit_remains():
     # the oracle fits its sampled lines in stacks, and circle_fit is that
     # fit on a stack of one, so one SVD call site serves both
@@ -537,7 +556,7 @@ def test_circle_fit_rule_catches_a_second_fit():
 # the float evaluator: its compile, its power table, its rows and the
 # functions that drive it
 _FLOAT_EVALUATOR = (
-    "circles._finish_line", "circles._guarded", "circles._sample_block", "circles.verify_rounding_numeric",
+    "circles._guarded", "circles._sample_block", "circles.verify_rounding_numeric",
     "jets.FracQuadMap.eval_float", "polycore.Poly.eval_float", "polycore.PolyMap.eval_float",
     "polycore._FloatForm", "polycore._eval_float_rows", "polycore._eval_floats",
 )
