@@ -102,6 +102,8 @@ def poly_from_doc(doc, path: str, expect_vars: int | None = None) -> Poly:
         exps, coeff = item
         if not isinstance(exps, list) or len(exps) != nv or not all(type(e) is int for e in exps):
             raise DocumentError(tpath, f"expected {nv} integer exponents")
+        if tuple(exps) in terms:
+            raise DocumentError(tpath, "repeated monomial: an earlier term has the same exponents")
         terms[tuple(exps)] = _parse_rat(coeff, tpath)
     try:
         return Poly(nv, terms)
@@ -434,6 +436,8 @@ def cmd_pairing(args) -> Report:
 
 def cmd_hopf(args) -> Report:
     report = Report(command="hopf")
+    if args.pairing is not None and args.size:
+        raise DocumentError("arguments", "hopf takes a pairing file or --size R N, not both")
     if args.pairing:
         report.inputs["pairing"], doc = _load_json(args.pairing)
         try:

@@ -1,16 +1,18 @@
-"""Clifford generator tables, Hurwitz-Radon bounds, normed bilinear pairings,
-and the quadratic Hopf maps they induce.
+"""Clifford generator systems, Hurwitz-Radon bounds, normed bilinear
+pairings, and the quadratic Hopf maps they induce.
 
-Generators are built, never copied from a table: left multiplications in the
-Cayley-Dickson algebras give the base cases up to seven generators, one
-doubling step bootstraps the eighth, and the period-8 tensor construction
-extends to larger sizes, kept as signed permutations. A pairing's norm
-identity is proved by the Hurwitz equations on its slabs, each cleared to
-integers, and that proof is also the one certificate of a generator system:
-with the identity as slab 0, the Hurwitz equations of the slabs
-[I, E_1, ..., E_k] are exactly E_i^2 = -I, E_i^T E_i = I and
-E_i E_j = -E_j E_i. So normed_pairing, the one entry to the generator
-systems, proves the slabs of each pairing it builds.
+Generators are signed permutations built from two rules, never copied from a
+table. Up to seven, generator i is left multiplication by e_i in a
+Cayley-Dickson algebra, where e_i e_j = +-e_(i XOR j). Every larger system is
+made of Kronecker products: eight generators are Z x E for each octonion
+generator E and J x I_8, with Z = diag(1, -1) and J the signed swap of two
+halves, and past eight the period-8 construction tensors with the volume
+element of the eight. A pairing's norm identity is proved by the Hurwitz
+equations on its slabs, each cleared to integers, and that proof is also the
+one certificate of a generator system: with the identity as slab 0, the
+Hurwitz equations of the slabs [I, E_1, ..., E_k] are exactly E_i^2 = -I,
+E_i^T E_i = I and E_i E_j = -E_j E_i. So normed_pairing, the one entry to the
+generator systems, proves the slabs of each pairing it builds.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from .polycore import CertificateError, Poly, PolyMap, _quadratic_polys, _quadra
 from .spheres import QuadSphereMap, hopf_construction
 
 KAPPA_DOMAIN_CAP = 1 << 20
-
-# Minimal dimensions of representations with k anticommuting orthogonal
-# complex structures, k = 0..7; beyond that the dimension multiplies by 16
-# every 8 generators.
-_BASE_DIMS = (1, 2, 4, 4, 8, 8, 8, 8)
 
 
 class SizeInfeasible(Exception):
@@ -112,67 +109,46 @@ class _SignedPerm:
         return _SignedPerm(tuple(perm), tuple(signs))
 
 
-@lru_cache(maxsize=None)
-def _cayley_dickson_table(dim: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Basis multiplication table of the dim-dimensional Cayley-Dickson
-    algebra: entry [i][j] is (index, sign) with e_i * e_j = sign * e_index."""
-    if dim == 1:
-        return (((0, 1),),)
-    half = dim // 2
-    sub = _cayley_dickson_table(half)
+def _cayley_dickson_sign(i: int, j: int, dim: int) -> int:
+    """The sign s in e_i e_j = s e_(i XOR j), in the dim-dimensional
+    Cayley-Dickson algebra.
 
-    def conj_sign(j: int) -> int:
-        return 1 if j == 0 else -1
-
-    table = [[(0, 0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if i < half and j < half:
-                idx, sg = sub[i][j]
-                table[i][j] = (idx, sg)
-            elif i < half and j >= half:
-                # (a, 0)(0, d) = (0, d a)
-                idx, sg = sub[j - half][i]
-                table[i][j] = (half + idx, sg)
-            elif i >= half and j < half:
-                # (0, b)(c, 0) = (0, b conj(c))
-                idx, sg = sub[i - half][j]
-                table[i][j] = (half + idx, sg * conj_sign(j))
-            else:
-                # (0, b)(0, d) = (-conj(d) b, 0)
-                idx, sg = sub[j - half][i - half]
-                table[i][j] = (idx, -sg * conj_sign(j - half))
-    return tuple(tuple(row) for row in table)
-
-
-def _left_multiplication(dim: int, i: int) -> _SignedPerm:
-    return _SignedPerm(*zip(*_cayley_dickson_table(dim)[i]))
-
-
-def _double(gens: Sequence[_SignedPerm], dim: int) -> list[_SignedPerm]:
-    """One extra anticommuting structure on twice the dimension.
-
-    Existing generators act as diag(E, -E); the new one swaps the halves
-    with a sign twist.
+    The doubling (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) is applied
+    one halving at a time. Each of its four cases maps the pair of indices by
+    XOR with the half bit, so the product's index is always i XOR j. The
+    sign moves only by the minus of -conj(d) b and by conj(e_t) = -e_t for
+    t > 0.
     """
-    out = []
-    for g in gens:
-        perm = list(g.perm) + [dim + p for p in g.perm]
-        signs = list(g.signs) + [-s for s in g.signs]
-        out.append(_SignedPerm(tuple(perm), tuple(signs)))
-    swap_perm = [dim + j for j in range(dim)] + list(range(dim))
-    swap_signs = [1] * dim + [-1] * dim
-    out.append(_SignedPerm(tuple(swap_perm), tuple(swap_signs)))
-    return out
+    sign = 1
+    while dim > 1:
+        dim >>= 1
+        if j & dim:
+            if i & dim:  # (0, b)(0, d) = (-conj(d) b, 0)
+                i, j = j ^ dim, i ^ dim
+                sign = sign if i else -sign
+            else:  # (a, 0)(0, d) = (0, d a)
+                i, j = j ^ dim, i
+        elif i & dim:  # (0, b)(c, 0) = (0, b conj(c))
+            i ^= dim
+            sign = -sign if j else sign
+    return sign
 
 
 @lru_cache(maxsize=None)
 def _generator_perms(k: int) -> tuple[_SignedPerm, ...]:
     if k <= 7:
-        dim = _BASE_DIMS[k]
-        return tuple(_left_multiplication(dim, i) for i in range(1, k + 1))
+        # left multiplication by e_1, ..., e_k in the least Cayley-Dickson
+        # algebra that has them
+        dim = 1 << k.bit_length()
+        return tuple(_SignedPerm(tuple(i ^ j for j in range(dim)),
+                                 tuple(_cayley_dickson_sign(i, j, dim) for j in range(dim)))
+                     for i in range(1, k + 1))
     if k == 8:
-        return tuple(_double(_generator_perms(7), 8))
+        # each octonion generator E as diag(E, -E), and the halves swapped
+        # with a sign twist
+        seven = _generator_perms(7)
+        z, j = _SignedPerm((0, 1), (1, -1)), _SignedPerm((1, 0), (1, -1))
+        return (*(z.kron(g) for g in seven), j.kron(_SignedPerm.eye(8)))
     eight = _generator_perms(8)
     volume = eight[0]
     for g in eight[1:]:

@@ -568,6 +568,17 @@ def test_hopf_requires_input(capsys):
     assert "needs a pairing file or --size" in err
 
 
+def test_hopf_rejects_a_file_with_size(tmp_path, capsys):
+    # --size is not silently dropped in favor of the file: neither is used
+    code, report = run_json(capsys, "pairing", "2", "2")
+    path = write_doc(tmp_path, "pairing.json", report["witnesses"]["document"])
+    out_path = tmp_path / "sphere.json"
+    code, out, err = run(capsys, "hopf", path, "--size", "2", "4", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "rounding-forge: error: arguments: hopf takes a pairing file or --size R N, not both\n"
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -615,6 +626,26 @@ def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "rounding-forge: error: $.Q: denominator is the zero polynomial\n"
+
+
+def test_verify_rejects_a_repeated_monomial(tmp_path, capsys):
+    # x1 + 5 x2 + 2 x1 would otherwise be read as 5 x2 + 2 x1, a linear map
+    # that verify passes
+    doc = {
+        "kind": "fracquad",
+        "m": 2,
+        "n": 2,
+        "F": [
+            {"vars": 2, "terms": [[[1, 0], "1"], [[0, 1], "5"], [[1, 0], "2"]]},
+            {"vars": 2, "terms": [[[0, 1], "1"]]},
+        ],
+        "Q": {"vars": 2, "terms": [[[0, 0], "1"]]},
+    }
+    path = write_doc(tmp_path, "map.json", doc)
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (1, "")
+    assert err == ("rounding-forge: error: $.F[0].terms[2]: "
+                   "repeated monomial: an earlier term has the same exponents\n")
 
 
 def _tiny_denominator_map(scale):
@@ -985,6 +1016,8 @@ GOLDEN_CASES = (
     ("degen", "{degenerate}"),
     ("pairing", "4", "8"),
     ("hopf", "--size", "2", "4"),
+    ("pairing", "9", "16"),
+    ("hopf", "--size", "10", "32"),
     ("verify", "{map}", "--trials", "6", "--seed", "5"),
     ("hopf",),
     ("verify", "{linear}", "--trials", "8", "--seed", "11"),
@@ -1011,6 +1044,10 @@ GOLDEN = {
     "degen {degenerate}": ("9b594fda2074e593fc6f72ebaadc966c603fb550248a2c4ea52ec1ff3e5dd305", EMPTY, 0),
     "pairing 4 8": ("10ca1c552d878167fd69aeb87944ce1cdd2d168799e814c84474c15d50827674", EMPTY, 0),
     "hopf --size 2 4": ("26c989bf31be24fd57bba07a80d602c46fdaf4acd35e7b8f0aa4d76a40a3a41a", EMPTY, 0),
+    # recorded before the generators were built by XOR and Kronecker rules:
+    # the doubled octonions (k = 8) and the period-8 step (k = 9)
+    "pairing 9 16": ("e75710db7fff4084da53cc561b145f2d557255906fd81c57ce4470ae1db0d31d", EMPTY, 0),
+    "hopf --size 10 32": ("4567f66bed380fa4a6d220f886313e2862aa8593f1b93fa5b01765134759ad75", EMPTY, 0),
     "verify {map} --trials 6 --seed 5": ("a66448a5be3c1ff68a4d6b0339935d007e1e006cb6ad8614189b9dfe89960e66", EMPTY, 0),
     "hopf": (EMPTY, "ecd50a0c1e0d377d401fbd79d42b2f7eba9d8a557f2fdde00a29008cd6378c03", 1),
     # recorded before the oracle fitted its lines in stacks: line fits, a
