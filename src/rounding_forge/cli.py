@@ -258,6 +258,49 @@ def spheremap_to_doc(sm: spheres.QuadSphereMap) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), for dicts with
+    str keys, built a container at a time: a list of only strs or only ints
+    is joined in one C call, where json's indenting encoder, which is pure
+    Python, steps through every value. Any other type raises TypeError."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(_escape, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _escape raises TypeError on a key that is not a str
+        items = [_escape(key) + ": " + _json_text(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -272,7 +315,7 @@ class Report:
     exit_status: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        return _json_text(vars(self)) + "\n"
 
 
 def _run_oracle(fq: jets.FracQuadMap, args) -> dict:
@@ -514,10 +557,11 @@ def cmd_tables(args) -> Report:
 
 
 def _write_doc(path: str, doc: dict) -> None:
+    # the whole text first, so a document that fails to serialize leaves no file
+    text = _json_text(doc) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise DocumentError(path, f"cannot write: {exc}") from None
 

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -979,14 +980,18 @@ def _golden_documents(tmp_path):
     import random
 
     from conftest import complex_square_jet, flat_degenerate_jet, quaternion_jet, random_valid_jet
-    from rounding_forge.jets import canonical_rounding
+    from rounding_forge.jets import canonical_rounding, transform_jet
 
+    ell = Poly.linear([1, -2, 0, Fraction(1, 3)])
     docs = {
         "complex": cli.jet_to_doc(complex_square_jet()),
         "quaternion": cli.jet_to_doc(quaternion_jet()),
         "flat": cli.jet_to_doc(flat_degenerate_jet()),
         "random": cli.jet_to_doc(random_valid_jet(random.Random(4242), m=4, n=4)),
         "degenerate": cli.jet_to_doc(random_valid_jet(random.Random(77), m=5, n=2)),
+        # an equivalent of {random}, and an unrelated jet of its sizes
+        "moved": cli.jet_to_doc(transform_jet(random_valid_jet(random.Random(4242), m=4, n=4), Fraction(-3, 2), ell)),
+        "other": cli.jet_to_doc(random_valid_jet(random.Random(99), m=4, n=4)),
     }
     paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     fq = canonical_rounding(validate_jet(random_valid_jet(random.Random(4242), m=4, n=4)))
@@ -1014,6 +1019,8 @@ GOLDEN_CASES = (
     ("sphere", "{flat}"),
     ("factor", "{degenerate}"),
     ("degen", "{degenerate}"),
+    ("equiv", "{random}", "{moved}"),
+    ("equiv", "{random}", "{other}"),
     ("pairing", "4", "8"),
     ("hopf", "--size", "2", "4"),
     ("pairing", "9", "16"),
@@ -1042,6 +1049,10 @@ GOLDEN = {
     "sphere {flat}": ("777a6ef2d31d455c3333eff1abb22785fd65af6a05a41129c21c73678818d20e", EMPTY, 2),
     "factor {degenerate}": ("385de4b7e410cf23cc1f918a42946779f5c9e36381adef14740d007f0cbc6e36", EMPTY, 0),
     "degen {degenerate}": ("9b594fda2074e593fc6f72ebaadc966c603fb550248a2c4ea52ec1ff3e5dd305", EMPTY, 0),
+    # recorded before reports were written by cli._json_text: equiv was the
+    # one report command no golden covered
+    "equiv {random} {moved}": ("cf40eb55625fb0a2d57a2345d4a179b9a91b1b973a25251142d5eea24ea3939e", EMPTY, 0),
+    "equiv {random} {other}": ("182bfec962f553ddd64ca13f45fde448a741f9c1433c9bb36778ec8c1be8afc9", EMPTY, 0),
     "pairing 4 8": ("10ca1c552d878167fd69aeb87944ce1cdd2d168799e814c84474c15d50827674", EMPTY, 0),
     "hopf --size 2 4": ("26c989bf31be24fd57bba07a80d602c46fdaf4acd35e7b8f0aa4d76a40a3a41a", EMPTY, 0),
     # recorded before the generators were built by XOR and Kronecker rules:
@@ -1074,6 +1085,73 @@ def test_cli_reports_byte_stable(tmp_path, capsys):
             code,
         )
     assert got == GOLDEN
+
+
+# the SHA-256 of each --out file, recorded before --out documents were
+# written by cli._json_text
+OUT_GOLDEN = {
+    "canon {random}": "29e8322424b14909a1bbf1436f7354eb3149cab3b221e31c572fe61523578db1",
+    "sphere {random}": "5927e2eb0bd7a18e96e9521f5f55caef59b8ace98e27342919baea6e5f72f4e2",
+    "factor {degenerate}": "17833c791b43c0fb08e3fda9aa6e0cc9a29d9350bd6e985f603c42a8703a1df3",
+    "pairing 4 8": "5d0294dcad74f577d107ae7665fa248663d065c880602963098fed4a61ab58e7",
+    "hopf --size 2 4": "6cfc2fff65b0dd662f36424df95837d750cd6da26de00293bb7536d5d968fe3a",
+}
+
+
+def test_out_documents_byte_stable(tmp_path, capsys):
+    paths = _golden_documents(tmp_path)
+    got = {}
+    for case in OUT_GOLDEN:
+        out_path = tmp_path / f"out{len(got)}.json"
+        code, _, _ = run(capsys, *(arg.format(**paths) for arg in case.split()), "--out", str(out_path))
+        assert code == 0
+        got[case] = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert got == OUT_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# the report writer against its oracle, json.dumps(v, sort_keys=True, indent=2)
+
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "é", "\u2028", '"', "\\", "\x00\x1f\x7f", "\ud800", "a\udfffb", "\U0001f600"])
+JSON_INTS = st.integers() | st.sampled_from([-1, -(2**64) - 1, 2**64, 3**80])
+JSON_SCALARS = (JSON_TEXT | JSON_INTS | st.booleans() | st.none() | st.floats()
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(JSON_TEXT, max_size=4) | st.lists(JSON_INTS, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"b": [], "a": {}, "c": [[], {}, ()], "": [True, False, None, 1, 0]})
+@example(value=["\ud800", "é", '"\\\x00'])
+@example(value=(2**64, -(2**70), -1, [True, False], [0, True]))
+@example(value=[math.nan, math.inf, -math.inf, -0.0, 1e300])
+def test_json_text_is_the_indenting_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 2)]}, {"a": {"b": {1}}}, [["x"], {"y": frozenset()}],
+    {(1, 2): "tuple key"},
+])
+def test_json_text_rejects_what_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_a_document_that_fails_to_serialize_leaves_no_file(tmp_path):
+    out_path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._write_doc(str(out_path), {"kind": "jet", "A": [[Fraction(1, 2)]]})
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

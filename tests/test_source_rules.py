@@ -27,7 +27,9 @@ float evaluator remains, which adds term by term, never with sum, fsum or
 numpy's sum and add.reduce; the oracle draws its lines and samples their
 parameters in one loop; polycore and circles raise floats to powers
 with Python's **, never with numpy's power or ** on an ndarray; one circle fit remains, the stacked fit with the one SVD, and circle_fit
-delegates to it; only the CLI's main writes an --out document; congruent diagonalization, which
+delegates to it; only the CLI's main writes an --out document; reports
+and --out documents have one JSON writer, and json.dump and json.dumps
+are called nowhere in the package; congruent diagonalization, which
 trusts its matrix to be square and symmetric, is called only on a
 QuadForm's integer rows; the one symmetric elimination is called
 only by LDL^T and congruent diagonalization; no module imports a name
@@ -713,6 +715,34 @@ def test_out_rule_catches_a_write_from_a_handler():
     assert head in sources["cli"]
     sources["cli"] = sources["cli"].replace(head, head + "    _write_doc(args.out, {})\n")
     assert _module_callers(sources, "_write_doc") == ["cli.cmd_sphere", "cli.main"]
+
+
+def _calls_json_dump(node: ast.AST) -> bool:
+    # json.dump and json.dumps, by module attribute or imported name
+    return _called_name(node) in ("dump", "dumps")
+
+
+def test_reports_and_out_documents_have_one_writer():
+    # json's indenting encoder steps through every value in Python;
+    # _json_text writes the same bytes a container at a time, and calls
+    # itself for the containers a container holds
+    assert _package_callers("_json_text") == [
+        "cli.Report.to_json", "cli._json_text", "cli._json_text", "cli._write_doc",
+    ]
+    assert _module_sites(_package_sources(), _calls_json_dump) == []
+
+
+def test_writer_rule_catches_a_foreign_call():
+    sources = _package_sources()
+    head = "def cmd_tables(args) -> Report:\n"
+    assert head in sources["cli"]
+    sources["cli"] = sources["cli"].replace(head, head + "    print(_json_text({}))\n")
+    sources["cliff"] += "\ndef pairing_text(p):\n    return json.dumps(p, indent=2)\n"
+    sources["spheres"] += "\nfrom json import dump\n\ndef save(sm, fh):\n    dump(sm, fh)\n"
+    assert _module_callers(sources, "_json_text") == [
+        "cli.Report.to_json", "cli._json_text", "cli._json_text", "cli._write_doc", "cli.cmd_tables",
+    ]
+    assert _module_sites(sources, _calls_json_dump) == ["cliff.pairing_text", "spheres.save"]
 
 
 def test_congruent_diagonalization_runs_only_on_checked_forms():
